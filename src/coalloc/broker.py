@@ -189,7 +189,6 @@ class Broker:
 
     def __init__(self, *, parallel: bool = False):
         self.parallel = parallel
-        self.log = MessageLog()
 
     def orchestrate(
         self,
@@ -201,7 +200,8 @@ class Broker:
     ) -> OrchestrationResult:
         """Cluster, distribute, schedule, delay, and assemble the task set."""
         validate_agent_map(list(agents), list(resources))
-        self.log.record(
+        log = MessageLog()  # one per run, so a reused broker starts clean
+        log.record(
             Message(
                 MessageKind.SUBMIT_TASKS,
                 USER,
@@ -232,13 +232,13 @@ class Broker:
                 AssignClusterPayload(cluster, dag.restrict(cluster.tasks)),
                 cluster_id=cluster_id,
             )
-            self.log.record(message)
+            log.record(message)
             queues[agent_id].append(message)
         replies = self._deliver(actors, queues)
         partials: dict[str, PartialSchedule] = {}
         for cluster_id in assignment.order:
             reply = self._expect(replies, cluster_id, MessageKind.CLUSTER_SCHEDULED)
-            self.log.record(reply)
+            log.record(reply)
             partials[cluster_id] = reply.payload
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
@@ -263,7 +263,7 @@ class Broker:
                     DependencyInfoPayload(cluster.cluster_id, tuple(entries)),
                     cluster_id=cluster.cluster_id,
                 )
-                self.log.record(message)
+                log.record(message)
                 queues[agent_id].append(message)
                 pending.append(cluster.cluster_id)
             replies = self._deliver(actors, queues)
@@ -271,7 +271,7 @@ class Broker:
                 reply = self._expect(
                     replies, cluster_id, MessageKind.ADJUSTED_SCHEDULE
                 )
-                self.log.record(reply)
+                log.record(reply)
                 partials[cluster_id] = reply.payload
                 final.update(reply.payload.placements)
 
@@ -281,7 +281,7 @@ class Broker:
         mappings = tuple(
             (p.task_id, p.resource_id) for p in schedule.placements
         )
-        self.log.record(
+        log.record(
             Message(
                 MessageKind.SCHEDULE_RESULT,
                 BROKER,
@@ -289,7 +289,7 @@ class Broker:
                 ScheduleResultPayload(mappings, schedule.makespan),
             )
         )
-        return OrchestrationResult(schedule, assignment, cluster_dag, dag, self.log)
+        return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)
 
     def _deliver(
         self,

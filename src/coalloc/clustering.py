@@ -161,7 +161,9 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     task id. It repeatedly absorbs a cluster that depends on it — preferring
     the candidate with the least contained task id — whenever the merged size
     fits the quota and the quotient graph stays acyclic; when no candidate
-    qualifies the cluster is final. The procedure is fully deterministic.
+    qualifies the cluster is final. Each pick makes one reachability search,
+    which finds every candidate whose merge would close a cycle at once. The
+    procedure is fully deterministic.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -180,21 +182,19 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         succs[a].add(b)
         preds[b].add(a)
 
-    alive = set(range(len(task_ids)))
-    unfinished = set(alive)
-    while unfinished:
-        current = min(unfinished, key=lambda i: low[i])
+    # Part i starts as task i and keeps it while it is alive. Every task
+    # before it in sorted order already sits in a finished part, so a live
+    # part i is the unfinished part with the least ``low``.
+    for current in sorted(range(len(task_ids)), key=task_ids.__getitem__):
+        if not members[current]:
+            continue
         while True:
             chosen = _pick_candidate(current, members, low, succs, limit)
             if chosen is None:
                 break
             _merge_parts(current, chosen, members, low, succs, preds)
-            alive.discard(chosen)
-            unfinished.discard(chosen)
-        unfinished.discard(current)
 
-    partition = [members[i] for i in sorted(alive, key=lambda i: low[i])]
-    return quotient(dag, partition)
+    return quotient(dag, [m for m in members if m])
 
 
 def _pick_candidate(
@@ -204,30 +204,23 @@ def _pick_candidate(
     succs: list[set[int]],
     limit: int,
 ) -> int | None:
-    # Candidates are clusters depending on the current one; reject any merge
-    # that would exceed the quota or close a cycle in the quotient graph.
-    fitting = [
-        d for d in succs[current] if len(members[current]) + len(members[d]) <= limit
-    ]
-    for d in sorted(fitting, key=lambda i: low[i]):
-        if not _merge_closes_cycle(current, d, succs):
-            return d
-    return None
-
-
-def _merge_closes_cycle(current: int, candidate: int, succs: list[set[int]]) -> bool:
-    # Contracting an edge C -> D cycles iff another path C ~> D exists.
-    frontier = [s for s in succs[current] if s != candidate]
-    seen = set(frontier)
+    # Candidates are clusters depending on the current one C, within the
+    # quota. Contracting C -> D closes a cycle iff another path C ~> D exists,
+    # i.e. iff D is a strict descendant of a successor of C, so one search
+    # from the successors' successors marks every unsafe candidate.
+    room = limit - len(members[current])
+    fitting = [d for d in succs[current] if len(members[d]) <= room]
+    if not fitting:
+        return None
+    unsafe = {g for s in succs[current] for g in succs[s]}
+    frontier = list(unsafe)
     while frontier:
-        node = frontier.pop()
-        if node == candidate:
-            return True
-        for nxt in succs[node]:
-            if nxt not in seen:
-                seen.add(nxt)
+        for nxt in succs[frontier.pop()]:
+            if nxt not in unsafe:
+                unsafe.add(nxt)
                 frontier.append(nxt)
-    return False
+    safe = [d for d in fitting if d not in unsafe]
+    return min(safe, key=low.__getitem__, default=None)
 
 
 def _merge_parts(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -36,6 +37,11 @@ class TaskDag:
         self.preds = {t: tuple(sorted(ps)) for t, ps in preds.items()}
         self.succs = {t: tuple(sorted(ss)) for t, ss in succs.items()}
 
+    @functools.cached_property
+    def position(self) -> dict[str, int]:
+        """Index of each task in ``tasks``; computed once, read-only."""
+        return {t: i for i, t in enumerate(self.tasks)}
+
     def comm_time(self, pred: str, succ: str) -> float:
         return self.edges[(pred, succ)]
 
@@ -46,22 +52,22 @@ class TaskDag:
         in-subset predecessors, keeping the fragment self-consistent.
         """
         keep = set(subset)
-        unknown = sorted(keep - set(self.tasks))
+        unknown = sorted(t for t in keep if t not in self.tasks)
         if unknown:
             raise ValidationError("subset contains unknown tasks: " + ", ".join(unknown))
-        tasks = {
-            t: dataclasses.replace(
-                spec,
-                dependencies=tuple(
-                    d for d in spec.dependencies if d.task_id in keep
-                ),
-            )
-            for t, spec in self.tasks.items()
-            if t in keep
-        }
-        edges = {
-            (p, s): c for (p, s), c in self.edges.items() if p in keep and s in keep
-        }
+        # Built from the subset alone, in the same task and edge order as
+        # filtering ``tasks`` and ``edges`` (as ``build_dag`` lays them out).
+        # Specs are frozen, so one that keeps all its dependencies is shared.
+        tasks: dict[str, TaskSpec] = {}
+        edges: dict[tuple[str, str], float] = {}
+        for t in sorted(keep, key=self.position.__getitem__):
+            spec = self.tasks[t]
+            deps = tuple(d for d in spec.dependencies if d.task_id in keep)
+            if len(deps) != len(spec.dependencies):
+                spec = dataclasses.replace(spec, dependencies=deps)
+            tasks[t] = spec
+            for d in deps:
+                edges[(d.task_id, t)] = d.comm_time
         return TaskDag(tasks, edges)
 
 

@@ -6,6 +6,7 @@ code, so it can serve as an oracle for the engine's output.
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ class ViolationReport:
     """Everything wrong with a schedule; empty means valid.
 
     ``duration_mismatches`` flags rows whose end is not start + processing
-    time — impossible for engine output, possible in hand-edited files.
+    time, and ``non_finite`` rows whose start or end is infinite or NaN —
+    both impossible for engine output, possible in hand-made placements.
     """
 
     overlaps: list[tuple[str, str, str]] = field(default_factory=list)
@@ -43,6 +45,7 @@ class ViolationReport:
     duration_mismatches: list[tuple[str, float, float]] = field(
         default_factory=list
     )
+    non_finite: list[tuple[str, float, float]] = field(default_factory=list)
 
     def is_empty(self) -> bool:
         return not (
@@ -51,6 +54,7 @@ class ViolationReport:
             or self.eligibility_violations
             or self.deadline_misses
             or self.duration_mismatches
+            or self.non_finite
         )
 
     def lines(self) -> list[str]:
@@ -70,6 +74,8 @@ class ViolationReport:
             out.append(
                 f"duration: {task_id} should end at {expected}, row says {actual}"
             )
+        for task_id, start, end in self.non_finite:
+            out.append(f"non-finite: {task_id} has start {start}, end {end}")
         return out
 
 
@@ -97,7 +103,8 @@ def validate_schedule(
 
     Checks resource overlaps (closed-open intervals), every dependency edge
     (communication time owed only across resources), task-resource
-    eligibility including agent ownership, deadlines, and row durations.
+    eligibility including agent ownership, deadlines, row durations, and
+    that every start and end is finite.
     """
     by_task = {p.task_id: p for p in schedule.placements}
     if len(by_task) != len(schedule.placements):
@@ -151,6 +158,8 @@ def validate_schedule(
             report.deadline_misses.append(
                 (task_id, placement.end, spec.deadline_time)
             )
+        if not (math.isfinite(placement.start) and math.isfinite(placement.end)):
+            report.non_finite.append((task_id, placement.start, placement.end))
         expected_end = placement.start + spec.processing_time
         if placement.end != expected_end:
             report.duration_mismatches.append((task_id, expected_end, placement.end))

@@ -502,6 +502,10 @@ def placements_from_csv(text: str) -> list[Placement]:
             raise ValidationError(
                 f"schedule line {lineno}: start/end must be numbers"
             ) from None
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValidationError(
+                f"schedule line {lineno}: start/end must be finite"
+            )
         placements.append(
             Placement(
                 task_id=row["taskId"],

@@ -2,8 +2,10 @@
 
 Nothing here calls into the scheduler's own algorithms: acyclicity is
 re-decided by recursive DFS coloring, reachability by boolean matrix
-squaring, earliest fits by brute-force candidate enumeration, and the
-selection rule by replaying every decision against a rebuilt timeline model.
+squaring, earliest fits by brute-force candidate enumeration, the
+selection rule by replaying every decision against a rebuilt timeline model,
+and phase-1 clustering by a greedy that runs one DFS per merge candidate.
+None of it imports ``coalloc.clustering``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,70 @@ def closure_by_squaring(nodes: list, pairs: set) -> dict:
     return {
         a: {b for b in nodes if reach[index[a]][index[b]]} for a in nodes
     }
+
+
+def greedy_clustering(dag, num_agents: int):
+    """Phase-1 clustering with one DFS cycle test per merge candidate.
+
+    A part is keyed by its least task id. The unfinished part with the least
+    key absorbs, while the quota allows, the successor part with the least
+    key whose merge keeps the quotient acyclic. Returns the clusters as
+    ascending task tuples ordered by least task id, and the quotient edges
+    with summed crossing costs, named C1, C2, ... in that order.
+    """
+    quota = len(dag.tasks) // num_agents + 1
+    owner = {t: t for t in dag.tasks}
+
+    def quotient_succs() -> dict:
+        out = {part: set() for part in owner.values()}
+        for a, b in dag.edges:
+            if owner[a] != owner[b]:
+                out[owner[a]].add(owner[b])
+        return out
+
+    def size(part) -> int:
+        return sum(1 for p in owner.values() if p == part)
+
+    def reaches(succs: dict, sources: set, target) -> bool:
+        stack, seen = list(sources), set(sources)
+        while stack:
+            node = stack.pop()
+            if node == target:
+                return True
+            for nxt in succs[node] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return False
+
+    finished: set = set()
+    while set(owner.values()) - finished:
+        current = min(set(owner.values()) - finished)
+        while True:
+            succs = quotient_succs()
+            for cand in sorted(succs[current]):
+                if size(current) + size(cand) <= quota and not reaches(
+                    succs, succs[current] - {cand}, cand
+                ):
+                    break
+            else:
+                break
+            merged = min(current, cand)
+            for t, p in owner.items():
+                if p in (current, cand):
+                    owner[t] = merged
+            finished.discard(merged)
+            current = merged
+        finished.add(current)
+
+    keys = sorted(set(owner.values()))
+    clusters = [tuple(sorted(t for t in owner if owner[t] == k)) for k in keys]
+    name = {k: f"C{i}" for i, k in enumerate(keys, start=1)}
+    edges: dict = {}
+    for (a, b), cost in dag.edges.items():
+        pair = (name[owner[a]], name[owner[b]])
+        if pair[0] != pair[1]:
+            edges[pair] = edges.get(pair, 0.0) + cost
+    return clusters, edges
 
 
 def brute_force_earliest(

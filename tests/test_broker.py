@@ -203,6 +203,17 @@ def test_broker_keeps_no_resource_timelines(engineered):
     walk(result)
 
 
+def test_reused_broker_gives_each_run_its_own_log(engineered):
+    broker = Broker()
+    args = (engineered.tasks, engineered.resources, engineered.agents)
+    first = broker.orchestrate(*args)
+    second = broker.orchestrate(*args)
+    assert second.log is not first.log
+    assert second.log.to_text() == first.log.to_text()
+    kinds = [e.kind for e in second.log.for_cluster("C1")]
+    assert kinds.count(MessageKind.ASSIGN_CLUSTER) == 1
+
+
 def test_infeasible_task_aborts_orchestration():
     tasks = [task("a"), TaskSpec("big", 1.0, 99.0, 1.0)]
     resources, agents = pool(2)

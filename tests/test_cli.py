@@ -178,6 +178,23 @@ def test_validate_flags_injected_overlap(demo_inputs, tmp_path, capsys):
     assert "overlap on P01: 4 and 6" in report
 
 
+def test_validate_rejects_infinite_times(demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    out = tmp_path / "out"
+    assert run_schedule(demo_inputs, out) == 0
+    schedule_file = out / "schedule.csv"
+    lines = schedule_file.read_text().splitlines()
+    task8 = next(i for i, line in enumerate(lines) if line.startswith("8,"))
+    lines[task8] = ",".join(lines[task8].split(",")[:3] + ["inf", "inf"])
+    schedule_file.write_text("\n".join(lines) + "\n")
+    code = cli.main(
+        ["validate", "--tasks", str(tasks), "--resources", str(resources),
+         "--agents", str(agents), "--schedule", str(schedule_file)]
+    )
+    assert code == 1
+    assert "start/end must be finite" in capsys.readouterr().err
+
+
 def test_metrics_from_schedule_file(demo_inputs, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_schedule(demo_inputs, out) == 0

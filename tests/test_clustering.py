@@ -1,6 +1,8 @@
 """Cluster formation: the size quota, merge procedure, and quotient graph."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     Dependency,
@@ -13,7 +15,7 @@ from coalloc import (
     quotient,
 )
 from conftest import corpus_instance
-from oracles import coloring_is_acyclic
+from oracles import coloring_is_acyclic, greedy_clustering
 
 
 def chain(n, comm=1.0, processing=1.0):
@@ -153,6 +155,9 @@ def test_clustering_invariants_on_seeded_instances(seed):
         assert (a, b) in cdag.edges
         sums[(a, b)] = sums.get((a, b), 0.0) + cost
     assert sums == cdag.edges
+    assert ([c.tasks for c in cdag.clusters], cdag.edges) == greedy_clustering(
+        dag, num_agents
+    )
 
 
 def test_assignment_dump_lists_every_task():
@@ -170,3 +175,34 @@ def test_clustering_is_deterministic(seed):
     second = cluster_tasks(build_dag(tasks), 4)
     assert [c.tasks for c in first.clusters] == [c.tasks for c in second.clusters]
     assert first.edges == second.edges
+
+
+@st.composite
+def shuffled_dags(draw):
+    """Random DAGs whose ids and input order are both shuffled against the
+    topological order, paired with an agent count from 1 to beyond n."""
+    n = draw(st.integers(0, 24))
+    ids = draw(st.permutations([str(i) for i in range(n)]))  # by topo position
+    position = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.sets(st.tuples(position, position), max_size=3 * n))
+    deps = {i: [] for i in range(n)}
+    for a, b in sorted(pairs):
+        if a < b:
+            deps[b].append(Dependency(ids[a], draw(st.sampled_from([0.0, 0.5, 1.25]))))
+    order = draw(st.permutations(range(n)))
+    tasks = [TaskSpec(ids[i], 1.0, 0.0, 0.0, None, tuple(deps[i])) for i in order]
+    return tasks, draw(st.integers(1, n + 2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(shuffled_dags())
+@example(([TaskSpec(str(i), 1.0) for i in (3, 1, 2)], 2))  # no edges
+@example((chain(6), 1))  # one agent: quota n + 1
+@example((chain(4), 9))  # more agents than tasks: quota 1
+def test_cluster_tasks_matches_per_candidate_reference(case):
+    tasks, num_agents = case
+    dag = build_dag(tasks)
+    cdag = cluster_tasks(dag, num_agents)
+    clusters, edges = greedy_clustering(dag, num_agents)
+    assert [c.tasks for c in cdag.clusters] == clusters
+    assert cdag.edges == edges

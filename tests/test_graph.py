@@ -1,5 +1,6 @@
 """DAG construction, cycle detection, and level decomposition."""
 
+import dataclasses
 import random
 
 import pytest
@@ -159,6 +160,29 @@ def test_level_decompose_properties(seed):
         for (p, s) in dag.edges:
             assert not (p in members and s in members)  # no edge inside a block
         assert block == sorted(block)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_restrict_matches_filtering_in_order(seed):
+    rng = random.Random(seed)
+    tasks = generate_workload(seed, 40, rng.randint(2, 6), 0.2)
+    rng.shuffle(tasks)  # input order differs from task-id order
+    dag = build_dag(tasks)
+    subset = [t for t in sorted(dag.tasks) if rng.random() < 0.5]
+    fragment = dag.restrict(subset)
+
+    expected_edges = [(p, s) for (p, s) in dag.edges if p in subset and s in subset]
+    assert list(fragment.tasks) == [t for t in dag.tasks if t in subset]
+    assert list(fragment.edges) == expected_edges
+    assert fragment.edges == {e: dag.edges[e] for e in expected_edges}
+    for t, spec in fragment.tasks.items():
+        kept = [d for d in dag.tasks[t].dependencies if d.task_id in subset]
+        assert spec == dataclasses.replace(dag.tasks[t], dependencies=tuple(kept))
+
+
+def test_restrict_rejects_unknown_tasks():
+    with pytest.raises(ValidationError, match="unknown tasks: zz"):
+        build_dag([task("a")]).restrict(["a", "zz"])
 
 
 def test_to_dot_mentions_every_node_and_edge():

@@ -125,6 +125,19 @@ def test_duration_mismatch_detected():
     assert report.duration_mismatches == [("t", 2.0, 5.0)]
 
 
+@pytest.mark.parametrize(
+    "start,end", [(float("inf"), float("inf")), (float("nan"), 2.0)]
+)
+def test_non_finite_placement_detected(start, end):
+    tasks = [TaskSpec("t", 2.0, 0.0, 0.0)]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule((place("t", "r1", start, end),), end)
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert [task_id for task_id, _, _ in report.non_finite] == ["t"]
+    assert not report.is_empty()
+    assert report.lines()[-1].startswith("non-finite: t has start")
+
+
 def test_validator_requires_full_coverage():
     tasks = [TaskSpec("a", 1.0, 0.0, 0.0), TaskSpec("b", 1.0, 0.0, 0.0)]
     dag, resources, agents = simple_world(tasks)

@@ -241,3 +241,10 @@ def test_schedule_csv_sorted_by_start_then_task():
 def test_schedule_csv_requires_columns():
     with pytest.raises(ValidationError, match="columns"):
         placements_from_csv("taskId,start\nx,1\n")
+
+
+@pytest.mark.parametrize("start,end", [("inf", "inf"), ("1.0", "nan"), ("-inf", "2.0")])
+def test_schedule_csv_rejects_non_finite_times(start, end):
+    text = f"taskId,resourceId,agentId,start,end\na,P01,agent1,{start},{end}\n"
+    with pytest.raises(ValidationError, match="line 2: start/end must be finite"):
+        placements_from_csv(text)
