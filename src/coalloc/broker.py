@@ -7,16 +7,14 @@ placements reported back over the message channel.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .agent import AgentActor, PartialSchedule
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import ProtocolError, StructuralError, ValidationError
-from .graph import TaskDag, build_dag
+from .graph import TaskDag, build_dag, topological_sweep
 from .model import (
     AgentSpec,
     FinalSchedule,
@@ -110,50 +108,35 @@ def assemble_and_repair(
         raise StructuralError("placements for unknown tasks: " + ", ".join(extra))
 
     # Fixed per-resource succession over positive-duration placements only;
-    # zero-length slots occupy nothing and constrain nobody.
+    # zero-length slots occupy nothing and constrain nobody. A task waits for
+    # its DAG predecessors and for the task before it on its resource.
     by_resource: dict[str, list[str]] = defaultdict(list)
     for task_id, placement in merged.items():
         if placement.duration > 0:
             by_resource[placement.resource_id].append(task_id)
-    chain_pred: dict[str, str] = {}
-    chain_succ: dict[str, str] = {}
-    for resource_id in by_resource:
-        chain = sorted(by_resource[resource_id], key=lambda t: (merged[t].start, t))
+    waits_for = dict(dag.preds)
+    for chain in by_resource.values():
+        chain.sort(key=lambda t: (merged[t].start, t))
         for prev, nxt in zip(chain, chain[1:]):
-            chain_pred[nxt] = prev
-            chain_succ[prev] = nxt
+            waits_for[nxt] += (prev,)
 
-    indegree = {t: len(dag.preds[t]) + (1 if t in chain_pred else 0) for t in merged}
-    ready = [t for t, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    order = topological_sweep(waits_for)
+    if len(order) != len(merged):
+        raise StructuralError("repair pass found circular constraints")
     new: dict[str, Placement] = {}
-    while ready:
-        task_id = heapq.heappop(ready)
+    for task_id in order:
         placement = merged[task_id]
         start = placement.start
-        for pred in dag.preds[task_id]:
+        for pred in waits_for[task_id]:
             prior = new[pred]
             need = prior.end
-            if prior.resource_id != placement.resource_id:
+            if prior.resource_id != placement.resource_id:  # never a chain edge
                 need += dag.comm_time(pred, task_id)
             start = max(start, need)
-        if task_id in chain_pred:
-            start = max(start, new[chain_pred[task_id]].end)
         end = start + dag.tasks[task_id].processing_time
         new[task_id] = Placement(
             task_id, placement.resource_id, placement.agent_id, start, end
         )
-        for succ in dag.succs[task_id]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-        nxt = chain_succ.get(task_id)
-        if nxt is not None:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(new) != len(merged):
-        raise StructuralError("repair pass found circular constraints")
 
     placements = tuple(sorted(new.values(), key=lambda p: (p.start, p.task_id)))
     makespan = max((p.end for p in placements), default=0.0)
@@ -180,15 +163,7 @@ class OrchestrationResult:
 
 
 class Broker:
-    """Runs the full pipeline over the logged in-process message channel.
-
-    With ``parallel=True`` the agents compute concurrently between level
-    barriers; since agents share no state and the broker records messages at
-    fixed points, the results and the log are identical either way.
-    """
-
-    def __init__(self, *, parallel: bool = False):
-        self.parallel = parallel
+    """Runs the full pipeline over the logged in-process message channel."""
 
     def orchestrate(
         self,
@@ -291,26 +266,17 @@ class Broker:
         )
         return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)
 
+    @staticmethod
     def _deliver(
-        self,
         actors: dict[str, AgentActor],
         queues: dict[str, list[Message]],
     ) -> dict[str, Message]:
         """Let each agent process its queue in order; collect replies by cluster."""
-
-        def run(agent_id: str) -> list[Message]:
-            return [actors[agent_id].handle(m) for m in queues[agent_id]]
-
-        agent_ids = sorted(queues)
-        if self.parallel and len(agent_ids) > 1:
-            with ThreadPoolExecutor(max_workers=len(agent_ids)) as pool:
-                batches = list(pool.map(run, agent_ids))
-        else:
-            batches = [run(agent_id) for agent_id in agent_ids]
         replies: dict[str, Message] = {}
-        for batch in batches:
-            for message in batch:
-                replies[message.cluster_id] = message
+        for agent_id in sorted(queues):
+            for message in queues[agent_id]:
+                reply = actors[agent_id].handle(message)
+                replies[reply.cluster_id] = reply
         return replies
 
     @staticmethod
@@ -360,10 +326,7 @@ def orchestrate(
     resources: Sequence[ResourceSpec],
     agents: Sequence[AgentSpec],
     *,
-    parallel: bool = False,
     source: str = "",
 ) -> OrchestrationResult:
     """Convenience wrapper: run one broker over the given inputs."""
-    return Broker(parallel=parallel).orchestrate(
-        tasks, resources, agents, source=source
-    )
+    return Broker().orchestrate(tasks, resources, agents, source=source)

@@ -1,7 +1,7 @@
 """Command-line frontend: schedule, generate, validate, metrics.
 
-Exit codes: 0 success, 1 input error, 2 infeasible task, 3 deadline
-violation under --strict-deadlines.
+Exit codes: 0 success, 1 input or usage error, 2 infeasible task, 3
+deadline violation under --strict-deadlines.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import csv
 import io
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import broker, clustering, harness, render
@@ -35,26 +34,6 @@ EXIT_INFEASIBLE = 2
 EXIT_DEADLINE = 3
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs; unused fields stay at their defaults."""
-
-    task_file: Path | None = None
-    resource_file: Path | None = None
-    agent_map_file: Path | None = None
-    schedule_file: Path | None = None
-    out_dir: Path | None = None
-    strict_deadlines: bool = False
-    emit_gantt: bool = False
-    emit_log: bool = False
-    parallel: bool = False
-    seed: int = 0
-    num_tasks: int = 20
-    layers: int = 4
-    density: float = 0.2
-    deadline_prob: float = 0.0
-
-
 def _fail(message: str, code: int = EXIT_INPUT) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -67,10 +46,10 @@ def _read(path: Path, what: str) -> str:
         raise SchedulingError(f"cannot read {what} {path}: {exc}") from None
 
 
-def _load_inputs(cfg: RunConfig):
-    tasks = parse_task_file(_read(cfg.task_file, "task file"))
-    resources = parse_resource_file(_read(cfg.resource_file, "resource file"))
-    agents = parse_agent_map(_read(cfg.agent_map_file, "agent map"))
+def _load_inputs(args: argparse.Namespace):
+    tasks = parse_task_file(_read(args.tasks, "task file"))
+    resources = parse_resource_file(_read(args.resources, "resource file"))
+    agents = parse_agent_map(_read(args.agents, "agent map"))
     validate_agent_map(agents, resources)
     return tasks, resources, agents
 
@@ -105,35 +84,31 @@ def _write_metrics_artifacts(out: Path, metrics: harness.Metrics) -> None:
     )
 
 
-def cmd_schedule(cfg: RunConfig) -> int:
+def cmd_schedule(args: argparse.Namespace) -> int:
     """Run the full pipeline and write schedule, metrics, and optional charts."""
     try:
-        tasks, resources, agents = _load_inputs(cfg)
+        tasks, resources, agents = _load_inputs(args)
     except SchedulingError as exc:
         return _fail(str(exc))
     try:
         result = broker.orchestrate(
-            tasks,
-            resources,
-            agents,
-            parallel=cfg.parallel,
-            source=str(cfg.task_file),
+            tasks, resources, agents, source=str(args.tasks)
         )
     except InfeasibleTaskError as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except SchedulingError as exc:
         return _fail(str(exc))
 
-    out = cfg.out_dir
+    out = args.out
     out.mkdir(parents=True, exist_ok=True)
     schedule = result.schedule
     (out / "schedule.csv").write_text(schedule_to_csv(schedule))
     metrics = harness.compute_metrics(schedule, result.assignment)
     _write_metrics_artifacts(out, metrics)
-    if cfg.emit_gantt:
+    if args.emit_gantt:
         (out / "gantt.svg").write_text(render.gantt_svg(schedule))
         (out / "gantt.txt").write_text(render.gantt_text(schedule))
-    if cfg.emit_log:
+    if args.emit_log:
         (out / "protocol.log").write_text(result.log.to_text())
         (out / "clusters.txt").write_text(
             clustering.assignment_dump(result.cluster_dag)
@@ -149,38 +124,38 @@ def cmd_schedule(cfg: RunConfig) -> int:
         print(
             "deadline violations: " + ", ".join(schedule.deadline_violations)
         )
-        if cfg.strict_deadlines:
+        if args.strict_deadlines:
             return EXIT_DEADLINE
     return EXIT_OK
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     """Write a seeded random workload in the task XML format."""
     try:
-        ranges = harness.CostRanges(deadline_probability=cfg.deadline_prob)
+        ranges = harness.CostRanges(deadline_probability=args.deadline_prob)
         tasks = harness.generate_workload(
-            cfg.seed, cfg.num_tasks, cfg.layers, cfg.density, ranges
+            args.seed, args.num_tasks, args.layers, args.density, ranges
         )
     except SchedulingError as exc:
         return _fail(str(exc))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / "tasks.xml"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "tasks.xml"
     path.write_text(serialize_task_set(tasks))
     print(f"wrote {len(tasks)} tasks to {path}")
     return EXIT_OK
 
 
-def _load_schedule_rows(cfg: RunConfig) -> FinalSchedule:
-    rows = placements_from_csv(_read(cfg.schedule_file, "schedule file"))
+def _load_schedule_rows(args: argparse.Namespace) -> FinalSchedule:
+    rows = placements_from_csv(_read(args.schedule, "schedule file"))
     makespan = max((p.end for p in rows), default=0.0)
     return FinalSchedule(tuple(rows), makespan)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(args: argparse.Namespace) -> int:
     """Check a schedule file against its inputs; nonzero exit iff violations."""
     try:
-        tasks, resources, agents = _load_inputs(cfg)
-        schedule = _load_schedule_rows(cfg)
+        tasks, resources, agents = _load_inputs(args)
+        schedule = _load_schedule_rows(args)
         dag = build_dag(tasks)
         report = harness.validate_schedule(schedule, dag, resources, agents)
     except SchedulingError as exc:
@@ -193,22 +168,30 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_INPUT
 
 
-def cmd_metrics(cfg: RunConfig) -> int:
+def cmd_metrics(args: argparse.Namespace) -> int:
     """Recompute metrics from a schedule file."""
     try:
-        schedule = _load_schedule_rows(cfg)
+        schedule = _load_schedule_rows(args)
     except SchedulingError as exc:
         return _fail(str(exc))
     metrics = harness.compute_metrics(schedule)
-    if cfg.out_dir is not None:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_metrics_artifacts(cfg.out_dir, metrics)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_metrics_artifacts(args.out, metrics)
     print(_metrics_csv(metrics), end="")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_INPUT on a usage error: argparse's 2 would mean infeasible."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coalloc",
         description="Co-allocation scheduler for dependent-task workloads.",
     )
@@ -222,7 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--strict-deadlines", action="store_true")
     sched.add_argument("--emit-gantt", action="store_true")
     sched.add_argument("--emit-log", action="store_true")
-    sched.add_argument("--parallel", action="store_true")
 
     gen = sub.add_parser("generate", help="generate a random workload XML")
     gen.add_argument("--out", required=True, type=Path)
@@ -245,29 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for src, dst in [
-        ("tasks", "task_file"),
-        ("resources", "resource_file"),
-        ("agents", "agent_map_file"),
-        ("schedule", "schedule_file"),
-        ("out", "out_dir"),
-        ("strict_deadlines", "strict_deadlines"),
-        ("emit_gantt", "emit_gantt"),
-        ("emit_log", "emit_log"),
-        ("parallel", "parallel"),
-        ("seed", "seed"),
-        ("num_tasks", "num_tasks"),
-        ("layers", "layers"),
-        ("density", "density"),
-        ("deadline_prob", "deadline_prob"),
-    ]:
-        if hasattr(args, src):
-            setattr(cfg, dst, getattr(args, src))
-    return cfg
-
-
 _COMMANDS = {
     "schedule": cmd_schedule,
     "generate": cmd_generate,
@@ -279,8 +238,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    return _COMMANDS[args.command](cfg)
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

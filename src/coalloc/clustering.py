@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import StructuralError, ValidationError
-from .graph import TaskDag, levelize
+from .graph import TaskDag, levelize, topological_sweep
 
 __all__ = [
     "Cluster",
@@ -73,27 +73,12 @@ class ClusterDag:
 
     def topological_order(self) -> list[Cluster]:
         """Topological order; among ready clusters the least min task id goes first."""
-        indegree = {cid: len(ps) for cid, ps in self.preds.items()}
-        ready = sorted(
-            (cid for cid, deg in indegree.items() if deg == 0),
-            key=lambda cid: self.by_id[cid].min_task,
-            reverse=True,
+        order = topological_sweep(
+            self.preds, key=lambda cid: self.by_id[cid].min_task
         )
-        out: list[Cluster] = []
-        while ready:
-            cid = ready.pop()
-            out.append(self.by_id[cid])
-            changed = False
-            for succ in self.succs[cid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-                    changed = True
-            if changed:
-                ready.sort(key=lambda c: self.by_id[c].min_task, reverse=True)
-        if len(out) != len(self.clusters):
+        if len(order) != len(self.clusters):
             raise StructuralError("cluster graph is not acyclic")
-        return out
+        return [self.by_id[cid] for cid in order]
 
 
 def max_cluster_size(num_tasks: int, num_agents: int) -> int:

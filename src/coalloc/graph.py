@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
@@ -102,12 +103,6 @@ def find_cycle(adjacency: Mapping[T, Iterable[T]]) -> list[T] | None:
     return None
 
 
-def is_acyclic(adjacency: Mapping[T, Iterable[T]]) -> tuple[bool, list[T] | None]:
-    """True and None when the graph has no directed cycle, else False and a witness."""
-    cycle = find_cycle(adjacency)
-    return (cycle is None), cycle
-
-
 def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
     """Build the task DAG from a task set, resolving declared dependencies.
 
@@ -139,6 +134,39 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
     return dag
 
 
+def topological_sweep(preds: Mapping[T, Iterable[T]], *, key=None) -> list[T]:
+    """Kahn's algorithm over the keys of ``preds``, least ready node first.
+
+    Only predecessors that are themselves keys count; a predecessor listed
+    twice must be released twice. Ready nodes leave in ascending ``key``
+    order (the node itself when omitted), ties in the order of ``preds``.
+    Nodes on or behind a cycle never become ready, so on a cyclic graph the
+    result is shorter than ``preds``.
+    """
+    # Nodes are handled by their rank in that order, so the heap holds ints.
+    nodes = sorted(preds, key=key)
+    rank = {n: i for i, n in enumerate(nodes)}
+    succs: list[list[int]] = [[] for _ in nodes]
+    indegree = [0] * len(nodes)
+    for node, ps in preds.items():
+        i = rank[node]
+        for p in ps:
+            j = rank.get(p)
+            if j is not None:
+                succs[j].append(i)
+                indegree[i] += 1
+    ready = [i for i, deg in enumerate(indegree) if deg == 0]
+    order: list[T] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for j in succs[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(ready, j)
+    return order
+
+
 def levelize(
     nodes: Iterable[T],
     preds: Mapping[T, Iterable[T]],
@@ -150,25 +178,21 @@ def levelize(
     Only predecessors inside ``nodes`` count. Each level is sorted by
     ``key`` (by the node itself when omitted).
     """
-    members = set(nodes)
-    preds_in = {n: [p for p in preds.get(n, ()) if p in members] for n in members}
-    succs_in: dict[T, list[T]] = {n: [] for n in members}
-    for n, ps in preds_in.items():
-        for p in ps:
-            succs_in[p].append(n)
-    indegree = {n: len(ps) for n, ps in preds_in.items()}
-    level: dict[T, int] = {}
-    ready = [n for n in members if indegree[n] == 0]
-    while ready:
-        node = ready.pop()
-        level[node] = 1 + max((level[p] for p in preds_in[node]), default=0)
-        for succ in succs_in[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if len(level) != len(members):
-        cycle = find_cycle({n: succs_in[n] for n in members})
+    preds_in = {n: preds.get(n, ()) for n in set(nodes)}
+    order = topological_sweep(preds_in)
+    if len(order) != len(preds_in):
+        succs_in: dict[T, list[T]] = {n: [] for n in preds_in}
+        for n, ps in preds_in.items():
+            for p in ps:
+                if p in succs_in:
+                    succs_in[p].append(n)
+        cycle = find_cycle(succs_in)
         raise CycleError(cycle if cycle is not None else [])
+    level: dict[T, int] = {}
+    for node in order:
+        level[node] = 1 + max(
+            (level[p] for p in preds_in[node] if p in level), default=0
+        )
     blocks: list[list[T]] = [[] for _ in range(max(level.values(), default=0))]
     for node, lvl in level.items():
         blocks[lvl - 1].append(node)

@@ -133,9 +133,11 @@ def validate_schedule(
             key=lambda p: (p.start, p.task_id),
         )
         for i, a in enumerate(group):
-            for b in group[i + 1:]:
-                if a.start < b.end and b.start < a.end:
-                    report.overlaps.append((rid, a.task_id, b.task_id))
+            for j in range(i + 1, len(group)):
+                b = group[j]
+                if b.start >= a.end:  # so does every later b: starts ascend
+                    break
+                report.overlaps.append((rid, a.task_id, b.task_id))
 
     for (pred, succ), comm in dag.edges.items():
         p, s = by_task[pred], by_task[succ]

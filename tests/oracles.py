@@ -4,7 +4,9 @@ Nothing here calls into the scheduler's own algorithms: acyclicity is
 re-decided by recursive DFS coloring, reachability by boolean matrix
 squaring, earliest fits by brute-force candidate enumeration, the
 selection rule by replaying every decision against a rebuilt timeline model,
-and phase-1 clustering by a greedy that runs one DFS per merge candidate.
+phase-1 clustering by a greedy that runs one DFS per merge candidate,
+topological order by rescanning for the least ready node, and resource
+overlaps by a full pairwise scan.
 None of it imports ``coalloc.clustering``.
 """
 
@@ -147,6 +149,43 @@ def peel_blocks(task_ids: set[str], preds: dict[str, list[str]]) -> list[list[st
         blocks.append(block)
         remaining -= set(block)
     return blocks
+
+
+def least_ready_order(nodes: list, edges: set, key) -> list:
+    """Topological order that rescans for the least-``key`` node whose
+    predecessors are all placed; stops short of any cycle."""
+    remaining = set(nodes)
+    order = []
+    while remaining:
+        ready = [
+            n for n in remaining
+            if not any(a in remaining for a, b in edges if b == n)
+        ]
+        if not ready:
+            break
+        node = min(ready, key=key)
+        order.append(node)
+        remaining.remove(node)
+    return order
+
+
+def all_pairs_overlaps(placements) -> list[tuple[str, str, str]]:
+    """Every overlapping pair of positive-length rows on one resource, by a
+    full pairwise scan of closed-open intervals. Listed by resource, then by
+    (start, taskId) of the earlier row, then of the later one."""
+    rows = sorted(placements, key=lambda p: (p.resource_id, p.start, p.task_id))
+    out = []
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            if (
+                a.resource_id == b.resource_id
+                and a.end > a.start
+                and b.end > b.start
+                and a.start < b.end
+                and b.start < a.end
+            ):
+                out.append((a.resource_id, a.task_id, b.task_id))
+    return out
 
 
 def check_selection_rule(

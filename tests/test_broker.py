@@ -1,6 +1,8 @@
 """Distribution, the three protocols, delay propagation, and the repair pass."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     AgentSpec,
@@ -15,6 +17,7 @@ from coalloc import (
     Placement,
     ResourceSpec,
     ResourceTimeline,
+    StructuralError,
     TaskSpec,
     assemble_and_repair,
     build_dag,
@@ -23,6 +26,7 @@ from coalloc import (
     validate_schedule,
 )
 from coalloc.broker import _readiness_entries
+from oracles import least_ready_order
 
 
 def task(task_id, processing=1.0, deps=()):
@@ -222,15 +226,6 @@ def test_infeasible_task_aborts_orchestration():
     assert err.value.task_id == "big"
 
 
-def test_parallel_execution_matches_sequential(engineered):
-    seq = orchestrate(engineered.tasks, engineered.resources, engineered.agents)
-    par = orchestrate(
-        engineered.tasks, engineered.resources, engineered.agents, parallel=True
-    )
-    assert par.schedule == seq.schedule
-    assert par.log.to_text() == seq.log.to_text()
-
-
 def test_readiness_waives_comm_on_same_resource():
     tasks = [task("p", 2.0), task("q", 1.0, [("p", 5.0)])]
     dag = build_dag(tasks)
@@ -286,6 +281,50 @@ def test_repair_reports_deadline_violations():
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
     assert schedule.deadline_violations == ("late",)
+
+
+def test_repair_rejects_resource_order_against_a_dependency():
+    # b depends on a, yet b comes first on r1: the chain edge b -> a closes a cycle
+    dag = build_dag([task("a", 1.0), task("b", 1.0, [("a", 0.0)])])
+    partials = [
+        PartialSchedule(
+            "C1",
+            {
+                "a": Placement("a", "r1", "a1", 1.0, 2.0),
+                "b": Placement("b", "r1", "a1", 0.0, 1.0),
+            },
+        )
+    ]
+    with pytest.raises(StructuralError, match="circular constraints"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_topological_order_rejects_cyclic_cluster_graph():
+    cdag = cluster_dag([1, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C2")])
+    with pytest.raises(StructuralError, match="not acyclic"):
+        cdag.topological_order()
+
+
+@st.composite
+def random_quotients(draw):
+    """Cluster DAGs of 10 to 20 singletons named C1, C2, ... in min-task order,
+    so the id order (C10 before C2) differs from the min-task order, with edges
+    that follow a shuffled topological order."""
+    k = draw(st.integers(10, 20))
+    rank = draw(st.permutations(range(k)))
+    pairs = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))))
+    edges = [(f"C{a + 1}", f"C{b + 1}") for a, b in pairs if rank[a] < rank[b]]
+    return cluster_dag([1] * k, edges=edges)
+
+
+@settings(deadline=None, max_examples=200)
+@given(random_quotients())
+def test_topological_order_matches_least_ready_reference(cdag):
+    order = [c.cluster_id for c in cdag.topological_order()]
+    expected = least_ready_order(
+        list(cdag.by_id), set(cdag.edges), key=lambda cid: cdag.by_id[cid].min_task
+    )
+    assert order == expected
 
 
 def test_empty_task_set_orchestrates_to_empty_schedule():

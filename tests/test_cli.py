@@ -99,6 +99,18 @@ def test_missing_file_exits_1(demo_inputs, tmp_path, capsys):
     assert "nope.xml" in capsys.readouterr().err
 
 
+def test_usage_errors_exit_1(demo_inputs, tmp_path, capsys):
+    # argparse's own code 2 would read as "infeasible task"
+    with pytest.raises(SystemExit) as exc:
+        run_schedule(demo_inputs, tmp_path / "out", ["--parallel"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["schedule", "--tasks", "x"])
+    assert exc.value.code == 1
+    assert "arguments are required" in capsys.readouterr().err
+
+
 def test_malformed_xml_exits_1(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     tasks.write_text("<tasks><task></tasks>")

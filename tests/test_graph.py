@@ -12,8 +12,8 @@ from coalloc import (
     UnknownReferenceError,
     ValidationError,
     build_dag,
+    find_cycle,
     generate_workload,
-    is_acyclic,
     level_decompose,
     to_dot,
 )
@@ -80,11 +80,8 @@ def test_eight_task_dag_against_closure_oracle():
 
 
 def test_is_acyclic_trivial_cases():
-    ok, witness = is_acyclic({})
-    assert ok and witness is None
-    ok, witness = is_acyclic({"x": ["x"]})
-    assert not ok
-    assert witness == ["x"]
+    assert find_cycle({}) is None
+    assert find_cycle({"x": ["x"]}) == ["x"]
 
 
 def test_is_acyclic_against_coloring_oracle():
@@ -96,9 +93,9 @@ def test_is_acyclic_against_coloring_oracle():
             for b in nodes:
                 if rng.random() < 0.03:
                     adjacency[a].append(b)
-        ok, witness = is_acyclic(adjacency)
-        assert ok == coloring_is_acyclic(adjacency)
-        if not ok:
+        witness = find_cycle(adjacency)
+        assert (witness is None) == coloring_is_acyclic(adjacency)
+        if witness is not None:
             # the witness is a real cycle in the graph
             for x, y in zip(witness, witness[1:] + witness[:1]):
                 assert y in adjacency[x]

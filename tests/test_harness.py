@@ -1,6 +1,8 @@
 """Validator oracle behavior, generator determinism, and metrics."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     AgentSpec,
@@ -19,6 +21,7 @@ from coalloc import (
     validate_schedule,
 )
 from coalloc.harness import TIME_GRID
+from oracles import all_pairs_overlaps
 
 
 def simple_world(tasks):
@@ -63,6 +66,42 @@ def test_zero_duration_rows_never_overlap():
         (place("a", "r1", 0.0, 2.0), place("z", "r1", 1.0, 1.0)), 2.0
     )
     assert validate_schedule(schedule, dag, resources, agents).is_empty()
+
+
+@st.composite
+def crowded_rows(draw):
+    """Rows on two resources with grid starts, zero-length rows included."""
+    n = draw(st.integers(0, 30))
+    rows = []
+    for i in range(n):
+        start = draw(st.integers(0, 40)) * 0.5
+        length = draw(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5, 12.0]))
+        rid = draw(st.sampled_from(["r1", "r2"]))
+        rows.append(place(f"t{i:02d}", rid, start, start + length))
+    return rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(crowded_rows())
+@example(
+    [
+        place("long", "r1", 0.0, 10.0),  # overlaps the four rows that follow
+        place("b", "r1", 1.0, 2.0),
+        place("c", "r1", 3.0, 4.0),
+        place("d", "r1", 5.0, 9.5),
+        place("e", "r1", 9.0, 11.0),
+        place("f", "r1", 10.0, 12.0),  # touches long's end: no overlap
+        place("z0", "r1", 0.0, 0.0),
+        place("z5", "r1", 5.0, 5.0),
+        place("z10", "r1", 10.0, 10.0),
+    ]
+)
+def test_overlaps_match_all_pairs_scan(rows):
+    tasks = [TaskSpec(p.task_id, p.end - p.start, 0.0, 0.0) for p in rows]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule(tuple(rows), max((p.end for p in rows), default=0.0))
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert report.overlaps == all_pairs_overlaps(rows)
 
 
 def test_cross_resource_precedence_violation():
