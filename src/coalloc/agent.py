@@ -121,17 +121,12 @@ def schedule_cluster(
                     f"agent {agent_id} has no resource with memory >= "
                     f"{task.memory} and cpuPower >= {task.cpu_power}",
                 )
+            priors = [placed[p] for p in dag.preds[task_id] if p in inside]
             best: tuple[float, float, str] | None = None
             for rid in options:
                 ready = 0.0
-                for pred in dag.preds[task_id]:
-                    if pred not in inside:
-                        continue
-                    prior = placed[pred]
-                    need = prior.end
-                    if prior.resource_id != rid:
-                        need += dag.comm_time(pred, task_id)
-                    ready = max(ready, need)
+                for prior in priors:
+                    ready = max(ready, dag.release(prior, task_id, rid))
                 start = timelines[rid].earliest_fit(ready, task.processing_time)
                 candidate = (start, start + task.processing_time, rid)
                 if best is None or candidate[:2] < best[:2]:

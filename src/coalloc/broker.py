@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .agent import AgentActor, PartialSchedule
 from .clustering import Cluster, ClusterDag, cluster_tasks
-from .errors import ProtocolError, StructuralError, ValidationError
+from .errors import StructuralError, ValidationError
 from .graph import TaskDag, build_dag, topological_sweep
 from .model import (
     AgentSpec,
@@ -128,11 +128,7 @@ def assemble_and_repair(
         placement = merged[task_id]
         start = placement.start
         for pred in waits_for[task_id]:
-            prior = new[pred]
-            need = prior.end
-            if prior.resource_id != placement.resource_id:  # never a chain edge
-                need += dag.comm_time(pred, task_id)
-            start = max(start, need)
+            start = max(start, dag.release(new[pred], task_id, placement.resource_id))
         end = start + dag.tasks[task_id].processing_time
         new[task_id] = Placement(
             task_id, placement.resource_id, placement.agent_id, start, end
@@ -196,59 +192,33 @@ class Broker:
 
         # Phase 2: every cluster is scheduled locally, inter-cluster edges
         # ignored; agents start from time 0 on their own timelines.
-        queues: dict[str, list[Message]] = defaultdict(list)
-        for cluster_id in assignment.order:
-            cluster = cluster_dag.by_id[cluster_id]
-            agent_id = assignment.cluster_to_agent[cluster_id]
-            message = Message(
+        partials = _exchange(log, actors, [
+            Message(
                 MessageKind.ASSIGN_CLUSTER,
                 BROKER,
-                agent_id,
+                assignment.cluster_to_agent[cluster.cluster_id],
                 AssignClusterPayload(cluster, dag.restrict(cluster.tasks)),
-                cluster_id=cluster_id,
+                cluster_id=cluster.cluster_id,
             )
-            log.record(message)
-            queues[agent_id].append(message)
-        replies = self._deliver(actors, queues)
-        partials: dict[str, PartialSchedule] = {}
-        for cluster_id in assignment.order:
-            reply = self._expect(replies, cluster_id, MessageKind.CLUSTER_SCHEDULED)
-            log.record(reply)
-            partials[cluster_id] = reply.payload
+            for cluster in (cluster_dag.by_id[cid] for cid in assignment.order)
+        ])
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
         # deeper clusters get readiness reports and shift rigidly.
-        final: dict[str, Placement] = {}
-        for depth, level in enumerate(cluster_dag.levels(), start=1):
-            if depth == 1:
-                for cluster in level:
-                    final.update(partials[cluster.cluster_id].placements)
-                continue
-            queues = defaultdict(list)
-            pending: list[str] = []
-            for cluster in level:
-                entries = _readiness_entries(
-                    cluster, dag, final, partials[cluster.cluster_id]
-                )
-                agent_id = assignment.cluster_to_agent[cluster.cluster_id]
-                message = Message(
+        for level in cluster_dag.levels()[1:]:
+            partials.update(_exchange(log, actors, [
+                Message(
                     MessageKind.DEPENDENCY_INFO,
                     BROKER,
-                    agent_id,
-                    DependencyInfoPayload(cluster.cluster_id, tuple(entries)),
+                    assignment.cluster_to_agent[cluster.cluster_id],
+                    DependencyInfoPayload(
+                        cluster.cluster_id,
+                        tuple(_readiness_entries(cluster, dag, cluster_dag, partials)),
+                    ),
                     cluster_id=cluster.cluster_id,
                 )
-                log.record(message)
-                queues[agent_id].append(message)
-                pending.append(cluster.cluster_id)
-            replies = self._deliver(actors, queues)
-            for cluster_id in pending:
-                reply = self._expect(
-                    replies, cluster_id, MessageKind.ADJUSTED_SCHEDULE
-                )
-                log.record(reply)
-                partials[cluster_id] = reply.payload
-                final.update(reply.payload.placements)
+                for cluster in level
+            ]))
 
         schedule = assemble_and_repair(
             [partials[cid] for cid in assignment.order], dag, assignment
@@ -266,58 +236,53 @@ class Broker:
         )
         return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)
 
-    @staticmethod
-    def _deliver(
-        actors: dict[str, AgentActor],
-        queues: dict[str, list[Message]],
-    ) -> dict[str, Message]:
-        """Let each agent process its queue in order; collect replies by cluster."""
-        replies: dict[str, Message] = {}
-        for agent_id in sorted(queues):
-            for message in queues[agent_id]:
-                reply = actors[agent_id].handle(message)
-                replies[reply.cluster_id] = reply
-        return replies
 
-    @staticmethod
-    def _expect(
-        replies: dict[str, Message], cluster_id: str, kind: MessageKind
-    ) -> Message:
-        reply = replies.get(cluster_id)
-        if reply is None:
-            raise ProtocolError(f"no reply for cluster {cluster_id!r}")
-        if reply.kind is not kind:
-            raise ProtocolError(
-                f"expected {kind.value} for cluster {cluster_id!r}, "
-                f"got {reply.kind.value}"
-            )
-        return reply
+def _exchange(
+    log: MessageLog,
+    actors: dict[str, AgentActor],
+    requests: list[Message],
+) -> dict[str, PartialSchedule]:
+    """Send one request per cluster and return the replies' schedules by cluster.
+
+    The log records the requests, then the replies in request order. Agents
+    answer in ascending agent-id order, each taking its requests in the
+    order given.
+    """
+    for request in requests:
+        log.record(request)
+    replies = {
+        r.cluster_id: actors[r.receiver].handle(r)
+        for r in sorted(requests, key=lambda r: r.receiver)
+    }
+    partials: dict[str, PartialSchedule] = {}
+    for request in requests:
+        reply = replies[request.cluster_id]
+        log.record(reply)
+        partials[request.cluster_id] = reply.payload
+    return partials
 
 
 def _readiness_entries(
     cluster: Cluster,
     dag: TaskDag,
-    final: dict[str, Placement],
-    tentative: PartialSchedule,
+    cluster_dag: ClusterDag,
+    partials: dict[str, PartialSchedule],
 ) -> list[tuple[str, float]]:
     """One (taskId, readyTime) entry per incoming cross-cluster edge.
 
-    readyTime is the finalized predecessor end plus the edge's communication
-    time; the communication time is waived when producer and consumer sit on
-    the same resource (possible when one agent holds both clusters).
+    readyTime is the predecessor's release time (``TaskDag.release``) against
+    the resource the cluster's current schedule gives the task; predecessors
+    sit in earlier levels, so their schedules are final.
     """
-    inside = set(cluster.tasks)
+    own = partials[cluster.cluster_id].placements
     entries: list[tuple[str, float]] = []
     for task_id in cluster.tasks:
-        target = tentative.placements[task_id]
+        resource_id = own[task_id].resource_id
         for pred in dag.preds[task_id]:
-            if pred in inside:
-                continue
-            prior = final[pred]
-            ready = prior.end
-            if prior.resource_id != target.resource_id:
-                ready += dag.comm_time(pred, task_id)
-            entries.append((task_id, ready))
+            owner = cluster_dag.cluster_of[pred]
+            if owner != cluster.cluster_id:
+                prior = partials[owner].placements[pred]
+                entries.append((task_id, dag.release(prior, task_id, resource_id)))
     return entries
 
 

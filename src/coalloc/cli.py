@@ -103,7 +103,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     schedule = result.schedule
     (out / "schedule.csv").write_text(schedule_to_csv(schedule))
-    metrics = harness.compute_metrics(schedule, result.assignment)
+    metrics = harness.compute_metrics(schedule, result.assignment.tasks_per_agent)
     _write_metrics_artifacts(out, metrics)
     if args.emit_gantt:
         (out / "gantt.svg").write_text(render.gantt_svg(schedule))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
-from .model import TaskSpec
+from .model import Placement, TaskSpec
 
 T = TypeVar("T")
 
@@ -43,8 +43,15 @@ class TaskDag:
         """Index of each task in ``tasks``; computed once, read-only."""
         return {t: i for i, t in enumerate(self.tasks)}
 
-    def comm_time(self, pred: str, succ: str) -> float:
-        return self.edges[(pred, succ)]
+    def release(self, prior: Placement, task_id: str, resource_id: str) -> float:
+        """Earliest start of ``task_id`` on ``resource_id`` after ``prior``.
+
+        That is ``prior``'s end, plus the communication time of their edge
+        unless both run on the same resource, where no edge is looked up.
+        """
+        if prior.resource_id == resource_id:
+            return prior.end
+        return prior.end + self.edges[(prior.task_id, task_id)]
 
     def restrict(self, subset: Iterable[str]) -> "TaskDag":
         """Sub-DAG over ``subset``: only tasks and edges inside the subset.

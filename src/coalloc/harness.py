@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -168,19 +168,14 @@ def validate_schedule(
     return report
 
 
-def compute_metrics(schedule: FinalSchedule, assignment=None) -> Metrics:
+def compute_metrics(
+    schedule: FinalSchedule, agent_ids: Iterable[str] = ()
+) -> Metrics:
     """Tasks per agent, makespan, per-resource busy time, and balance spread.
 
-    ``assignment`` may be the broker's assignment (anything exposing a
-    ``tasks_per_agent`` mapping) or a plain sequence of agent ids; either way
-    it only widens the agent set so idle agents show up with a zero count.
+    ``agent_ids`` only widens the agent set, so idle agents show up with a
+    zero count (pass ``Assignment.tasks_per_agent`` after a broker run).
     """
-    if assignment is None:
-        agent_ids: Sequence[str] = ()
-    elif hasattr(assignment, "tasks_per_agent"):
-        agent_ids = list(assignment.tasks_per_agent)
-    else:
-        agent_ids = list(assignment)
     counts: dict[str, int] = {a: 0 for a in sorted(agent_ids)}
     busy: dict[str, float] = {}
     for p in schedule.placements:

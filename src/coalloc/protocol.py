@@ -87,53 +87,14 @@ class Message:
         )
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    seq: int
-    message: Message
-
-    @property
-    def kind(self) -> MessageKind:
-        return self.message.kind
-
-    @property
-    def sender(self) -> str:
-        return self.message.sender
-
-    @property
-    def receiver(self) -> str:
-        return self.message.receiver
-
-    @property
-    def cluster_id(self) -> str | None:
-        return self.message.cluster_id
-
-    @property
-    def payload(self) -> Any:
-        return self.message.payload
-
-    def line(self) -> str:
-        return "\t".join(
-            [
-                str(self.seq),
-                self.sender,
-                self.receiver,
-                self.kind.value,
-                self.message.summary(),
-            ]
-        )
-
-
 @dataclass
 class MessageLog:
     """Ordered record of every message sent during one orchestration."""
 
-    entries: list[LogEntry] = field(default_factory=list)
+    entries: list[Message] = field(default_factory=list)
 
-    def record(self, message: Message) -> LogEntry:
-        entry = LogEntry(seq=len(self.entries) + 1, message=message)
-        self.entries.append(entry)
-        return entry
+    def record(self, message: Message) -> None:
+        self.entries.append(message)
 
     def __iter__(self):
         return iter(self.entries)
@@ -141,8 +102,11 @@ class MessageLog:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def for_cluster(self, cluster_id: str) -> list[LogEntry]:
-        return [e for e in self.entries if e.cluster_id == cluster_id]
+    def for_cluster(self, cluster_id: str) -> list[Message]:
+        return [m for m in self.entries if m.cluster_id == cluster_id]
 
     def to_text(self) -> str:
-        return "".join(entry.line() + "\n" for entry in self.entries)
+        return "".join(
+            f"{seq}\t{m.sender}\t{m.receiver}\t{m.kind.value}\t{m.summary()}\n"
+            for seq, m in enumerate(self.entries, start=1)
+        )

@@ -222,7 +222,7 @@ def check_selection_rule(
                     prior = placements[pred]
                     need = prior.end
                     if prior.resource_id != rid:
-                        need += dag.comm_time(pred, task_id)
+                        need += dag.edges[(pred, task_id)]
                     ready = max(ready, need)
                 starts[rid] = brute_force_earliest(
                     busy[rid], ready, spec.processing_time

@@ -4,14 +4,17 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
+import coalloc
 from coalloc import (
     Cluster,
     MessageKind,
@@ -93,7 +96,7 @@ def protocol_deviations(result) -> list[str]:
                     prior = latest[owner[pred]][pred]
                     ready = prior.end
                     if prior.resource_id != t_res:
-                        ready += result.dag.comm_time(pred, task_id)
+                        ready += result.dag.edges[(pred, task_id)]
                     expected_entries.append((task_id, ready))
             if tuple(expected_entries) != entry.payload.entries:
                 issues.append(
@@ -142,7 +145,7 @@ def test_criterion_1_balance_scenario(engineered):
     started = time.perf_counter()
     result = orchestrate(engineered.tasks, engineered.resources, engineered.agents)
     elapsed = time.perf_counter() - started
-    metrics = compute_metrics(result.schedule, result.assignment)
+    metrics = compute_metrics(result.schedule, result.assignment.tasks_per_agent)
     quota = max_cluster_size(len(engineered.tasks), len(engineered.agents))
     ok = (
         quota == 3
@@ -311,6 +314,13 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
     resource_file.write_text(serialize_resource_set(resources))
     agent_file.write_text(serialize_agent_map(agents))
 
+    # the children import the same package as this process
+    package_root = str(Path(coalloc.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+
     def run(out):
         # separate interpreter per run: different hash seeds, real invocations
         proc = subprocess.run(
@@ -319,6 +329,7 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
              "--agents", str(agent_file), "--out", str(out),
              "--emit-log", "--emit-gantt"],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return out

@@ -226,15 +226,33 @@ def test_infeasible_task_aborts_orchestration():
     assert err.value.task_id == "big"
 
 
+def test_agents_answer_in_ascending_id_order():
+    # Singleton clusters C1, C2, C3 go to a1, a2, a1. Both t2 and t3 fit
+    # nowhere; a1 answers for C1 and C3 before a2 answers for C2.
+    tasks = [task("t1"), TaskSpec("t2", 1.0, 99.0), TaskSpec("t3", 1.0, 99.0)]
+    resources = [
+        ResourceSpec(rid, cpu_power=4.0, memory=4.0) for rid in ("r1", "r2")
+    ]
+    agents = [AgentSpec("a1", ("r1",)), AgentSpec("a2", ("r2",))]
+    with pytest.raises(InfeasibleTaskError) as err:
+        orchestrate(tasks, resources, agents)
+    assert err.value.task_id == "t3"
+
+
 def test_readiness_waives_comm_on_same_resource():
     tasks = [task("p", 2.0), task("q", 1.0, [("p", 5.0)])]
     dag = build_dag(tasks)
     cluster = Cluster("C2", ("q",))
-    final = {"p": Placement("p", "r1", "a1", 0.0, 2.0)}
+    cdag = ClusterDag([Cluster("C1", ("p",)), cluster], {("C1", "C2"): 5.0})
+    prior = PartialSchedule("C1", {"p": Placement("p", "r1", "a1", 0.0, 2.0)})
     same = PartialSchedule("C2", {"q": Placement("q", "r1", "a1", 0.0, 1.0)})
     other = PartialSchedule("C2", {"q": Placement("q", "r2", "a1", 0.0, 1.0)})
-    assert _readiness_entries(cluster, dag, final, same) == [("q", 2.0)]
-    assert _readiness_entries(cluster, dag, final, other) == [("q", 7.0)]
+    assert _readiness_entries(cluster, dag, cdag, {"C1": prior, "C2": same}) == [
+        ("q", 2.0)
+    ]
+    assert _readiness_entries(cluster, dag, cdag, {"C1": prior, "C2": other}) == [
+        ("q", 7.0)
+    ]
 
 
 def assignment_for(partials, agent_id="a1"):

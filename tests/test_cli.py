@@ -63,6 +63,23 @@ def test_schedule_writes_artifacts(demo_inputs, tmp_path, capsys):
     assert "makespan 12.0" in capsys.readouterr().out
 
 
+def test_demo_protocol_log_is_golden(demo_inputs, tmp_path):
+    out = tmp_path / "out"
+    assert run_schedule(demo_inputs, out, ["--emit-log"]) == 0
+    assert (out / "protocol.log").read_text() == (
+        "1\tuser\tbroker\tSubmitTasks\ttasks=8\n"
+        "2\tbroker\tagent1\tAssignCluster\tcluster=C1 tasks=3\n"
+        "3\tbroker\tagent2\tAssignCluster\tcluster=C2 tasks=3\n"
+        "4\tbroker\tagent3\tAssignCluster\tcluster=C3 tasks=2\n"
+        "5\tagent1\tbroker\tClusterScheduled\tcluster=C1 placements=3\n"
+        "6\tagent2\tbroker\tClusterScheduled\tcluster=C2 placements=3\n"
+        "7\tagent3\tbroker\tClusterScheduled\tcluster=C3 placements=2\n"
+        "8\tbroker\tagent3\tDependencyInfo\tcluster=C3 entries=2\n"
+        "9\tagent3\tbroker\tAdjustedSchedule\tcluster=C3 placements=2\n"
+        "10\tbroker\tuser\tScheduleResult\tmappings=8 makespan=12.0\n"
+    )
+
+
 def test_empty_task_file_succeeds(demo_inputs, tmp_path):
     tasks, resources, agents = demo_inputs
     tasks.write_text("<tasks></tasks>")

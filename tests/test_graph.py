@@ -8,6 +8,7 @@ import pytest
 from coalloc import (
     CycleError,
     Dependency,
+    Placement,
     TaskSpec,
     UnknownReferenceError,
     ValidationError,
@@ -188,3 +189,12 @@ def test_to_dot_mentions_every_node_and_edge():
     assert '"a"' in dot and '"b"' in dot
     assert '"a" -> "b"' in dot
     assert "b1" in dot and "b2" in dot
+
+
+def test_release_adds_comm_time_only_across_resources():
+    dag = build_dag([task("p", 2.0), task("q", deps=[("p", 5.0)]), task("r")])
+    prior = Placement("p", "r1", "a1", 1.0, 3.0)
+    assert dag.release(prior, "q", "r1") == 3.0
+    assert dag.release(prior, "q", "r2") == 8.0
+    # a chain neighbour on the same resource needs no edge
+    assert dag.release(prior, "r", "r1") == 3.0
