@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -21,11 +22,19 @@ from . import protocol
 
 
 class ResourceTimeline:
-    """Reservation calendar for one resource: non-overlapping closed-open slots."""
+    """Reservation calendar for one resource: non-overlapping closed-open slots.
+
+    Free time is indexed as sorted, disjoint, positive-length gaps that never
+    touch; their bounds are the slots' own floats, and an empty timeline has
+    one gap ``(-inf, inf)``. A request of duration ``d`` fits at ``t`` in a
+    gap when ``t + d <= gap end``: the test ``reserve`` and the validator make.
+    """
 
     def __init__(self, resource: ResourceSpec):
         self.resource = resource
         self._slots: list[tuple[float, float, str]] = []  # (start, end, task)
+        self._gap_starts: list[float] = [-math.inf]
+        self._gap_ends: list[float] = [math.inf]
 
     @property
     def resource_id(self) -> str:
@@ -43,24 +52,33 @@ class ResourceTimeline:
         """
         if duration == 0:
             return ready
-        t = ready
-        for start, end, _ in self._slots:
-            if end <= start or end <= t:
-                continue  # empty or entirely before the candidate instant
-            if start - t >= duration:
-                break
-            t = max(t, end)
-        return t
+        starts, ends = self._gap_starts, self._gap_ends
+        for i in range(bisect.bisect_right(ends, ready), len(ends)):
+            t = max(ready, starts[i])
+            if t + duration <= ends[i]:
+                return t
+        return math.inf  # only after a reservation that runs to infinity
 
     def reserve(self, task_id: str, start: float, duration: float) -> None:
         end = start + duration
         if duration > 0:
-            for s, e, other in self._slots:
-                if e > s and start < e and s < end:
-                    raise StructuralError(
-                        f"reservation for {task_id!r} overlaps {other!r} "
-                        f"on {self.resource_id}"
-                    )
+            i = bisect.bisect_right(self._gap_starts, start) - 1
+            if i < 0 or not end <= self._gap_ends[i]:
+                # no gap holds the slot: name the first one it overlaps
+                for s, e, other in self._slots:
+                    if e > s and start < e and s < end:
+                        raise StructuralError(
+                            f"reservation for {task_id!r} overlaps {other!r} "
+                            f"on {self.resource_id}"
+                        )
+                raise StructuralError(
+                    f"reservation for {task_id!r} at [{start}, {end}) fits no "
+                    f"free gap on {self.resource_id}"
+                )
+            gap_start, gap_end = self._gap_starts[i], self._gap_ends[i]
+            before, after = gap_start < start, end < gap_end  # pieces that stay
+            self._gap_starts[i:i + 1] = [gap_start] * before + [end] * after
+            self._gap_ends[i:i + 1] = [start] * before + [gap_end] * after
         bisect.insort(self._slots, (start, end, task_id))
 
 

@@ -130,9 +130,11 @@ def assemble_and_repair(
         for pred in waits_for[task_id]:
             start = max(start, dag.release(new[pred], task_id, placement.resource_id))
         end = start + dag.tasks[task_id].processing_time
-        new[task_id] = Placement(
-            task_id, placement.resource_id, placement.agent_id, start, end
-        )
+        if start != placement.start or end != placement.end:
+            placement = Placement(
+                task_id, placement.resource_id, placement.agent_id, start, end
+            )
+        new[task_id] = placement
 
     placements = tuple(sorted(new.values(), key=lambda p: (p.start, p.task_id)))
     makespan = max((p.end for p in placements), default=0.0)
@@ -220,6 +222,7 @@ class Broker:
                 for cluster in level
             ]))
 
+        del actors  # free the agents' timelines before the repair pass's peak
         schedule = assemble_and_repair(
             [partials[cid] for cid in assignment.order], dag, assignment
         )

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     Cluster,
@@ -13,6 +15,7 @@ from coalloc import (
     ProtocolError,
     ResourceSpec,
     ResourceTimeline,
+    StructuralError,
     TaskSpec,
     apply_dependency_delays,
     build_dag,
@@ -21,7 +24,7 @@ from coalloc import (
     schedule_cluster,
 )
 from conftest import make_pool
-from oracles import check_selection_rule
+from oracles import brute_force_earliest, check_selection_rule
 
 
 def resource(rid, memory=8.0, cpu=8.0):
@@ -122,12 +125,73 @@ def test_timelines_persist_across_clusters():
 
 
 def test_reserve_rejects_overlap():
-    from coalloc import StructuralError
-
     tl = ResourceTimeline(resource("r1"))
     tl.reserve("a", 0.0, 2.0)
     with pytest.raises(StructuralError, match="overlaps"):
         tl.reserve("b", 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "start, duration, named",
+    [
+        (1.5, 3.0, "b"),  # starts in the gap before b, runs over b and c
+        (0.5, 3.0, "a"),  # starts inside a, runs over a and b
+    ],
+)
+def test_reserve_names_the_earliest_overlapped_slot(start, duration, named):
+    tl = ResourceTimeline(resource("r1"))
+    for task_id, slot_start in (("c", 4.0), ("a", 0.0), ("b", 2.0)):
+        tl.reserve(task_id, slot_start, 1.0)
+    with pytest.raises(StructuralError, match=f"overlaps '{named}' on r1"):
+        tl.reserve("x", start, duration)
+
+
+def test_reserve_rejects_a_start_in_no_gap():
+    tl = ResourceTimeline(resource("r1"))
+    with pytest.raises(StructuralError, match="fits no free gap on r1"):
+        tl.reserve("x", float("nan"), 1.0)
+    assert tl.reservations == ()
+
+
+def test_fitted_start_is_one_reserve_accepts_off_grid():
+    tl = ResourceTimeline(resource("r1"))
+    tl.reserve("a", 0.0, 2.166)
+    tl.reserve("b", 6.444999999999999, 1.0)
+    # 6.444999999999999 - 2.166 == 4.279, but 2.166 + 4.279 runs past b's start
+    start = tl.earliest_fit(0.0, 4.279)
+    assert start == 7.444999999999999
+    tl.reserve("c", start, 4.279)
+
+
+thousandths = st.integers(0, 12_000).map(lambda k: k / 1000)
+durations = st.one_of(st.just(0.0), st.integers(1, 4000).map(lambda k: k / 1000))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        # an int ready stands for the end of an earlier reservation, so that
+        # requests also start exactly on off-grid slot boundaries
+        st.tuples(st.one_of(thousandths, st.integers(0, 40)), durations),
+        max_size=30,
+    )
+)
+@example([(0.0, 1.0), (0.0, 1.0), (0.5, 0.5)])  # touching slots, ready inside one
+@example([(0.0, 1.0), (5.0, 1.0), (2.0, 3.0), (9.0, 2.0)])  # fills a gap; past the tail
+@example([(0.0, 2.0), (1.0, 0.0), (1.0, 0.0), (0, 1.5)])  # zero durations inside a slot
+@example([(0.0, 2.166), (6.169, 1.0), (0.0, 4.003)])  # 6.169 - 2.166 >= 4.003 > gap
+def test_fits_match_brute_force_and_reserve_accepts_them(steps):
+    tl = ResourceTimeline(resource("r1"))
+    reserved = []
+    for i, (ready, duration) in enumerate(steps):
+        if isinstance(ready, int):
+            ready = reserved[ready % len(reserved)][1] if reserved else 0.0
+        busy = [(s, e) for s, e, _ in reserved]
+        start = tl.earliest_fit(ready, duration)
+        assert start == brute_force_earliest(busy, ready, duration)
+        tl.reserve(f"t{i:02d}", start, duration)
+        reserved.append((start, start + duration, f"t{i:02d}"))
+        assert tl.reservations == tuple(sorted(reserved))
 
 
 def test_intra_cluster_constraints_hold_and_selection_is_optimal():

@@ -1,7 +1,7 @@
 """Distribution, the three protocols, delay propagation, and the repair pass."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalloc import (
@@ -269,8 +269,9 @@ def test_repair_keeps_consistent_schedules_unchanged():
         PartialSchedule("C2", {"b": Placement("b", "r1", "a1", 2.0, 5.0)}),
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    assert schedule.by_task()["a"] == partials[0].placements["a"]
-    assert schedule.by_task()["b"] == partials[1].placements["b"]
+    # unmoved placements are kept as they are, not rebuilt
+    assert schedule.by_task()["a"] is partials[0].placements["a"]
+    assert schedule.by_task()["b"] is partials[1].placements["b"]
     assert schedule.makespan == 5.0
 
 
@@ -351,3 +352,39 @@ def test_empty_task_set_orchestrates_to_empty_schedule():
     assert result.schedule.placements == ()
     assert result.schedule.makespan == 0.0
     assert result.assignment.tasks_per_agent == {"agent1": 0, "agent2": 0}
+
+
+@st.composite
+def off_grid_instances(draw):
+    """DAGs of 1 to 12 tasks with 3-decimal processing and communication
+    times, on one agent owning one or two resources."""
+    thousandths = st.integers(0, 5000).map(lambda k: k / 1000)
+    tasks = []
+    for i in range(draw(st.integers(1, 12))):
+        preds = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else set()
+        deps = [(f"t{p:02d}", draw(thousandths)) for p in sorted(preds)]
+        tasks.append(task(f"t{i:02d}", draw(thousandths), deps))
+    resources, agents = pool(1, draw(st.integers(1, 2)))
+    return tasks, resources, agents
+
+
+@settings(deadline=None, max_examples=200)
+@given(off_grid_instances())
+@example(  # C1 = {a} on P10 and C2 = {b, c} leave the gap [2.166, 6.169) on P10;
+    # 6.169 - 2.166 >= 4.003, but 2.166 + 4.003 runs past 6.169, so C3 = {d}
+    # must not take that gap
+    (
+        [
+            task("a", 2.166),
+            task("b", 6.169),
+            task("c", 1.0, [("b", 0.0)]),
+            task("d", 4.003),
+        ],
+        *pool(1, 2),
+    )
+)
+def test_off_grid_instances_schedule_and_validate(instance):
+    tasks, resources, agents = instance
+    result = orchestrate(tasks, resources, agents)
+    report = validate_schedule(result.schedule, result.dag, resources, agents)
+    assert report.is_empty(), report
