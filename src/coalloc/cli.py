@@ -41,9 +41,20 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
 
 def _read(path: Path, what: str) -> str:
     try:
-        return path.read_text()
-    except OSError as exc:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchedulingError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _make_out_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        raise SchedulingError(f"output path {out} is not a directory") from None
+    except OSError as exc:
+        raise SchedulingError(
+            f"cannot create output directory {out}: {exc}"
+        ) from None
 
 
 def _load_inputs(args: argparse.Namespace):
@@ -94,13 +105,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         result = broker.orchestrate(
             tasks, resources, agents, source=str(args.tasks)
         )
+        _make_out_dir(args.out)
     except InfeasibleTaskError as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except SchedulingError as exc:
         return _fail(str(exc))
 
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     schedule = result.schedule
     (out / "schedule.csv").write_text(schedule_to_csv(schedule))
     metrics = harness.compute_metrics(schedule, result.assignment.tasks_per_agent)
@@ -136,9 +147,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         tasks = harness.generate_workload(
             args.seed, args.num_tasks, args.layers, args.density, ranges
         )
+        _make_out_dir(args.out)
     except SchedulingError as exc:
         return _fail(str(exc))
-    args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "tasks.xml"
     path.write_text(serialize_task_set(tasks))
     print(f"wrote {len(tasks)} tasks to {path}")
@@ -172,11 +183,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Recompute metrics from a schedule file."""
     try:
         schedule = _load_schedule_rows(args)
+        if args.out is not None:
+            _make_out_dir(args.out)
     except SchedulingError as exc:
         return _fail(str(exc))
     metrics = harness.compute_metrics(schedule)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         _write_metrics_artifacts(args.out, metrics)
     print(_metrics_csv(metrics), end="")
     return EXIT_OK

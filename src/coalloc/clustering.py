@@ -147,8 +147,12 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     the candidate with the least contained task id — whenever the merged size
     fits the quota and the quotient graph stays acyclic; when no candidate
     qualifies the cluster is final. Each pick makes one reachability search,
-    which finds every candidate whose merge would close a cycle at once. The
-    procedure is fully deterministic.
+    which finds every candidate whose merge would close a cycle at once; a
+    cluster with a single dependent needs no search, since no second path to
+    that dependent can exist. Merges are union by size: only the neighbours of
+    the part with fewer adjacency entries are relinked, and the smaller member
+    set is added into the larger, so a merge costs what the smaller side
+    holds. The procedure is fully deterministic.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -167,17 +171,22 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         succs[a].add(b)
         preds[b].add(a)
 
-    # Part i starts as task i and keeps it while it is alive. Every task
-    # before it in sorted order already sits in a finished part, so a live
-    # part i is the unfinished part with the least ``low``.
-    for current in sorted(range(len(task_ids)), key=task_ids.__getitem__):
-        if not members[current]:
+    # A live part that is not done has never merged, so it is still the
+    # singleton {task i} in slot i, and every task before i in sorted order
+    # sits in a done part: it is the unfinished part with the least ``low``.
+    # A merge may keep the other part's slot, one the pass has yet to reach;
+    # ``done`` spares that finished part a second, fruitless search.
+    done = [False] * len(task_ids)
+    for first in sorted(range(len(task_ids)), key=task_ids.__getitem__):
+        if done[first] or not members[first]:
             continue
+        current = first
         while True:
             chosen = _pick_candidate(current, members, low, succs, limit)
             if chosen is None:
                 break
-            _merge_parts(current, chosen, members, low, succs, preds)
+            current = _merge_parts(current, chosen, members, low, succs, preds)
+        done[current] = True
 
     return quotient(dag, [m for m in members if m])
 
@@ -192,18 +201,22 @@ def _pick_candidate(
     # Candidates are clusters depending on the current one C, within the
     # quota. Contracting C -> D closes a cycle iff another path C ~> D exists,
     # i.e. iff D is a strict descendant of a successor of C, so one search
-    # from the successors' successors marks every unsafe candidate.
+    # from the successors' successors marks every unsafe candidate. With a
+    # single successor D there is no other path: it would need D ~> D.
     room = limit - len(members[current])
-    fitting = [d for d in succs[current] if len(members[d]) <= room]
+    children = succs[current]
+    fitting = [d for d in children if len(members[d]) <= room]
     if not fitting:
         return None
-    unsafe = {g for s in succs[current] for g in succs[s]}
+    if len(children) == 1:
+        return fitting[0]
+    unsafe = set().union(*[succs[s] for s in children])
     frontier = list(unsafe)
     while frontier:
-        for nxt in succs[frontier.pop()]:
-            if nxt not in unsafe:
-                unsafe.add(nxt)
-                frontier.append(nxt)
+        new = succs[frontier.pop()] - unsafe
+        if new:
+            unsafe |= new
+            frontier.extend(new)
     safe = [d for d in fitting if d not in unsafe]
     return min(safe, key=low.__getitem__, default=None)
 
@@ -215,26 +228,38 @@ def _merge_parts(
     low: list[str],
     succs: list[set[int]],
     preds: list[set[int]],
-) -> None:
-    members[current] |= members[other]
-    members[other] = set()
-    if low[other] < low[current]:
-        low[current] = low[other]
-    succs[current].discard(other)
-    preds[current].discard(other)
-    for s in succs[other]:
-        if s == current:
+) -> int:
+    """Merge two adjacent parts and return the index of the merged part.
+
+    The part with more adjacency entries keeps its index, so only the other
+    part's neighbours are relinked, and the smaller member set is added into
+    the larger one.
+    """
+    keep, gone = current, other
+    if len(succs[gone]) + len(preds[gone]) > len(succs[keep]) + len(preds[keep]):
+        keep, gone = gone, keep
+    big, small = members[keep], members[gone]
+    if len(big) < len(small):
+        big, small = small, big
+    big |= small
+    members[keep] = big
+    members[gone] = set()
+    if low[gone] < low[keep]:
+        low[keep] = low[gone]
+    succs[keep].discard(gone)
+    preds[keep].discard(gone)
+    for s in succs[gone]:
+        if s == keep:
             continue
-        preds[s].discard(other)
-        preds[s].add(current)
-        succs[current].add(s)
-    for p in preds[other]:
-        if p == current:
+        preds[s].discard(gone)
+        preds[s].add(keep)
+        succs[keep].add(s)
+    for p in preds[gone]:
+        if p == keep:
             continue
-        succs[p].discard(other)
-        succs[p].add(current)
-        preds[current].add(p)
-    succs[other].clear()
-    preds[other].clear()
-    succs[current].discard(current)
-    preds[current].discard(current)
+        succs[p].discard(gone)
+        succs[p].add(keep)
+        preds[keep].add(p)
+    succs[gone].clear()
+    preds[gone].clear()
+    return keep

@@ -222,24 +222,3 @@ def level_decompose(dag: TaskDag, subset: Iterable[str]) -> list[list[str]]:
             "subset contains unknown tasks: " + ", ".join(unknown)
         )
     return levelize(wanted, dag.preds)
-
-
-def to_dot(dag: TaskDag, blocks: list[list[str]] | None = None) -> str:
-    """Graphviz text export of the DAG, with optional block indices."""
-    block_of: dict[str, int] = {}
-    if blocks is not None:
-        for i, block in enumerate(blocks, start=1):
-            for task in block:
-                block_of[task] = i
-    lines = ["digraph tasks {"]
-    for task_id in sorted(dag.tasks):
-        spec = dag.tasks[task_id]
-        label = f"{task_id} ({spec.processing_time})"
-        if task_id in block_of:
-            label += f" b{block_of[task_id]}"
-        lines.append(f'  "{task_id}" [label="{label}"];')
-    for (pred, succ) in sorted(dag.edges):
-        cost = dag.edges[(pred, succ)]
-        lines.append(f'  "{pred}" -> "{succ}" [label="{cost}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -487,7 +487,7 @@ def placements_from_csv(text: str) -> list[Placement]:
     """Read schedule rows back into placements."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
-        return []
+        raise ValidationError("schedule file is empty")
     missing = [f for f in SCHEDULE_FIELDS if f not in reader.fieldnames]
     if missing:
         raise ValidationError(

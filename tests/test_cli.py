@@ -136,6 +136,57 @@ def test_malformed_xml_exits_1(demo_inputs, tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_non_utf8_task_file_exits_1(demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    tasks.write_bytes(b"\xff\xfe<tasks></tasks>")
+    code = run_schedule((tasks, resources, agents), tmp_path / "out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read task file {tasks}: ")
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["schedule", "generate", "metrics"])
+def test_out_path_that_is_a_file_exits_1(command, demo_inputs, tmp_path, capsys):
+    tasks = demo_inputs[0]
+    out = tmp_path / "out"
+    assert run_schedule(demo_inputs, out) == 0
+    capsys.readouterr()
+    argv = {
+        "schedule": ["schedule", "--tasks", str(tasks),
+                     "--resources", str(demo_inputs[1]),
+                     "--agents", str(demo_inputs[2])],
+        "generate": ["generate"],
+        "metrics": ["metrics", "--schedule", str(out / "schedule.csv")],
+    }[command]
+    assert cli.main([*argv, "--out", str(tasks)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output path {tasks} is not a directory\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["metrics", "validate"])
+def test_empty_schedule_file_exits_1(command, demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("")
+    argv = {
+        "metrics": ["metrics"],
+        "validate": ["validate", "--tasks", str(tasks), "--resources",
+                     str(resources), "--agents", str(agents)],
+    }[command]
+    assert cli.main([*argv, "--schedule", str(schedule)]) == 1
+    assert capsys.readouterr().err == "error: schedule file is empty\n"
+
+
+def test_header_only_schedule_file_has_zero_makespan(tmp_path, capsys):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("taskId,resourceId,agentId,start,end\n")
+    assert cli.main(["metrics", "--schedule", str(schedule)]) == 0
+    assert "makespan,,0.0" in capsys.readouterr().out
+
+
 def test_strict_deadlines_exit_3(tmp_path):
     scenario = make_engineered()
     # give the final task an impossible deadline

@@ -10,6 +10,7 @@ from coalloc import (
     TaskSpec,
     build_dag,
     cluster_tasks,
+    clustering,
     generate_workload,
     max_cluster_size,
     quotient,
@@ -80,6 +81,66 @@ def test_cycle_closing_merge_is_skipped():
     cdag = cluster_tasks(build_dag(tasks), 3)  # quota = 4 // 3 + 1 = 2
     assert [c.tasks for c in cdag.clusters] == [("a", "c"), ("b",), ("d",)]
     assert coloring_is_acyclic({c: list(s) for c, s in cdag.succs.items()})
+
+
+def traced_clustering(monkeypatch, tasks, num_agents):
+    """Cluster ``tasks``, recording each merge and each finished search.
+
+    Returns the cluster DAG, the ``(current, other, kept)`` slot triple of
+    every merge, and the member tuples of every search that found nothing.
+    """
+    pick, merge = clustering._pick_candidate, clustering._merge_parts
+    merges, finished = [], []
+
+    def pick_spy(current, members, *rest):
+        chosen = pick(current, members, *rest)
+        if chosen is None:
+            finished.append(tuple(sorted(members[current])))
+        return chosen
+
+    def merge_spy(current, other, *rest):
+        kept = merge(current, other, *rest)
+        merges.append((current, other, kept))
+        return kept
+
+    monkeypatch.setattr(clustering, "_pick_candidate", pick_spy)
+    monkeypatch.setattr(clustering, "_merge_parts", merge_spy)
+    dag = build_dag(tasks)
+    cdag = cluster_tasks(dag, num_agents)
+    assert ([c.tasks for c in cdag.clusters], cdag.edges) == greedy_clustering(
+        dag, num_agents
+    )
+    return cdag, merges, finished
+
+
+def dependent(task_id, *preds):
+    deps = tuple(Dependency(p, 1.0) for p in preds)
+    return TaskSpec(task_id, 1.0, 0.0, 0.0, None, deps)
+
+
+def test_current_absorbs_a_larger_finished_part(monkeypatch):
+    # a finishes as a sink. b's first pick is a, whose part has more
+    # adjacency entries (b, c, e), so the merge keeps a's slot and the loop
+    # must go on from there to take d. Quota 5 // 2 + 1 = 3.
+    tasks = [dependent("a", "b", "c", "e"), dependent("b"), dependent("c"),
+             dependent("d", "b"), dependent("e")]
+    cdag, merges, finished = traced_clustering(monkeypatch, tasks, 2)
+    assert [c.tasks for c in cdag.clusters] == [("a", "b", "d"), ("c",), ("e",)]
+    assert merges[0] == (1, 0, 0)  # b absorbed a; a's slot survives
+    assert len(finished) == len(set(finished))
+
+
+def test_single_successor_is_taken_and_its_slot_followed(monkeypatch):
+    # a -> d -> c <- b with quota 4 // 2 + 1 = 3. Each of a's picks sees one
+    # successor, and each merge keeps the successor's slot (d, then c),
+    # slots the sorted pass reaches later and must skip as done.
+    tasks = [dependent("a"), dependent("b"), dependent("c", "d", "b"),
+             dependent("d", "a")]
+    cdag, merges, finished = traced_clustering(monkeypatch, tasks, 2)
+    assert [c.tasks for c in cdag.clusters] == [("a", "c", "d"), ("b",)]
+    assert merges == [(0, 3, 3), (3, 2, 2)]
+    # no finished cluster is searched again
+    assert finished == [("a", "c", "d"), ("b",)]
 
 
 def test_quotient_of_singletons_is_isomorphic():

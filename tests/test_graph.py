@@ -16,7 +16,6 @@ from coalloc import (
     find_cycle,
     generate_workload,
     level_decompose,
-    to_dot,
 )
 from conftest import make_engineered
 from oracles import closure_by_squaring, coloring_is_acyclic
@@ -181,14 +180,6 @@ def test_restrict_matches_filtering_in_order(seed):
 def test_restrict_rejects_unknown_tasks():
     with pytest.raises(ValidationError, match="unknown tasks: zz"):
         build_dag([task("a")]).restrict(["a", "zz"])
-
-
-def test_to_dot_mentions_every_node_and_edge():
-    dag = build_dag([task("a", 2.0), task("b", 3.0, [("a", 1.5)])])
-    dot = to_dot(dag, level_decompose(dag, {"a", "b"}))
-    assert '"a"' in dot and '"b"' in dot
-    assert '"a" -> "b"' in dot
-    assert "b1" in dot and "b2" in dot
 
 
 def test_release_adds_comm_time_only_across_resources():

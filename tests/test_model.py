@@ -243,6 +243,12 @@ def test_schedule_csv_requires_columns():
         placements_from_csv("taskId,start\nx,1\n")
 
 
+def test_schedule_csv_needs_a_header():
+    assert placements_from_csv(schedule_to_csv(FinalSchedule((), 0.0))) == []
+    with pytest.raises(ValidationError, match="schedule file is empty"):
+        placements_from_csv("")
+
+
 @pytest.mark.parametrize("start,end", [("inf", "inf"), ("1.0", "nan"), ("-inf", "2.0")])
 def test_schedule_csv_rejects_non_finite_times(start, end):
     text = f"taskId,resourceId,agentId,start,end\na,P01,agent1,{start},{end}\n"
