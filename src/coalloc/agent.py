@@ -15,8 +15,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from .clustering import Cluster
-from .errors import InfeasibleTaskError, ProtocolError, StructuralError
-from .graph import TaskDag, level_decompose
+from .errors import InfeasibleTaskError, ProtocolError, StructuralError, ValidationError
+from .graph import TaskDag, levelize
 from .model import AgentSpec, Placement, ResourceSpec, TaskSpec
 from . import protocol
 
@@ -111,6 +111,14 @@ def eligible_resources(
     return sorted(ok)
 
 
+def overflow_error(task_id: str) -> ValidationError:
+    """The error for a task whose start or end would not be a finite time."""
+    return ValidationError(
+        f"task {task_id!r} would end past the largest finite time; "
+        "its processing and communication times are too large"
+    )
+
+
 def schedule_cluster(
     cluster: Cluster,
     dag: TaskDag,
@@ -125,11 +133,12 @@ def schedule_cluster(
     finish, then the ascending resource id. A predecessor on the same
     resource is ready at its end time; on another resource the communication
     time is added. Reservations may fill gaps and persist on the timelines.
+    A task that would not end at a finite time raises :class:`ValidationError`.
     """
     inside = set(cluster.tasks)
     specs = [tl.resource for _, tl in sorted(timelines.items())]
     placed: dict[str, Placement] = {}
-    for block in level_decompose(dag, inside):
+    for block in levelize(inside, dag.preds):
         for task_id in block:
             task = dag.tasks[task_id]
             options = eligible_resources(task, specs)
@@ -150,6 +159,8 @@ def schedule_cluster(
                 if best is None or candidate[:2] < best[:2]:
                     best = candidate
             start, end, rid = best
+            if not math.isfinite(end):
+                raise overflow_error(task_id)
             timelines[rid].reserve(task_id, start, task.processing_time)
             placed[task_id] = Placement(task_id, rid, agent_id, start, end)
     return PartialSchedule(cluster.cluster_id, placed)

@@ -7,11 +7,12 @@ placements reported back over the message channel.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agent import AgentActor, PartialSchedule
+from .agent import AgentActor, PartialSchedule, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import StructuralError, ValidationError
 from .graph import TaskDag, build_dag, topological_sweep
@@ -86,7 +87,8 @@ def assemble_and_repair(
     pushes starts later, to the least times satisfying release by
     predecessors (communication time waived on the same resource) and
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
-    reported, not rejected.
+    reported, not rejected; a task pushed to an infinite end raises
+    :class:`ValidationError`.
     """
     merged: dict[str, Placement] = {}
     for partial in partials:
@@ -138,6 +140,8 @@ def assemble_and_repair(
 
     placements = tuple(sorted(new.values(), key=lambda p: (p.start, p.task_id)))
     makespan = max((p.end for p in placements), default=0.0)
+    if not math.isfinite(makespan):
+        raise overflow_error(next(t for t in order if not math.isfinite(new[t].end)))
     violations = tuple(
         sorted(
             t

@@ -46,6 +46,13 @@ def _read(path: Path, what: str) -> str:
         raise SchedulingError(f"cannot read {what} {path}: {exc}") from None
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise SchedulingError(f"cannot write {path}: {exc}") from None
+
+
 def _make_out_dir(out: Path) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -88,10 +95,11 @@ def _series_csv(metrics: harness.Metrics) -> str:
 
 
 def _write_metrics_artifacts(out: Path, metrics: harness.Metrics) -> None:
-    (out / "metrics.csv").write_text(_metrics_csv(metrics))
-    (out / "tasks_per_agent.csv").write_text(_series_csv(metrics))
-    (out / "tasks_per_agent.svg").write_text(
-        render.bar_chart_svg(metrics.series(), "tasks per agent")
+    _write(out / "metrics.csv", _metrics_csv(metrics))
+    _write(out / "tasks_per_agent.csv", _series_csv(metrics))
+    _write(
+        out / "tasks_per_agent.svg",
+        render.bar_chart_svg(metrics.series(), "tasks per agent"),
     )
 
 
@@ -113,17 +121,23 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
     out = args.out
     schedule = result.schedule
-    (out / "schedule.csv").write_text(schedule_to_csv(schedule))
-    metrics = harness.compute_metrics(schedule, result.assignment.tasks_per_agent)
-    _write_metrics_artifacts(out, metrics)
-    if args.emit_gantt:
-        (out / "gantt.svg").write_text(render.gantt_svg(schedule))
-        (out / "gantt.txt").write_text(render.gantt_text(schedule))
-    if args.emit_log:
-        (out / "protocol.log").write_text(result.log.to_text())
-        (out / "clusters.txt").write_text(
-            clustering.assignment_dump(result.cluster_dag)
+    try:
+        _write(out / "schedule.csv", schedule_to_csv(schedule))
+        metrics = harness.compute_metrics(
+            schedule, result.assignment.tasks_per_agent
         )
+        _write_metrics_artifacts(out, metrics)
+        if args.emit_gantt:
+            _write(out / "gantt.svg", render.gantt_svg(schedule))
+            _write(out / "gantt.txt", render.gantt_text(schedule))
+        if args.emit_log:
+            _write(out / "protocol.log", result.log.to_text())
+            _write(
+                out / "clusters.txt",
+                clustering.assignment_dump(result.cluster_dag),
+            )
+    except SchedulingError as exc:
+        return _fail(str(exc))
 
     counts = " ".join(f"{a}={c}" for a, c in metrics.series())
     print(
@@ -148,10 +162,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             args.seed, args.num_tasks, args.layers, args.density, ranges
         )
         _make_out_dir(args.out)
+        path = args.out / "tasks.xml"
+        _write(path, serialize_task_set(tasks))
     except SchedulingError as exc:
         return _fail(str(exc))
-    path = args.out / "tasks.xml"
-    path.write_text(serialize_task_set(tasks))
     print(f"wrote {len(tasks)} tasks to {path}")
     return EXIT_OK
 
@@ -183,13 +197,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Recompute metrics from a schedule file."""
     try:
         schedule = _load_schedule_rows(args)
+        metrics = harness.compute_metrics(schedule)
         if args.out is not None:
             _make_out_dir(args.out)
+            _write_metrics_artifacts(args.out, metrics)
     except SchedulingError as exc:
         return _fail(str(exc))
-    metrics = harness.compute_metrics(schedule)
-    if args.out is not None:
-        _write_metrics_artifacts(args.out, metrics)
     print(_metrics_csv(metrics), end="")
     return EXIT_OK
 

@@ -146,13 +146,16 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     task id. It repeatedly absorbs a cluster that depends on it — preferring
     the candidate with the least contained task id — whenever the merged size
     fits the quota and the quotient graph stays acyclic; when no candidate
-    qualifies the cluster is final. Each pick makes one reachability search,
-    which finds every candidate whose merge would close a cycle at once; a
-    cluster with a single dependent needs no search, since no second path to
-    that dependent can exist. Merges are union by size: only the neighbours of
-    the part with fewer adjacency entries are relinked, and the smaller member
-    set is added into the larger, so a merge costs what the smaller side
-    holds. The procedure is fully deterministic.
+    qualifies the cluster is final. Absorbing a dependent ``D`` of the current
+    cluster ``C`` closes a cycle exactly when another path ``C ~> D`` exists,
+    that is when a predecessor of ``D`` descends from ``C``. So each cluster
+    makes one reachability search, for the strict descendants of ``C`` when it
+    becomes current; a merge only removes ``D`` from that set, since ``D``'s
+    own descendants are already in it and no path can lead back into
+    ``C ∪ D``. Merges are union by size: only the neighbours of the part with
+    fewer adjacency entries are relinked, and the smaller member set is added
+    into the larger, so a merge costs what the smaller side holds. The
+    procedure is fully deterministic.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -181,14 +184,30 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         if done[first] or not members[first]:
             continue
         current = first
+        below = _descendants(current, succs)
         while True:
-            chosen = _pick_candidate(current, members, low, succs, limit)
+            chosen = _pick_candidate(current, members, low, succs, preds, below, limit)
             if chosen is None:
                 break
+            # The merged part may keep ``chosen``'s slot; either way that
+            # slot is no longer a strict descendant of the current part.
+            below.discard(chosen)
             current = _merge_parts(current, chosen, members, low, succs, preds)
         done[current] = True
 
     return quotient(dag, [m for m in members if m])
+
+
+def _descendants(source: int, succs: list[set[int]]) -> set[int]:
+    """Every part reachable from ``source`` by a path of one or more edges."""
+    below = set(succs[source])
+    frontier = list(below)
+    while frontier:
+        new = succs[frontier.pop()] - below
+        if new:
+            below |= new
+            frontier.extend(new)
+    return below
 
 
 def _pick_candidate(
@@ -196,28 +215,19 @@ def _pick_candidate(
     members: list[set[str]],
     low: list[str],
     succs: list[set[int]],
+    preds: list[set[int]],
+    below: set[int],
     limit: int,
 ) -> int | None:
     # Candidates are clusters depending on the current one C, within the
     # quota. Contracting C -> D closes a cycle iff another path C ~> D exists,
-    # i.e. iff D is a strict descendant of a successor of C, so one search
-    # from the successors' successors marks every unsafe candidate. With a
-    # single successor D there is no other path: it would need D ~> D.
+    # i.e. iff a predecessor of D lies in ``below``, the strict descendants
+    # of C (C itself never does).
     room = limit - len(members[current])
-    children = succs[current]
-    fitting = [d for d in children if len(members[d]) <= room]
-    if not fitting:
-        return None
-    if len(children) == 1:
-        return fitting[0]
-    unsafe = set().union(*[succs[s] for s in children])
-    frontier = list(unsafe)
-    while frontier:
-        new = succs[frontier.pop()] - unsafe
-        if new:
-            unsafe |= new
-            frontier.extend(new)
-    safe = [d for d in fitting if d not in unsafe]
+    safe = [
+        d for d in succs[current]
+        if len(members[d]) <= room and preds[d].isdisjoint(below)
+    ]
     return min(safe, key=low.__getitem__, default=None)
 
 

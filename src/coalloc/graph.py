@@ -207,18 +207,3 @@ def levelize(
         block.sort(key=key)
     return blocks
 
-
-def level_decompose(dag: TaskDag, subset: Iterable[str]) -> list[list[str]]:
-    """Split ``subset`` into ordered blocks using only in-subset edges.
-
-    The first block holds tasks with no in-subset predecessor; every later
-    block depends only on earlier blocks. Block contents are in ascending
-    task-id order.
-    """
-    wanted = set(subset)
-    unknown = sorted(wanted - set(dag.tasks))
-    if unknown:
-        raise ValidationError(
-            "subset contains unknown tasks: " + ", ".join(unknown)
-        )
-    return levelize(wanted, dag.preds)

@@ -4,7 +4,8 @@ Nothing here calls into the scheduler's own algorithms: acyclicity is
 re-decided by recursive DFS coloring, reachability by boolean matrix
 squaring, earliest fits by brute-force candidate enumeration, the
 selection rule by replaying every decision against a rebuilt timeline model,
-phase-1 clustering by a greedy that runs one DFS per merge candidate,
+phase-1 clustering by a greedy that runs one DFS per merge candidate, the
+descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, and resource
 overlaps by a full pairwise scan.
 None of it imports ``coalloc.clustering``.
@@ -119,6 +120,27 @@ def greedy_clustering(dag, num_agents: int):
         if pair[0] != pair[1]:
             edges[pair] = edges.get(pair, 0.0) + cost
     return clusters, edges
+
+
+def part_descendants(edges, parts: list, source: int) -> set:
+    """Indices of the parts reachable from ``parts[source]`` by one or more
+    quotient edges, the quotient rebuilt from the task ``edges`` and the
+    member sets in ``parts`` (empty sets are no part)."""
+    owner = {t: i for i, part in enumerate(parts) for t in part}
+    succs: dict = {i: set() for i in owner.values()}
+    for a, b in edges:
+        if owner[a] != owner[b]:
+            succs[owner[a]].add(owner[b])
+    seen: set = set()
+
+    def visit(node) -> None:
+        for nxt in succs[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                visit(nxt)
+
+    visit(source)
+    return seen
 
 
 def brute_force_earliest(

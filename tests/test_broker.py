@@ -19,6 +19,7 @@ from coalloc import (
     ResourceTimeline,
     StructuralError,
     TaskSpec,
+    ValidationError,
     assemble_and_repair,
     build_dag,
     distribute,
@@ -224,6 +225,15 @@ def test_infeasible_task_aborts_orchestration():
     with pytest.raises(InfeasibleTaskError) as err:
         orchestrate(tasks, resources, agents)
     assert err.value.task_id == "big"
+
+
+def test_rigid_shift_past_the_largest_float_is_rejected():
+    # quota 2 // 3 + 1 = 1: each task is its own cluster and ends at a finite
+    # time in phase 2, but y's shift behind x overflows
+    tasks = [task("x", 1.5e308), task("y", 1e308, [("x", 0.0)])]
+    resources, agents = pool(3)
+    with pytest.raises(ValidationError, match="task 'y' would end past"):
+        orchestrate(tasks, resources, agents)
 
 
 def test_agents_answer_in_ascending_id_order():

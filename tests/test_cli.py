@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import re
+
 import pytest
 
 from coalloc import cli
@@ -164,6 +166,52 @@ def test_out_path_that_is_a_file_exits_1(command, demo_inputs, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.err == f"error: output path {tasks} is not a directory\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("schedule", "schedule.csv"), ("generate", "tasks.xml"),
+     ("metrics", "metrics.csv")],
+)
+def test_unwritable_artifact_exits_1(command, artifact, demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    schedule = tmp_path / "first" / "schedule.csv"
+    assert run_schedule(demo_inputs, schedule.parent) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)  # a directory where the file goes
+    argv = {
+        "schedule": ["schedule", "--tasks", str(tasks), "--resources",
+                     str(resources), "--agents", str(agents)],
+        "generate": ["generate"],
+        "metrics": ["metrics", "--schedule", str(schedule)],
+    }[command]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out / artifact}: ")
+    assert "Is a directory" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("processing, task_id", [("6e307", "4"), ("1e308", "3")])
+def test_overflowing_times_exit_1(processing, task_id, demo_inputs, tmp_path, capsys):
+    # finite inputs whose sums overflow: never an inf in schedule.csv, never
+    # an internal timeline message
+    tasks, resources, agents = demo_inputs
+    doc = re.sub(
+        r"<processingTime>[^<]*</processingTime>",
+        f"<processingTime>{processing}</processingTime>",
+        tasks.read_text(),
+    )
+    tasks.write_text(doc)
+    out = tmp_path / "out"
+    assert run_schedule((tasks, resources, agents), out) == 1
+    assert capsys.readouterr().err == (
+        f"error: task {task_id!r} would end past the largest finite time; "
+        "its processing and communication times are too large\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["metrics", "validate"])

@@ -16,7 +16,7 @@ from coalloc import (
     quotient,
 )
 from conftest import corpus_instance
-from oracles import coloring_is_acyclic, greedy_clustering
+from oracles import coloring_is_acyclic, greedy_clustering, part_descendants
 
 
 def chain(n, comm=1.0, processing=1.0):
@@ -267,3 +267,27 @@ def test_cluster_tasks_matches_per_candidate_reference(case):
     clusters, edges = greedy_clustering(dag, num_agents)
     assert [c.tasks for c in cdag.clusters] == clusters
     assert cdag.edges == edges
+
+
+@settings(deadline=None, max_examples=300)
+@given(shuffled_dags())
+@example((chain(6), 1))
+def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
+    # The descendant set is searched once per cluster and then only loses
+    # each absorbed part, so at every pick it must equal a fresh search over
+    # the quotient of the parts as they stand.
+    tasks, num_agents = case
+    dag = build_dag(tasks)
+    pick = clustering._pick_candidate
+    picks = []
+
+    def pick_spy(current, members, low, succs, preds, below, limit):
+        assert below == part_descendants(dag.edges, members, current)
+        picks.append(current)
+        return pick(current, members, low, succs, preds, below, limit)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_pick_candidate", pick_spy)
+        cluster_tasks(dag, num_agents)
+    # a pick per merge, and one more each time a part finishes
+    assert len(picks) >= len(dag.tasks)

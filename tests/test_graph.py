@@ -15,7 +15,7 @@ from coalloc import (
     build_dag,
     find_cycle,
     generate_workload,
-    level_decompose,
+    levelize,
 )
 from conftest import make_engineered
 from oracles import closure_by_squaring, coloring_is_acyclic
@@ -105,7 +105,7 @@ def test_level_decompose_chain():
     dag = build_dag(
         [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
     )
-    assert level_decompose(dag, {"a", "b", "c"}) == [["a"], ["b"], ["c"]]
+    assert levelize({"a", "b", "c"}, dag.preds) == [["a"], ["b"], ["c"]]
 
 
 def test_level_decompose_diamond():
@@ -117,7 +117,7 @@ def test_level_decompose_diamond():
             task("4", deps=[("2", 1.0), ("3", 1.0)]),
         ]
     )
-    assert level_decompose(dag, {"1", "2", "3", "4"}) == [["1"], ["2", "3"], ["4"]]
+    assert levelize({"1", "2", "3", "4"}, dag.preds) == [["1"], ["2", "3"], ["4"]]
 
 
 def test_level_decompose_subset_restriction():
@@ -125,13 +125,7 @@ def test_level_decompose_subset_restriction():
         [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
     )
     # without b, neither a nor c has an in-subset predecessor
-    assert level_decompose(dag, {"a", "c"}) == [["a", "c"]]
-
-
-def test_level_decompose_rejects_unknown_subset():
-    dag = build_dag([task("a")])
-    with pytest.raises(ValidationError, match="unknown"):
-        level_decompose(dag, {"a", "zz"})
+    assert levelize({"a", "c"}, dag.preds) == [["a", "c"]]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -140,7 +134,7 @@ def test_level_decompose_properties(seed):
     tasks = generate_workload(seed, 30, rng.randint(2, 6), 0.25)
     dag = build_dag(tasks)
     subset = {t for t in dag.tasks if rng.random() < 0.7}
-    blocks = level_decompose(dag, subset)
+    blocks = levelize(subset, dag.preds)
 
     flat = [t for block in blocks for t in block]
     assert sorted(flat) == sorted(subset)  # partition
