@@ -9,7 +9,6 @@ inter-cluster readiness times, the agent rigidly shifts the whole cluster.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -93,7 +92,9 @@ class PartialSchedule:
         if delta == 0:
             return self
         moved = {
-            t: dataclasses.replace(p, start=p.start + delta, end=p.end + delta)
+            t: Placement(
+                p.task_id, p.resource_id, p.agent_id, p.start + delta, p.end + delta
+            )
             for t, p in self.placements.items()
         }
         return PartialSchedule(self.cluster_id, moved)
@@ -171,9 +172,11 @@ def apply_dependency_delays(
 ) -> PartialSchedule:
     """Rigidly shift the cluster so every reported readiness time is met.
 
-    The shift is the largest shortfall over the report; the whole schedule
-    moves as one block, so every pairwise start/end difference and the local
-    non-overlap are preserved exactly.
+    The shift is the largest shortfall over the report. A shortfall
+    ``ready - start`` may round so that ``start + shortfall`` lands below
+    ``ready``; it is then stepped up one float at a time until the entry is
+    met. The whole schedule moves as one block, so every pairwise start/end
+    difference and the local non-overlap are preserved exactly.
     """
     delta = 0.0
     for task_id, ready in readiness:
@@ -183,8 +186,11 @@ def apply_dependency_delays(
                 f"readiness for {task_id!r} which is not in cluster "
                 f"{partial.cluster_id!r}"
             )
-        delta = max(delta, ready - placement.start)
-    return partial.shifted(max(delta, 0.0))
+        shortfall = ready - placement.start
+        while placement.start + shortfall < ready:
+            shortfall = math.nextafter(shortfall, math.inf)
+        delta = max(delta, shortfall)
+    return partial.shifted(delta)
 
 
 class AgentActor:

@@ -12,9 +12,9 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .agent import AgentActor, PartialSchedule, overflow_error
+from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
-from .errors import StructuralError, ValidationError
+from .errors import InfeasibleTaskError, StructuralError, ValidationError
 from .graph import TaskDag, build_dag, topological_sweep
 from .model import (
     AgentSpec,
@@ -55,23 +55,61 @@ class Assignment:
     order: tuple[str, ...]  # dispatch order: quotient topological order
 
 
-def distribute(cluster_dag: ClusterDag, agents: Sequence[AgentSpec]) -> Assignment:
-    """Hand clusters out in topological order, always to the least-loaded agent.
+def distribute(
+    cluster_dag: ClusterDag,
+    agents: Sequence[AgentSpec],
+    dag: TaskDag,
+    resources: Sequence[ResourceSpec],
+) -> Assignment:
+    """Hand clusters out in topological order, to the least-loaded agent that
+    can host every task of the cluster.
 
     Load is the task count received so far; count ties fall to the ascending
-    agent id, topological ties to the cluster with the least task id.
+    agent id, topological ties to the cluster with the least task id. An
+    agent hosts a task when one of its ``resources`` is eligible for the
+    task's ``dag`` spec. A cluster no agent can host goes to the
+    least-loaded agent of all, whose phase 2 then reports the infeasible
+    task.
     """
     if not agents:
         raise ValidationError("at least one agent is required")
     counts = {a.agent_id: 0 for a in sorted(agents, key=lambda a: a.agent_id)}
+    narrow = _narrow_agents(agents, dag, resources)
     mapping: dict[str, str] = {}
     order: list[str] = []
     for cluster in cluster_dag.topological_order():
-        agent_id = min(counts, key=lambda a: (counts[a], a))
+        able = [
+            a for a in counts
+            if a not in narrow
+            or all(eligible_resources(dag.tasks[t], narrow[a]) for t in cluster.tasks)
+        ]
+        agent_id = min(able or counts, key=lambda a: (counts[a], a))
         mapping[cluster.cluster_id] = agent_id
         counts[agent_id] += len(cluster.tasks)
         order.append(cluster.cluster_id)
     return Assignment(mapping, counts, tuple(order))
+
+
+def _narrow_agents(
+    agents: Sequence[AgentSpec],
+    dag: TaskDag,
+    resources: Sequence[ResourceSpec],
+) -> dict[str, list[ResourceSpec]]:
+    """The resources of each agent that may fail to host some task.
+
+    An agent owning a resource that meets both the largest memory and the
+    largest CPU requirement of the tasks hosts every cluster and is left
+    out, so on pools where every agent does the check costs one pass over
+    agents and resources.
+    """
+    memory = max((t.memory for t in dag.tasks.values()), default=0.0)
+    cpu = max((t.cpu_power for t in dag.tasks.values()), default=0.0)
+    specs = {r.resource_id: r for r in resources}
+    owned = {a.agent_id: [specs[rid] for rid in a.resources] for a in agents}
+    return {
+        agent_id: rs for agent_id, rs in owned.items()
+        if not any(r.memory >= memory and r.cpu_power >= cpu for r in rs)
+    }
 
 
 def assemble_and_repair(
@@ -188,7 +226,7 @@ class Broker:
         )
         dag = build_dag(tasks)
         cluster_dag = cluster_tasks(dag, len(agents))
-        assignment = distribute(cluster_dag, agents)
+        assignment = distribute(cluster_dag, agents, dag, resources)
 
         resource_by_id = {r.resource_id: r for r in resources}
         actors = {
@@ -197,17 +235,25 @@ class Broker:
         }
 
         # Phase 2: every cluster is scheduled locally, inter-cluster edges
-        # ignored; agents start from time 0 on their own timelines.
-        partials = _exchange(log, actors, [
-            Message(
-                MessageKind.ASSIGN_CLUSTER,
-                BROKER,
-                assignment.cluster_to_agent[cluster.cluster_id],
-                AssignClusterPayload(cluster, dag.restrict(cluster.tasks)),
-                cluster_id=cluster.cluster_id,
-            )
-            for cluster in (cluster_dag.by_id[cid] for cid in assignment.order)
-        ])
+        # ignored; agents start from time 0 on their own timelines. An agent
+        # finds a task infeasible only in a cluster no agent can host.
+        try:
+            partials = _exchange(log, actors, [
+                Message(
+                    MessageKind.ASSIGN_CLUSTER,
+                    BROKER,
+                    assignment.cluster_to_agent[cluster.cluster_id],
+                    AssignClusterPayload(cluster, dag.restrict(cluster.tasks)),
+                    cluster_id=cluster.cluster_id,
+                )
+                for cluster in (cluster_dag.by_id[cid] for cid in assignment.order)
+            ])
+        except InfeasibleTaskError as exc:
+            raise InfeasibleTaskError(
+                exc.task_id,
+                f"cluster {cluster_dag.cluster_of[exc.task_id]} fits none of "
+                f"the agents {', '.join(sorted(actors))}; {exc.detail}",
+            ) from None
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
         # deeper clusters get readiness reports and shift rigidly.

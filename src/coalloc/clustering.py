@@ -8,6 +8,7 @@ quotient edges.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import StructuralError, ValidationError
@@ -102,6 +103,7 @@ def quotient(dag: TaskDag, partition: list[set[str]]) -> ClusterDag:
     never emitted. Clusters are named C1, C2, ... in ascending order of their
     smallest task id.
     """
+    known = set(dag.tasks)
     seen: set[str] = set()
     groups: list[set[str]] = []
     for group in partition:
@@ -113,14 +115,14 @@ def quotient(dag: TaskDag, partition: list[set[str]]) -> ClusterDag:
             raise StructuralError(
                 "partition overlaps on tasks: " + ", ".join(sorted(overlap))
             )
-        unknown = g - set(dag.tasks)
+        unknown = g - known
         if unknown:
             raise StructuralError(
                 "partition names unknown tasks: " + ", ".join(sorted(unknown))
             )
         seen |= g
         groups.append(g)
-    uncovered = set(dag.tasks) - seen
+    uncovered = known - seen
     if uncovered:
         raise StructuralError(
             "partition misses tasks: " + ", ".join(sorted(uncovered))
@@ -149,13 +151,18 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     qualifies the cluster is final. Absorbing a dependent ``D`` of the current
     cluster ``C`` closes a cycle exactly when another path ``C ~> D`` exists,
     that is when a predecessor of ``D`` descends from ``C``. So each cluster
-    makes one reachability search, for the strict descendants of ``C`` when it
-    becomes current; a merge only removes ``D`` from that set, since ``D``'s
-    own descendants are already in it and no path can lead back into
-    ``C ∪ D``. Merges are union by size: only the neighbours of the part with
-    fewer adjacency entries are relinked, and the smaller member set is added
-    into the larger, so a merge costs what the smaller side holds. The
-    procedure is fully deterministic.
+    makes one reachability search, level by level, for the strict descendants
+    of ``C`` when it becomes current; a merge only removes ``D`` from that
+    set, since ``D``'s own descendants are already in it and no path can lead
+    back into ``C ∪ D``. The children of ``C`` whose predecessors miss that
+    set are ready and wait in a queue keyed by least task id; the others are
+    blocked. Only a merge of ``D`` can unblock a child, and only one of
+    ``D``'s successors, so after each merge only those are tested, again or
+    for the first time. A ready child too large for the room left is dropped
+    for good, since the room only shrinks. Merges are union by size: only the
+    neighbours of the part with fewer adjacency entries are relinked, and the
+    smaller member set is added into the larger, so a merge costs what the
+    smaller side holds. The procedure is fully deterministic.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -167,12 +174,8 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     index_of = {t: i for i, t in enumerate(task_ids)}
     members: list[set[str]] = [{t} for t in task_ids]
     low: list[str] = list(task_ids)  # smallest task id per part
-    succs: list[set[int]] = [set() for _ in task_ids]
-    preds: list[set[int]] = [set() for _ in task_ids]
-    for pred, succ in dag.edges:
-        a, b = index_of[pred], index_of[succ]
-        succs[a].add(b)
-        preds[b].add(a)
+    succs = [{index_of[s] for s in dag.succs[t]} for t in task_ids]
+    preds = [{index_of[p] for p in dag.preds[t]} for t in task_ids]
 
     # A live part that is not done has never merged, so it is still the
     # singleton {task i} in slot i, and every task before i in sorted order
@@ -185,14 +188,21 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
             continue
         current = first
         below = _descendants(current, succs)
-        while True:
-            chosen = _pick_candidate(current, members, low, succs, preds, below, limit)
-            if chosen is None:
-                break
+        # A child is ready while its preds miss ``below``. Merges only shrink
+        # ``below`` and relink preds to the merged part, never in ``below``,
+        # so a ready child stays ready and only a successor of the absorbed
+        # part can turn ready: those not yet queued are tested after the
+        # merge, again if blocked before and for the first time if new.
+        ready: list[tuple[str, int]] = []
+        queued: set[int] = set()
+        _queue_ready(succs[current], preds, below, low, ready, queued)
+        while (chosen := _next_candidate(current, members, ready, limit)) is not None:
             # The merged part may keep ``chosen``'s slot; either way that
             # slot is no longer a strict descendant of the current part.
             below.discard(chosen)
+            fresh = succs[chosen] - queued
             current = _merge_parts(current, chosen, members, low, succs, preds)
+            _queue_ready(fresh, preds, below, low, ready, queued)
         done[current] = True
 
     return quotient(dag, [m for m in members if m])
@@ -201,34 +211,45 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
 def _descendants(source: int, succs: list[set[int]]) -> set[int]:
     """Every part reachable from ``source`` by a path of one or more edges."""
     below = set(succs[source])
-    frontier = list(below)
+    frontier = below
     while frontier:
-        new = succs[frontier.pop()] - below
-        if new:
-            below |= new
-            frontier.extend(new)
+        frontier = set().union(*[succs[x] for x in frontier]) - below
+        below |= frontier
     return below
 
 
-def _pick_candidate(
-    current: int,
-    members: list[set[str]],
-    low: list[str],
-    succs: list[set[int]],
+def _queue_ready(
+    children: set[int],
     preds: list[set[int]],
     below: set[int],
+    low: list[str],
+    ready: list[tuple[str, int]],
+    queued: set[int],
+) -> None:
+    # Contracting C -> D closes a cycle iff a predecessor of D lies in
+    # ``below``, the strict descendants of C (C itself never does).
+    for d in children:
+        if preds[d].isdisjoint(below):
+            heapq.heappush(ready, (low[d], d))
+            queued.add(d)
+
+
+def _next_candidate(
+    current: int,
+    members: list[set[str]],
+    ready: list[tuple[str, int]],
     limit: int,
 ) -> int | None:
-    # Candidates are clusters depending on the current one C, within the
-    # quota. Contracting C -> D closes a cycle iff another path C ~> D exists,
-    # i.e. iff a predecessor of D lies in ``below``, the strict descendants
-    # of C (C itself never does).
+    """Pop the ready child with the least ``low`` that fits the quota, if any.
+
+    A popped child that does not fit is dropped: the room left only shrinks.
+    """
     room = limit - len(members[current])
-    safe = [
-        d for d in succs[current]
-        if len(members[d]) <= room and preds[d].isdisjoint(below)
-    ]
-    return min(safe, key=low.__getitem__, default=None)
+    while ready:
+        d = heapq.heappop(ready)[1]
+        if len(members[d]) <= room:
+            return d
+    return None
 
 
 def _merge_parts(

@@ -45,6 +45,7 @@ class InfeasibleTaskError(SchedulingError):
             msg += f": {detail}"
         super().__init__(msg)
         self.task_id = task_id
+        self.detail = detail
 
 
 class ProtocolError(SchedulingError):

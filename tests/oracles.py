@@ -58,14 +58,16 @@ def closure_by_squaring(nodes: list, pairs: set) -> dict:
     }
 
 
-def greedy_clustering(dag, num_agents: int):
+def greedy_clustering(dag, num_agents: int, finished: list | None = None):
     """Phase-1 clustering with one DFS cycle test per merge candidate.
 
     A part is keyed by its least task id. The unfinished part with the least
     key absorbs, while the quota allows, the successor part with the least
     key whose merge keeps the quotient acyclic. Returns the clusters as
     ascending task tuples ordered by least task id, and the quotient edges
-    with summed crossing costs, named C1, C2, ... in that order.
+    with summed crossing costs, named C1, C2, ... in that order. A given
+    ``finished`` list receives the ascending task tuple of each part as it
+    finishes, in order.
     """
     quota = len(dag.tasks) // num_agents + 1
     owner = {t: t for t in dag.tasks}
@@ -91,9 +93,9 @@ def greedy_clustering(dag, num_agents: int):
                 stack.append(nxt)
         return False
 
-    finished: set = set()
-    while set(owner.values()) - finished:
-        current = min(set(owner.values()) - finished)
+    done: set = set()
+    while set(owner.values()) - done:
+        current = min(set(owner.values()) - done)
         while True:
             succs = quotient_succs()
             for cand in sorted(succs[current]):
@@ -107,9 +109,11 @@ def greedy_clustering(dag, num_agents: int):
             for t, p in owner.items():
                 if p in (current, cand):
                     owner[t] = merged
-            finished.discard(merged)
+            done.discard(merged)
             current = merged
-        finished.add(current)
+        done.add(current)
+        if finished is not None:
+            finished.append(tuple(sorted(t for t in owner if owner[t] == current)))
 
     keys = sorted(set(owner.values()))
     clusters = [tuple(sorted(t for t in owner if owner[t] == k)) for k in keys]

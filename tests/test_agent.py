@@ -1,5 +1,6 @@
 """Local scheduling: eligibility, earliest-start selection, rigid delays."""
 
+import math
 import random
 
 import pytest
@@ -278,3 +279,62 @@ def test_delay_rejects_unknown_task():
     )
     with pytest.raises(ProtocolError, match="ghost"):
         apply_dependency_delays(partial, [("ghost", 1.0)])
+
+
+def test_delay_steps_past_a_one_ulp_shortfall():
+    # 47.76 - 13.3 rounds down, and 13.3 plus it lands one ulp short of 47.76
+    partial = PartialSchedule(
+        "C1",
+        {
+            "t": Placement("t", "r1", "a1", 13.3, 15.3),
+            "u": Placement("u", "r2", "a1", 20.0, 21.0),
+        },
+    )
+    shortfall = 47.76 - 13.3
+    assert 13.3 + shortfall < 47.76
+    moved = apply_dependency_delays(partial, [("t", 47.76)])
+    delta = math.nextafter(shortfall, math.inf)
+    assert moved == partial.shifted(delta)
+    assert moved.placements["t"].start >= 47.76
+
+
+def shift_of(partial, moved, readiness):
+    """The one float ``d`` with ``moved == partial.shifted(d)``, searched
+    upwards from the largest raw shortfall."""
+    delta = max([0.0] + [ready - partial.placements[t].start for t, ready in readiness])
+    for _ in range(8):
+        if moved == partial.shifted(delta):
+            return delta
+        delta = math.nextafter(delta, math.inf)
+    raise AssertionError("placements did not move by one common shift")
+
+
+millis = st.integers(0, 10**6).map(lambda k: k / 1000)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(millis, st.none() | millis), min_size=1, max_size=6))
+@example([(13.3, 47.76), (20.0, None)])
+def test_rigid_shift_meets_every_entry_with_one_least_delta(pairs):
+    # one task per (start, ready) pair; a ready of None reports nothing
+    partial = PartialSchedule(
+        "C1",
+        {
+            f"t{i}": Placement(f"t{i}", "r1", "a1", start, start + 1.5)
+            for i, (start, _) in enumerate(pairs)
+        },
+    )
+    readiness = [
+        (f"t{i}", ready) for i, (_, ready) in enumerate(pairs) if ready is not None
+    ]
+    moved = apply_dependency_delays(partial, readiness)
+    for task_id, ready in readiness:
+        assert moved.placements[task_id].start >= ready
+    delta = shift_of(partial, moved, readiness)
+    # one step less would leave an entry unmet, unless no step was taken
+    raw = max([0.0] + [r - partial.placements[t].start for t, r in readiness])
+    if delta > raw:
+        less = math.nextafter(delta, -math.inf)
+        assert any(
+            partial.placements[t].start + less < r for t, r in readiness
+        )

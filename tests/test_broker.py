@@ -22,6 +22,7 @@ from coalloc import (
     ValidationError,
     assemble_and_repair,
     build_dag,
+    cluster_tasks,
     distribute,
     orchestrate,
     validate_schedule,
@@ -66,10 +67,15 @@ def cluster_dag(sizes, edges=()):
     return ClusterDag(clusters, {e: 1.0 for e in edges})
 
 
+def dag_of(cdag):
+    """A task DAG holding the cluster DAG's tasks, each fitting ``pool``."""
+    return build_dag([task(t) for c in cdag.clusters for t in c.tasks])
+
+
 def test_distribute_balanced_three_clusters():
     cdag = cluster_dag([3, 3, 2])
-    _, agents = pool(3)
-    assignment = distribute(cdag, agents)
+    resources, agents = pool(3)
+    assignment = distribute(cdag, agents, dag_of(cdag), resources)
     assert assignment.tasks_per_agent == {"agent1": 3, "agent2": 3, "agent3": 2}
     assert assignment.cluster_to_agent == {
         "C1": "agent1",
@@ -80,15 +86,15 @@ def test_distribute_balanced_three_clusters():
 
 def test_distribute_single_cluster_prefers_lowest_agent():
     cdag = cluster_dag([4])
-    _, agents = pool(5)
-    assignment = distribute(cdag, agents)
+    resources, agents = pool(5)
+    assignment = distribute(cdag, agents, dag_of(cdag), resources)
     assert assignment.cluster_to_agent == {"C1": "agent1"}
 
 
 def test_distribute_greedy_matches_step_simulation():
     cdag = cluster_dag([2, 2, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C4")])
-    _, agents = pool(2)
-    assignment = distribute(cdag, agents)
+    resources, agents = pool(2)
+    assignment = distribute(cdag, agents, dag_of(cdag), resources)
     assert assignment.order == ("C1", "C2", "C3", "C4")
     assert assignment.cluster_to_agent == {
         "C1": "agent1",
@@ -103,6 +109,88 @@ def test_distribute_greedy_matches_step_simulation():
         chosen = min(counts, key=lambda a: (counts[a], a))
         assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
         counts[chosen] += len(cluster.tasks)
+
+
+capacities = st.sampled_from([2.0, 4.0, 8.0])
+requirements = st.sampled_from([1.0, 3.0, 6.0])
+
+
+@st.composite
+def mixed_pools(draw):
+    """Tasks with mixed requirements on agents with mixed capacities, so
+    some clusters fit only some agents and some fit none."""
+    resources, agents = [], []
+    for a in range(1, draw(st.integers(1, 4)) + 1):
+        owned = tuple(f"P{a}{r}" for r in range(draw(st.integers(1, 2))))
+        resources += [
+            ResourceSpec(rid, cpu_power=draw(capacities), memory=draw(capacities))
+            for rid in owned
+        ]
+        agents.append(AgentSpec(f"agent{a}", owned))
+    tasks = []
+    for i in range(draw(st.integers(1, 10))):
+        preds = draw(st.sets(st.integers(0, i - 1), max_size=2)) if i else set()
+        deps = tuple(Dependency(f"t{j:02d}", 0.5) for j in sorted(preds))
+        tasks.append(TaskSpec(
+            f"t{i:02d}", 1.0, draw(requirements), draw(requirements), None, deps
+        ))
+    return tasks, resources, agents
+
+
+@settings(deadline=None, max_examples=200)
+@given(mixed_pools())
+def test_distribute_respects_eligibility_on_mixed_pools(case):
+    tasks, resources, agents = case
+    dag = build_dag(tasks)
+    cdag = cluster_tasks(dag, len(agents))
+    specs = {r.resource_id: r for r in resources}
+
+    def hosts(agent, cluster):
+        return all(
+            any(
+                specs[rid].memory >= dag.tasks[t].memory
+                and specs[rid].cpu_power >= dag.tasks[t].cpu_power
+                for rid in agent.resources
+            )
+            for t in cluster.tasks
+        )
+
+    # replay: the least-loaded host, or the least-loaded agent when none hosts
+    assignment = distribute(cdag, agents, dag, resources)
+    counts = {a.agent_id: 0 for a in sorted(agents, key=lambda a: a.agent_id)}
+    unhostable = []
+    for cluster in cdag.topological_order():
+        able = [a.agent_id for a in agents if hosts(a, cluster)]
+        if not able:
+            unhostable.append(cluster.cluster_id)
+        chosen = min(able or counts, key=lambda a: (counts[a], a))
+        assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
+        counts[chosen] += len(cluster.tasks)
+    assert assignment.tasks_per_agent == counts
+
+    if unhostable:
+        with pytest.raises(InfeasibleTaskError) as err:
+            orchestrate(tasks, resources, agents)
+        named = cdag.cluster_of[err.value.task_id]
+        assert named in unhostable
+        assert f"cluster {named} fits none of the agents " + ", ".join(
+            sorted(counts)
+        ) in str(err.value)
+    else:
+        result = orchestrate(tasks, resources, agents)
+        assert result.assignment == assignment
+        assert validate_schedule(result.schedule, dag, resources, agents).is_empty()
+
+
+def test_cluster_goes_to_the_one_agent_that_hosts_it():
+    # agent1 is least loaded, but only agent2's resource fits "big"
+    tasks = [TaskSpec("big", 1.0, 6.0, 1.0)]
+    resources = [ResourceSpec("r1", memory=4.0, cpu_power=4.0),
+                 ResourceSpec("r2", memory=8.0, cpu_power=4.0)]
+    agents = [AgentSpec("agent1", ("r1",)), AgentSpec("agent2", ("r2",))]
+    result = orchestrate(tasks, resources, agents)
+    assert result.assignment.cluster_to_agent == {"C1": "agent2"}
+    assert [p.resource_id for p in result.schedule.placements] == ["r2"]
 
 
 def test_single_cluster_protocol_and_passthrough():

@@ -103,6 +103,34 @@ def test_infeasible_task_exits_2(demo_inputs, tmp_path, capsys):
     assert "'1'" in capsys.readouterr().err  # first task carries the bad memory
 
 
+def test_task_too_large_for_its_agent_goes_where_it_fits(demo_inputs, tmp_path):
+    # Only P05 (agent3) gets memory 8.0; task 1 needs 6.0, more than
+    # agent1's P01 and P02 offer
+    tasks, resources, agents = demo_inputs
+    text = resources.read_text()
+    at = text.index("<Memory>", text.index("<Id>P05</Id>"))
+    resources.write_text(text[:at] + "<Memory>8.0" + text[text.index("</Memory>", at):])
+    tasks.write_text(tasks.read_text().replace(
+        "<memory>1.0</memory>", "<memory>6.0</memory>", 1
+    ))
+    out = tmp_path / "out"
+    assert run_schedule((tasks, resources, agents), out) == 0
+    rows = (out / "schedule.csv").read_text().splitlines()
+    assert any(row.startswith("1,P05,agent3,") for row in rows)
+
+
+def test_infeasible_task_names_its_cluster_and_the_agents(
+    demo_inputs, tmp_path, capsys
+):
+    tasks, resources, agents = demo_inputs
+    tasks.write_text(tasks.read_text().replace(
+        "<memory>1.0</memory>", "<memory>64.0</memory>", 1
+    ))
+    assert run_schedule((tasks, resources, agents), tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "cluster C1 fits none of the agents agent1, agent2, agent3" in err
+
+
 def test_missing_file_exits_1(demo_inputs, tmp_path, capsys):
     _, resources, agents = demo_inputs
     code = cli.main(

@@ -89,7 +89,7 @@ def traced_clustering(monkeypatch, tasks, num_agents):
     Returns the cluster DAG, the ``(current, other, kept)`` slot triple of
     every merge, and the member tuples of every search that found nothing.
     """
-    pick, merge = clustering._pick_candidate, clustering._merge_parts
+    pick, merge = clustering._next_candidate, clustering._merge_parts
     merges, finished = [], []
 
     def pick_spy(current, members, *rest):
@@ -103,7 +103,7 @@ def traced_clustering(monkeypatch, tasks, num_agents):
         merges.append((current, other, kept))
         return kept
 
-    monkeypatch.setattr(clustering, "_pick_candidate", pick_spy)
+    monkeypatch.setattr(clustering, "_next_candidate", pick_spy)
     monkeypatch.setattr(clustering, "_merge_parts", merge_spy)
     dag = build_dag(tasks)
     cdag = cluster_tasks(dag, num_agents)
@@ -269,25 +269,72 @@ def test_cluster_tasks_matches_per_candidate_reference(case):
     assert cdag.edges == edges
 
 
+def fresh_candidate(dag, members, current, below, limit):
+    """The least-``low`` child part of ``members[current]`` that fits the
+    quota and whose predecessor parts miss ``below``, from the task edges."""
+    owner = {t: i for i, part in enumerate(members) for t in part}
+    children, pred_parts = set(), {}
+    for a, b in dag.edges:
+        pa, pb = owner[a], owner[b]
+        if pa != pb:
+            pred_parts.setdefault(pb, set()).add(pa)
+            if pa == current:
+                children.add(pb)
+    room = limit - len(members[current])
+    safe = [
+        d for d in children
+        if len(members[d]) <= room and pred_parts[d].isdisjoint(below)
+    ]
+    return min(safe, key=lambda d: min(members[d]), default=None)
+
+
 @settings(deadline=None, max_examples=300)
 @given(shuffled_dags())
 @example((chain(6), 1))
+# c is blocked behind b until the merge with b absorbs it; quota 4
+@example(([dependent("a"), dependent("b", "a"), dependent("c", "a", "b")], 1))
+# {a, b, c} finishes first and is a ready child of d, too large for d's
+# room of 2: it is dropped and e is taken; quota 5 // 2 + 1 = 3
+@example((
+    [dependent("a", "d"), dependent("b", "a"), dependent("c", "b"),
+     dependent("d"), dependent("e", "d")],
+    2,
+))
 def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
     # The descendant set is searched once per cluster and then only loses
     # each absorbed part, so at every pick it must equal a fresh search over
-    # the quotient of the parts as they stand.
+    # the quotient of the parts as they stand. The ready queue must yield
+    # what a fresh scan of every child would choose, and the parts must
+    # finish in the order the per-candidate reference finishes them.
     tasks, num_agents = case
     dag = build_dag(tasks)
-    pick = clustering._pick_candidate
-    picks = []
+    limit = max_cluster_size(len(dag.tasks), num_agents)
+    search, pick = clustering._descendants, clustering._next_candidate
+    searched, picks, finished = [], [], []
 
-    def pick_spy(current, members, low, succs, preds, below, limit):
-        assert below == part_descendants(dag.edges, members, current)
+    def search_spy(source, succs):
+        below = search(source, succs)
+        searched.append(below)  # the live set the loop goes on to shrink
+        return below
+
+    def pick_spy(current, members, ready, limit_):
+        assert limit_ == limit
+        below = part_descendants(dag.edges, members, current)
+        assert searched[-1] == below
+        expected = fresh_candidate(dag, members, current, below, limit)
+        chosen = pick(current, members, ready, limit_)
+        assert chosen == expected
         picks.append(current)
-        return pick(current, members, low, succs, preds, below, limit)
+        if chosen is None:
+            finished.append(tuple(sorted(members[current])))
+        return chosen
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clustering, "_pick_candidate", pick_spy)
+        mp.setattr(clustering, "_descendants", search_spy)
+        mp.setattr(clustering, "_next_candidate", pick_spy)
         cluster_tasks(dag, num_agents)
+    reference = []
+    greedy_clustering(dag, num_agents, finished=reference)
+    assert finished == reference
     # a pick per merge, and one more each time a part finishes
     assert len(picks) >= len(dag.tasks)
