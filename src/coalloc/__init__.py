@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
     XmlFormatError,
 )
-from .graph import TaskDag, build_dag, find_cycle, levelize
+from .graph import TaskDag, build_dag, levelize
 from .harness import (
     CostRanges,
     Metrics,

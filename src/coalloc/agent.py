@@ -215,36 +215,30 @@ class AgentActor:
 
     def handle(self, message: protocol.Message) -> protocol.Message:
         """Process a broker message and produce the protocol reply."""
+        payload = message.payload
         if message.kind is protocol.MessageKind.ASSIGN_CLUSTER:
-            payload = message.payload
             partial = schedule_cluster(
                 payload.cluster, payload.dag, self.timelines, self.agent_id
             )
-            self._partials[partial.cluster_id] = partial
-            return protocol.Message(
-                kind=protocol.MessageKind.CLUSTER_SCHEDULED,
-                sender=self.agent_id,
-                receiver=message.sender,
-                payload=partial,
-                cluster_id=partial.cluster_id,
-            )
-        if message.kind is protocol.MessageKind.DEPENDENCY_INFO:
-            payload = message.payload
+            kind = protocol.MessageKind.CLUSTER_SCHEDULED
+        elif message.kind is protocol.MessageKind.DEPENDENCY_INFO:
             stored = self._partials.get(payload.cluster_id)
             if stored is None:
                 raise ProtocolError(
                     f"agent {self.agent_id} got readiness for unassigned "
                     f"cluster {payload.cluster_id!r}"
                 )
-            adjusted = apply_dependency_delays(stored, payload.entries)
-            self._partials[payload.cluster_id] = adjusted
-            return protocol.Message(
-                kind=protocol.MessageKind.ADJUSTED_SCHEDULE,
-                sender=self.agent_id,
-                receiver=message.sender,
-                payload=adjusted,
-                cluster_id=payload.cluster_id,
+            partial = apply_dependency_delays(stored, payload.entries)
+            kind = protocol.MessageKind.ADJUSTED_SCHEDULE
+        else:
+            raise ProtocolError(
+                f"agent {self.agent_id} cannot handle {message.kind.value}"
             )
-        raise ProtocolError(
-            f"agent {self.agent_id} cannot handle {message.kind.value}"
+        self._partials[partial.cluster_id] = partial
+        return protocol.Message(
+            kind=kind,
+            sender=self.agent_id,
+            receiver=message.sender,
+            payload=partial,
+            cluster_id=partial.cluster_id,
         )

@@ -163,27 +163,28 @@ def assemble_and_repair(
     order = topological_sweep(waits_for)
     if len(order) != len(merged):
         raise StructuralError("repair pass found circular constraints")
-    new: dict[str, Placement] = {}
+    # Every predecessor is repaired before its successors, so ``merged`` is
+    # rewritten in place and each ``merged[pred]`` read is already final.
     for task_id in order:
         placement = merged[task_id]
         start = placement.start
         for pred in waits_for[task_id]:
-            start = max(start, dag.release(new[pred], task_id, placement.resource_id))
+            prior = merged[pred]
+            start = max(start, dag.release(prior, task_id, placement.resource_id))
         end = start + dag.tasks[task_id].processing_time
         if start != placement.start or end != placement.end:
-            placement = Placement(
+            merged[task_id] = Placement(
                 task_id, placement.resource_id, placement.agent_id, start, end
             )
-        new[task_id] = placement
 
-    placements = tuple(sorted(new.values(), key=lambda p: (p.start, p.task_id)))
+    placements = tuple(sorted(merged.values(), key=lambda p: (p.start, p.task_id)))
     makespan = max((p.end for p in placements), default=0.0)
     if not math.isfinite(makespan):
-        raise overflow_error(next(t for t in order if not math.isfinite(new[t].end)))
+        raise overflow_error(next(t for t in order if not math.isfinite(merged[t].end)))
     violations = tuple(
         sorted(
             t
-            for t, p in new.items()
+            for t, p in merged.items()
             if dag.tasks[t].deadline_time is not None
             and p.end > dag.tasks[t].deadline_time
         )

@@ -48,22 +48,17 @@ class ClusterDag:
     edges: dict[tuple[str, str], float]
     by_id: dict[str, Cluster] = field(init=False, compare=False, repr=False)
     cluster_of: dict[str, str] = field(init=False, compare=False, repr=False)
-    preds: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    succs: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    preds: dict[str, list[str]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.by_id = {c.cluster_id: c for c in self.clusters}
         self.cluster_of = {
             t: c.cluster_id for c in self.clusters for t in c.tasks
         }
-        preds: dict[str, list[str]] = {c.cluster_id: [] for c in self.clusters}
-        succs: dict[str, list[str]] = {c.cluster_id: [] for c in self.clusters}
+        # In edge order: the sweep and ``levelize`` cannot observe the order.
+        self.preds = {c.cluster_id: [] for c in self.clusters}
         for a, b in self.edges:
-            succs[a].append(b)
-            preds[b].append(a)
-        order = lambda cid: self.by_id[cid].min_task
-        self.preds = {c: tuple(sorted(ps, key=order)) for c, ps in preds.items()}
-        self.succs = {c: tuple(sorted(ss, key=order)) for c, ss in succs.items()}
+            self.preds[b].append(a)
 
     def levels(self) -> list[list[Cluster]]:
         """Dependency levels of the quotient graph, each sorted by min task id."""

@@ -79,37 +79,6 @@ class TaskDag:
         return TaskDag(tasks, edges)
 
 
-def find_cycle(adjacency: Mapping[T, Iterable[T]]) -> list[T] | None:
-    """Return one directed cycle as a node sequence, or None if acyclic.
-
-    Nodes and neighbors are visited in ascending order, so the witness is
-    deterministic. A self-loop yields a length-1 cycle.
-    """
-    color: dict[T, int] = {}  # 1 = on stack, 2 = done
-    for start in sorted(adjacency):
-        if color.get(start):
-            continue
-        stack = [(start, iter(sorted(adjacency.get(start, ()))))]
-        path = [start]
-        color[start] = 1
-        while stack:
-            node, neighbors = stack[-1]
-            nxt = next(neighbors, None)
-            if nxt is None:
-                color[node] = 2
-                stack.pop()
-                path.pop()
-                continue
-            state = color.get(nxt)
-            if state == 1:
-                return path[path.index(nxt):]
-            if state is None:
-                color[nxt] = 1
-                path.append(nxt)
-                stack.append((nxt, iter(sorted(adjacency.get(nxt, ())))))
-    return None
-
-
 def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
     """Build the task DAG from a task set, resolving declared dependencies.
 
@@ -135,9 +104,7 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
                 )
             edges[key] = dep.comm_time
     dag = TaskDag(by_id, edges)
-    cycle = find_cycle(dag.succs)
-    if cycle is not None:
-        raise CycleError(cycle)
+    _acyclic_order(dag.preds)
     return dag
 
 
@@ -174,6 +141,28 @@ def topological_sweep(preds: Mapping[T, Iterable[T]], *, key=None) -> list[T]:
     return order
 
 
+def _acyclic_order(preds: Mapping[T, Iterable[T]]) -> list[T]:
+    """``topological_sweep(preds)``, or :class:`CycleError` if it leaves nodes.
+
+    Every node left over has a leftover predecessor, so stepping from the
+    least leftover node to its least leftover predecessor must revisit a
+    node. The witness starts there and walks the steps back, which is the
+    cycle in edge direction. A self-loop yields a length-1 cycle.
+    """
+    order = topological_sweep(preds)
+    if len(order) == len(preds):
+        return order
+    leftover = set(preds).difference(order)
+    path: list[T] = []
+    position: dict[T, int] = {}
+    node = min(leftover)
+    while node not in position:
+        position[node] = len(path)
+        path.append(node)
+        node = min(p for p in preds[node] if p in leftover)
+    raise CycleError([node, *reversed(path[position[node] + 1:])])
+
+
 def levelize(
     nodes: Iterable[T],
     preds: Mapping[T, Iterable[T]],
@@ -183,20 +172,12 @@ def levelize(
     """Group nodes into dependency levels: level(n) = 1 + max level of preds.
 
     Only predecessors inside ``nodes`` count. Each level is sorted by
-    ``key`` (by the node itself when omitted).
+    ``key`` (by the node itself when omitted). A cycle among ``nodes``
+    raises :class:`CycleError` with a witness.
     """
     preds_in = {n: preds.get(n, ()) for n in set(nodes)}
-    order = topological_sweep(preds_in)
-    if len(order) != len(preds_in):
-        succs_in: dict[T, list[T]] = {n: [] for n in preds_in}
-        for n, ps in preds_in.items():
-            for p in ps:
-                if p in succs_in:
-                    succs_in[p].append(n)
-        cycle = find_cycle(succs_in)
-        raise CycleError(cycle if cycle is not None else [])
     level: dict[T, int] = {}
-    for node in order:
+    for node in _acyclic_order(preds_in):
         level[node] = 1 + max(
             (level[p] for p in preds_in[node] if p in level), default=0
         )

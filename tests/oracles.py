@@ -33,6 +33,14 @@ def coloring_is_acyclic(adjacency: dict) -> bool:
     return not any(visit(n) for n in adjacency if color[n] == WHITE)
 
 
+def successor_lists(edges) -> dict:
+    """Adjacency of ``(source, target)`` pairs: source -> list of targets."""
+    adjacency: dict = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+    return adjacency
+
+
 def closure_by_squaring(nodes: list, pairs: set) -> dict:
     """Transitive closure (paths of length >= 1) via repeated squaring."""
     index = {n: i for i, n in enumerate(nodes)}

@@ -16,7 +16,12 @@ from coalloc import (
     quotient,
 )
 from conftest import corpus_instance
-from oracles import coloring_is_acyclic, greedy_clustering, part_descendants
+from oracles import (
+    coloring_is_acyclic,
+    greedy_clustering,
+    part_descendants,
+    successor_lists,
+)
 
 
 def chain(n, comm=1.0, processing=1.0):
@@ -80,7 +85,7 @@ def test_cycle_closing_merge_is_skipped():
     ]
     cdag = cluster_tasks(build_dag(tasks), 3)  # quota = 4 // 3 + 1 = 2
     assert [c.tasks for c in cdag.clusters] == [("a", "c"), ("b",), ("d",)]
-    assert coloring_is_acyclic({c: list(s) for c, s in cdag.succs.items()})
+    assert coloring_is_acyclic(successor_lists(cdag.edges))
 
 
 def traced_clustering(monkeypatch, tasks, num_agents):
@@ -203,7 +208,7 @@ def test_clustering_invariants_on_seeded_instances(seed):
     covered = sorted(t for c in cdag.clusters for t in c.tasks)
     assert covered == all_tasks  # partition
     assert all(len(c.tasks) <= quota for c in cdag.clusters)
-    assert coloring_is_acyclic({c: list(s) for c, s in cdag.succs.items()})
+    assert coloring_is_acyclic(successor_lists(cdag.edges))
 
     # every task edge is intra-cluster or mirrored by a quotient edge,
     # and every quotient cost is the brute-force sum of crossing costs

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,6 @@ from coalloc import (
     UnknownReferenceError,
     ValidationError,
     build_dag,
-    find_cycle,
     generate_workload,
     levelize,
 )
@@ -40,8 +40,8 @@ def test_build_two_task_dag():
 def test_two_task_cycle_witness():
     with pytest.raises(CycleError) as err:
         build_dag([task("1", deps=[("2", 1.0)]), task("2", deps=[("1", 1.0)])])
-    assert set(err.value.cycle) == {"1", "2"}
-    assert len(err.value.cycle) == 2
+    assert err.value.cycle == ["1", "2"]
+    assert str(err.value) == "dependency cycle: 1 -> 2 -> 1"
 
 
 def test_dangling_dependency_names_both_ids():
@@ -79,9 +79,18 @@ def test_eight_task_dag_against_closure_oracle():
         assert t not in closure[t]  # acyclic: nothing reaches itself
 
 
+def assert_is_cycle(witness, adjacency):
+    """``witness`` names distinct nodes, each with an edge to the next."""
+    assert witness and len(set(witness)) == len(witness)
+    for x, y in zip(witness, witness[1:] + witness[:1]):
+        assert y in adjacency[x]
+
+
 def test_is_acyclic_trivial_cases():
-    assert find_cycle({}) is None
-    assert find_cycle({"x": ["x"]}) == ["x"]
+    assert levelize([], {}) == []
+    with pytest.raises(CycleError) as err:
+        levelize({"x"}, {"x": ["x"]})
+    assert err.value.cycle == ["x"]
 
 
 def test_is_acyclic_against_coloring_oracle():
@@ -91,14 +100,34 @@ def test_is_acyclic_against_coloring_oracle():
         adjacency = {n: [] for n in nodes}
         for a in nodes:
             for b in nodes:
-                if rng.random() < 0.03:
+                if rng.random() < 0.03 and a != b:  # a task cannot name itself
                     adjacency[a].append(b)
-        witness = find_cycle(adjacency)
-        assert (witness is None) == coloring_is_acyclic(adjacency)
-        if witness is not None:
-            # the witness is a real cycle in the graph
-            for x, y in zip(witness, witness[1:] + witness[:1]):
-                assert y in adjacency[x]
+        preds = {n: [a for a in nodes if n in adjacency[a]] for n in nodes}
+        tasks = [task(n, deps=[(p, 1.0) for p in preds[n]]) for n in nodes]
+        acyclic = coloring_is_acyclic(adjacency)
+        witnesses = []
+        for check in (lambda: build_dag(tasks), lambda: levelize(nodes, preds)):
+            try:
+                check()
+            except CycleError as err:
+                witnesses.append(err.cycle)
+        assert (not witnesses) == acyclic
+        for witness in witnesses:
+            assert_is_cycle(witness, adjacency)
+        if witnesses:  # both checks name the same, reproducible cycle
+            assert witnesses[0] == witnesses[1]
+
+
+def test_long_ring_cycle_is_found_in_linear_time():
+    n = 20_000
+    tasks = [task(str(i), deps=[(str((i - 1) % n), 1.0)]) for i in range(n)]
+    started = time.perf_counter()
+    with pytest.raises(CycleError) as err:
+        build_dag(tasks)
+    elapsed = time.perf_counter() - started
+    assert len(err.value.cycle) == n
+    assert_is_cycle(err.value.cycle, {str(i): [str((i + 1) % n)] for i in range(n)})
+    assert elapsed < 1.0  # a walk that rescans its path takes far longer
 
 
 def test_level_decompose_chain():
