@@ -43,7 +43,6 @@ from .errors import (
 )
 from .graph import TaskDag, build_dag, levelize
 from .harness import (
-    CostRanges,
     Metrics,
     ViolationReport,
     compute_metrics,

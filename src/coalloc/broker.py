@@ -211,8 +211,6 @@ class Broker:
         tasks: Sequence[TaskSpec],
         resources: Sequence[ResourceSpec],
         agents: Sequence[AgentSpec],
-        *,
-        source: str = "",
     ) -> OrchestrationResult:
         """Cluster, distribute, schedule, delay, and assemble the task set."""
         validate_agent_map(list(agents), list(resources))
@@ -222,7 +220,7 @@ class Broker:
                 MessageKind.SUBMIT_TASKS,
                 USER,
                 BROKER,
-                SubmitTasksPayload(len(tasks), source),
+                SubmitTasksPayload(len(tasks)),
             )
         )
         dag = build_dag(tasks)
@@ -344,8 +342,6 @@ def orchestrate(
     tasks: Sequence[TaskSpec],
     resources: Sequence[ResourceSpec],
     agents: Sequence[AgentSpec],
-    *,
-    source: str = "",
 ) -> OrchestrationResult:
     """Convenience wrapper: run one broker over the given inputs."""
-    return Broker().orchestrate(tasks, resources, agents, source=source)
+    return Broker().orchestrate(tasks, resources, agents)

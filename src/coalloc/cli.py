@@ -110,9 +110,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     except SchedulingError as exc:
         return _fail(str(exc))
     try:
-        result = broker.orchestrate(
-            tasks, resources, agents, source=str(args.tasks)
-        )
+        result = broker.orchestrate(tasks, resources, agents)
         _make_out_dir(args.out)
     except InfeasibleTaskError as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
@@ -157,9 +155,9 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_generate(args: argparse.Namespace) -> int:
     """Write a seeded random workload in the task XML format."""
     try:
-        ranges = harness.CostRanges(deadline_probability=args.deadline_prob)
         tasks = harness.generate_workload(
-            args.seed, args.num_tasks, args.layers, args.density, ranges
+            args.seed, args.num_tasks, args.layers, args.density,
+            args.deadline_prob,
         )
         _make_out_dir(args.out)
         path = args.out / "tasks.xml"

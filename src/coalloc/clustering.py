@@ -169,8 +169,11 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     index_of = {t: i for i, t in enumerate(task_ids)}
     members: list[set[str]] = [{t} for t in task_ids]
     low: list[str] = list(task_ids)  # smallest task id per part
-    succs = [{index_of[s] for s in dag.succs[t]} for t in task_ids]
     preds = [{index_of[p] for p in dag.preds[t]} for t in task_ids]
+    succs: list[set[int]] = [set() for _ in task_ids]
+    for i, ps in enumerate(preds):
+        for p in ps:
+            succs[p].add(i)
 
     # A live part that is not done has never merged, so it is still the
     # singleton {task i} in slot i, and every task before i in sorted order

@@ -20,23 +20,19 @@ class TaskDag:
     """Directed acyclic graph over tasks.
 
     Node cost is the task's processing time; edge cost is the declared
-    communication time. ``preds``/``succs`` adjacency is derived, sorted
-    ascending by task id, and must be treated as read-only.
+    communication time. ``preds`` adjacency is derived, sorted ascending by
+    task id, and must be treated as read-only.
     """
 
     tasks: dict[str, TaskSpec]
     edges: dict[tuple[str, str], float]
     preds: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    succs: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         preds: dict[str, list[str]] = {t: [] for t in self.tasks}
-        succs: dict[str, list[str]] = {t: [] for t in self.tasks}
         for pred, succ in self.edges:
             preds[succ].append(pred)
-            succs[pred].append(succ)
         self.preds = {t: tuple(sorted(ps)) for t, ps in preds.items()}
-        self.succs = {t: tuple(sorted(ss)) for t, ss in succs.items()}
 
     @functools.cached_property
     def position(self) -> dict[str, int]:

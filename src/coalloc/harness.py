@@ -192,31 +192,15 @@ def compute_metrics(
     )
 
 
-@dataclass(frozen=True)
-class CostRanges:
-    """Value ranges for the workload generator; all draws land on TIME_GRID.
-
-    A task gets a deadline with probability ``deadline_probability``; the
-    deadline is a loose critical-path estimate for the task plus a slack drawn
-    from ``deadline_slack``, so generated workloads only miss deadlines when a
-    test constructs the miss deliberately.
-    """
-
-    processing_time: tuple[float, float] = (1.0, 10.0)
-    comm_time: tuple[float, float] = (0.0, 5.0)
-    memory: tuple[float, float] = (0.0, 4.0)
-    cpu_power: tuple[float, float] = (0.0, 4.0)
-    deadline_probability: float = 0.0
-    deadline_slack: tuple[float, float] = (10.0, 100.0)
-
-    def __post_init__(self) -> None:
-        for name in ("processing_time", "comm_time", "memory", "cpu_power",
-                     "deadline_slack"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValidationError(f"bad range for {name}: ({lo}, {hi})")
-        if not 0.0 <= self.deadline_probability <= 1.0:
-            raise ValidationError("deadline_probability must be in [0, 1]")
+# Generator value ranges, all on TIME_GRID. A task's deadline, when it gets
+# one, is a loose critical-path estimate plus a slack drawn from
+# _DEADLINE_SLACK, so generated workloads only miss deadlines when a test
+# constructs the miss deliberately.
+_PROCESSING_TIME = (1.0, 10.0)
+_COMM_TIME = (0.0, 5.0)
+_MEMORY = (0.0, 4.0)
+_CPU_POWER = (0.0, 4.0)
+_DEADLINE_SLACK = (10.0, 100.0)
 
 
 def _draw(rng: random.Random, lo: float, hi: float) -> float:
@@ -229,15 +213,18 @@ def generate_workload(
     num_tasks: int,
     num_layers: int,
     edge_density: float,
-    ranges: CostRanges | None = None,
+    deadline_probability: float = 0.0,
 ) -> list[TaskSpec]:
     """Build a seeded, layered random task set; identical inputs, identical output.
 
     Tasks are spread over ``num_layers`` nonempty layers and edges point only
     from earlier to later layers, so the result is acyclic by construction.
     Each ordered cross-layer pair becomes an edge with probability
-    ``edge_density``.
+    ``edge_density``, and each task gets a deadline with probability
+    ``deadline_probability``.
     """
+    if not 0.0 <= deadline_probability <= 1.0:
+        raise ValidationError("deadline_probability must be in [0, 1]")
     if num_tasks < 0:
         raise ValidationError("num_tasks must be nonnegative")
     if num_tasks == 0:
@@ -248,7 +235,6 @@ def generate_workload(
         )
     if not 0.0 <= edge_density <= 1.0:
         raise ValidationError("edge_density must be in [0, 1]")
-    ranges = ranges or CostRanges()
     rng = random.Random(seed)
 
     layer_of = list(range(num_layers))  # one pin per layer keeps all nonempty
@@ -257,9 +243,9 @@ def generate_workload(
     width = len(str(num_tasks))
     ids = [f"t{i + 1:0{width}d}" for i in range(num_tasks)]
 
-    processing = {t: _draw(rng, *ranges.processing_time) for t in ids}
-    memory = {t: _draw(rng, *ranges.memory) for t in ids}
-    cpu_power = {t: _draw(rng, *ranges.cpu_power) for t in ids}
+    processing = {t: _draw(rng, *_PROCESSING_TIME) for t in ids}
+    memory = {t: _draw(rng, *_MEMORY) for t in ids}
+    cpu_power = {t: _draw(rng, *_CPU_POWER) for t in ids}
 
     deps: dict[str, list[Dependency]] = {t: [] for t in ids}
     for j, consumer in enumerate(ids):
@@ -268,7 +254,7 @@ def generate_workload(
                 continue
             if rng.random() < edge_density:
                 deps[consumer].append(
-                    Dependency(producer, _draw(rng, *ranges.comm_time))
+                    Dependency(producer, _draw(rng, *_COMM_TIME))
                 )
 
     # Loose critical-path estimate: ignores resource contention entirely.
@@ -280,8 +266,8 @@ def generate_workload(
         estimate[t] = reach + processing[t]
     deadlines: dict[str, float | None] = {}
     for t in ids:
-        if rng.random() < ranges.deadline_probability:
-            deadlines[t] = estimate[t] + _draw(rng, *ranges.deadline_slack)
+        if rng.random() < deadline_probability:
+            deadlines[t] = estimate[t] + _draw(rng, *_DEADLINE_SLACK)
         else:
             deadlines[t] = None
 

@@ -179,10 +179,6 @@ class FinalSchedule:
 # Task XML
 
 
-_REQUIREMENT_TAGS = {"memory", "cpuPower", "deadlineTime"}
-_TASK_TAGS = {"taskId", "requirements", "processingTime", "depends"}
-
-
 def _parse_xml(xml_text: str) -> ET.Element:
     try:
         return ET.fromstring(xml_text)
@@ -195,6 +191,23 @@ def _parse_xml(xml_text: str) -> ET.Element:
 
 def _warn_unknown(tag: str, where: str) -> None:
     logger.warning("ignoring unknown element <%s> in %s", tag, where)
+
+
+def _read_numbers(
+    block: ET.Element, tags: tuple[str, ...], where: str
+) -> dict[str, float]:
+    """Children of ``block`` named in ``tags``, parsed as numbers by tag.
+
+    Unknown children are skipped with a warning; a repeated tag keeps its
+    last value.
+    """
+    values: dict[str, float] = {}
+    for child in block:
+        if child.tag in tags:
+            values[child.tag] = _require_number(child.text, f"{where}: {child.tag}")
+        else:
+            _warn_unknown(child.tag, f"{where}/{block.tag}")
+    return values
 
 
 def _parse_dependency(elem: ET.Element, where: str) -> Dependency:
@@ -218,26 +231,16 @@ def _parse_task(elem: ET.Element, index: int) -> TaskSpec:
     where = f"task #{index + 1}"
     task_id: str | None = None
     processing: float | None = None
-    memory: float | None = None
-    cpu_power: float | None = None
-    deadline: float | None = None
-    saw_requirements = False
+    requirements: dict[str, float] | None = None
     deps: list[Dependency] = []
     for child in elem:
         if child.tag == "taskId":
             task_id = (child.text or "").strip()
             where = f"task {task_id!r}" if task_id else where
         elif child.tag == "requirements":
-            saw_requirements = True
-            for req in child:
-                if req.tag == "memory":
-                    memory = _require_number(req.text, f"{where}: memory")
-                elif req.tag == "cpuPower":
-                    cpu_power = _require_number(req.text, f"{where}: cpuPower")
-                elif req.tag == "deadlineTime":
-                    deadline = _require_number(req.text, f"{where}: deadlineTime")
-                else:
-                    _warn_unknown(req.tag, f"{where}/requirements")
+            requirements = (requirements or {}) | _read_numbers(
+                child, ("memory", "cpuPower", "deadlineTime"), where
+            )
         elif child.tag == "processingTime":
             processing = _require_number(child.text, f"{where}: processingTime")
         elif child.tag == "depends":
@@ -248,18 +251,18 @@ def _parse_task(elem: ET.Element, index: int) -> TaskSpec:
         raise ValidationError(f"{where}: missing taskId")
     if processing is None:
         raise ValidationError(f"{where}: missing processingTime")
-    if not saw_requirements:
+    if requirements is None:
         raise ValidationError(f"{where}: missing requirements")
-    if memory is None:
+    if "memory" not in requirements:
         raise ValidationError(f"{where}: requirements lack memory")
-    if cpu_power is None:
+    if "cpuPower" not in requirements:
         raise ValidationError(f"{where}: requirements lack cpuPower")
     return TaskSpec(
         task_id=task_id,
         processing_time=processing,
-        memory=memory,
-        cpu_power=cpu_power,
-        deadline_time=deadline,
+        memory=requirements["memory"],
+        cpu_power=requirements["cpuPower"],
+        deadline_time=requirements.get("deadlineTime"),
         dependencies=tuple(deps),
     )
 
@@ -314,13 +317,14 @@ def serialize_task_set(tasks: list[TaskSpec]) -> str:
 # Resource XML
 
 
+_NODE_PARAMETERS = ("CPUPower", "Memory", "CPU_idle")
+
+
 def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
     where = f"Node #{index + 1}"
     resource_id: str | None = None
     names = {"nodeName": "", "ClusterName": "", "FarmName": ""}
-    cpu_power: float | None = None
-    memory: float | None = None
-    cpu_idle: float | None = None
+    params: dict[str, float] = {}
     for child in elem:
         if child.tag == "Id":
             resource_id = (child.text or "").strip()
@@ -328,20 +332,12 @@ def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
         elif child.tag in names:
             names[child.tag] = (child.text or "").strip()
         elif child.tag == "Parameters":
-            for par in child:
-                if par.tag == "CPUPower":
-                    cpu_power = _require_number(par.text, f"{where}: CPUPower")
-                elif par.tag == "Memory":
-                    memory = _require_number(par.text, f"{where}: Memory")
-                elif par.tag == "CPU_idle":
-                    cpu_idle = _require_number(par.text, f"{where}: CPU_idle")
-                else:
-                    _warn_unknown(par.tag, f"{where}/Parameters")
+            params |= _read_numbers(child, _NODE_PARAMETERS, where)
         else:
             _warn_unknown(child.tag, where)
     if not resource_id:
         raise ValidationError(f"{where}: missing Id")
-    if cpu_power is None or memory is None or cpu_idle is None:
+    if len(params) < len(_NODE_PARAMETERS):
         raise ValidationError(
             f"{where}: Parameters must contain CPUPower, Memory and CPU_idle"
         )
@@ -350,9 +346,9 @@ def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
         node_name=names["nodeName"],
         cluster_name=names["ClusterName"],
         farm_name=names["FarmName"],
-        cpu_power=cpu_power,
-        memory=memory,
-        cpu_idle=cpu_idle,
+        cpu_power=params["CPUPower"],
+        memory=params["Memory"],
+        cpu_idle=params["CPU_idle"],
     )
 
 

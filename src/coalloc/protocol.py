@@ -31,7 +31,6 @@ class MessageKind(enum.Enum):
 @dataclass(frozen=True)
 class SubmitTasksPayload:
     task_count: int
-    source: str = ""
 
 
 @dataclass(frozen=True)

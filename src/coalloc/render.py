@@ -22,6 +22,8 @@ _PALETTE = (
 _ROW_H = 22
 _LEFT = 110
 _WIDTH = 760
+_TICKS = 8  # about this many gridlines on the SVG time axis
+_TEXT_WIDTH = 72  # bar columns in the plain-text chart
 _FONT = 'font-family="monospace" font-size="12"'
 
 
@@ -29,10 +31,10 @@ def _color_map(keys: list[str]) -> dict[str, str]:
     return {k: _PALETTE[i % len(_PALETTE)] for i, k in enumerate(sorted(set(keys)))}
 
 
-def _ticks(span: float, count: int = 8) -> list[float]:
+def _ticks(span: float) -> list[float]:
     if span <= 0:
         return [0.0]
-    raw = span / count
+    raw = span / _TICKS
     step = 1.0
     while step < raw:
         step *= 2
@@ -87,7 +89,7 @@ def gantt_svg(schedule: FinalSchedule) -> str:
     return "\n".join(parts) + "\n"
 
 
-def gantt_text(schedule: FinalSchedule, width: int = 72) -> str:
+def gantt_text(schedule: FinalSchedule) -> str:
     """Plain-text fallback: one scaled bar line per task."""
     if not schedule.placements:
         return "(empty schedule)\n"
@@ -96,13 +98,13 @@ def gantt_text(schedule: FinalSchedule, width: int = 72) -> str:
     res_w = max(len(p.resource_id) for p in schedule.placements)
     lines = []
     for p in sorted(schedule.placements, key=lambda p: (p.task_id, p.start)):
-        lo = int(round(p.start / span * width))
-        hi = int(round(p.end / span * width))
+        lo = int(round(p.start / span * _TEXT_WIDTH))
+        hi = int(round(p.end / span * _TEXT_WIDTH))
         hi = max(hi, lo + 1) if p.duration > 0 else hi
         bar = " " * lo + "#" * (hi - lo)
         lines.append(
             f"{p.task_id:<{id_w}} {p.resource_id:<{res_w}} "
-            f"|{bar:<{width}}| {format_number(p.start)}..{format_number(p.end)}"
+            f"|{bar:<{_TEXT_WIDTH}}| {format_number(p.start)}..{format_number(p.end)}"
         )
     lines.append(f"{'':<{id_w}} {'':<{res_w}}  makespan "
                  f"{format_number(schedule.makespan)}")

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalloc import (
+    AgentActor,
+    AgentSpec,
     Cluster,
     Dependency,
     InfeasibleTaskError,
@@ -24,6 +26,7 @@ from coalloc import (
     generate_workload,
     schedule_cluster,
 )
+from coalloc.protocol import BROKER, DependencyInfoPayload, Message, MessageKind
 from conftest import make_pool
 from oracles import brute_force_earliest, check_selection_rule
 
@@ -338,3 +341,21 @@ def test_rigid_shift_meets_every_entry_with_one_least_delta(pairs):
         assert any(
             partial.placements[t].start + less < r for t, r in readiness
         )
+
+
+def test_actor_rejects_readiness_for_an_unassigned_cluster():
+    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")])
+    message = Message(
+        MessageKind.DEPENDENCY_INFO, BROKER, "a1",
+        DependencyInfoPayload("C9", (("t", 1.0),)), "C9",
+    )
+    with pytest.raises(ProtocolError, match="unassigned cluster 'C9'"):
+        actor.handle(message)
+
+
+def test_actor_rejects_a_kind_it_cannot_handle():
+    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")])
+    partial = PartialSchedule("C1", {"t": Placement("t", "r1", "a1", 0.0, 1.0)})
+    message = Message(MessageKind.CLUSTER_SCHEDULED, BROKER, "a1", partial, "C1")
+    with pytest.raises(ProtocolError, match="cannot handle ClusterScheduled"):
+        actor.handle(message)

@@ -84,6 +84,13 @@ def test_distribute_balanced_three_clusters():
     }
 
 
+def test_distribute_needs_an_agent():
+    cdag = cluster_dag([2])
+    resources, _ = pool(1)
+    with pytest.raises(ValidationError, match="at least one agent"):
+        distribute(cdag, [], dag_of(cdag), resources)
+
+
 def test_distribute_single_cluster_prefers_lowest_agent():
     cdag = cluster_dag([4])
     resources, agents = pool(5)
@@ -413,6 +420,45 @@ def test_repair_rejects_resource_order_against_a_dependency():
         )
     ]
     with pytest.raises(StructuralError, match="circular constraints"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_repair_rejects_a_task_placed_twice():
+    dag = build_dag([task("a")])
+    partials = [
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 1.0)}),
+        PartialSchedule("C2", {"a": Placement("a", "r1", "a1", 1.0, 2.0)}),
+    ]
+    with pytest.raises(StructuralError, match="'a' placed twice"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_repair_rejects_a_cluster_scheduled_by_another_agent():
+    dag = build_dag([task("a")])
+    partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a2", 0.0, 1.0)})]
+    with pytest.raises(StructuralError, match="scheduled by 'a2', assigned to 'a1'"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_repair_rejects_a_missing_task():
+    dag = build_dag([task("a"), task("b")])
+    partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 1.0)})]
+    with pytest.raises(StructuralError, match="no placement for tasks: b"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_repair_rejects_an_unknown_task():
+    dag = build_dag([task("a")])
+    partials = [
+        PartialSchedule(
+            "C1",
+            {
+                "a": Placement("a", "r1", "a1", 0.0, 1.0),
+                "ghost": Placement("ghost", "r1", "a1", 1.0, 2.0),
+            },
+        )
+    ]
+    with pytest.raises(StructuralError, match="unknown tasks: ghost"):
         assemble_and_repair(partials, dag, assignment_for(partials))
 
 

@@ -302,6 +302,14 @@ def test_generate_is_byte_deterministic(tmp_path, capsys):
     assert len(parse_task_file(first.decode())) == 15
 
 
+def test_generate_rejects_a_deadline_probability_out_of_range(tmp_path, capsys):
+    code = cli.main(["generate", "--out", str(tmp_path / "g"),
+                     "--deadline-prob", "1.5"])
+    assert code == 1
+    assert "error: deadline_probability must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 def test_validate_accepts_engine_output(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     out = tmp_path / "out"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from coalloc import (
     AgentSpec,
-    CostRanges,
     Dependency,
     FinalSchedule,
     Placement,
@@ -185,6 +184,26 @@ def test_validator_requires_full_coverage():
         validate_schedule(schedule, dag, resources, agents)
 
 
+def test_validator_rejects_a_task_placed_twice():
+    tasks = [TaskSpec("a", 1.0, 0.0, 0.0)]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule(
+        (place("a", "r1", 0.0, 1.0), place("a", "r1", 1.0, 2.0)), 2.0
+    )
+    with pytest.raises(ValidationError, match="places some task twice"):
+        validate_schedule(schedule, dag, resources, agents)
+
+
+def test_validator_rejects_unknown_tasks():
+    tasks = [TaskSpec("a", 1.0, 0.0, 0.0)]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule(
+        (place("a", "r1", 0.0, 1.0), place("ghost", "r1", 1.0, 2.0)), 2.0
+    )
+    with pytest.raises(ValidationError, match="unknown tasks: ghost"):
+        validate_schedule(schedule, dag, resources, agents)
+
+
 def test_generate_empty_and_edgeless():
     assert generate_workload(1, 0, 1, 0.5) == []
     tasks = generate_workload(2, 12, 3, 0.0)
@@ -200,8 +219,7 @@ def test_generate_is_deterministic():
 
 def test_generate_values_on_grid_and_acyclic():
     for seed in range(25):
-        tasks = generate_workload(seed, 30, 5, 0.3,
-                                  CostRanges(deadline_probability=0.3))
+        tasks = generate_workload(seed, 30, 5, 0.3, deadline_probability=0.3)
         dag = build_dag(tasks)  # raises on any cycle
         for t in tasks:
             assert (t.processing_time / TIME_GRID).is_integer()
@@ -219,8 +237,10 @@ def test_generate_rejects_bad_parameters():
         generate_workload(1, 10, 11, 0.5)
     with pytest.raises(ValidationError):
         generate_workload(1, 10, 2, 1.5)
-    with pytest.raises(ValidationError):
-        CostRanges(processing_time=(5.0, 1.0))
+    with pytest.raises(ValidationError, match="deadline_probability"):
+        generate_workload(1, 10, 2, 0.5, deadline_probability=1.5)
+    with pytest.raises(ValidationError, match="deadline_probability"):
+        generate_workload(1, 0, 1, 0.5, deadline_probability=-0.1)
 
 
 def test_metrics_balance_scenario():

@@ -1,7 +1,7 @@
 """Output identity: refactors must keep every artifact byte for byte.
 
-The constants are sha256 digests of the demo's eight ``schedule`` artifacts
-and of one 1000-task run. A change that alters any placement, cluster or
+The constants are sha256 digests of the demo's eight ``schedule`` artifacts,
+of one 1000-task run and of one generated task file with deadlines. A change that alters any placement, cluster or
 protocol message fails here; one that means to must say so in CHANGES.md
 and update the constants.
 """
@@ -14,7 +14,7 @@ import pytest
 
 from coalloc import cli, generate_workload, orchestrate
 from coalloc.clustering import assignment_dump
-from coalloc.model import schedule_to_csv
+from coalloc.model import schedule_to_csv, serialize_task_set
 from conftest import make_pool
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -33,6 +33,9 @@ DEMO_ARTIFACTS = {
 # schedule.csv, clusters.txt and protocol.log of the 1000-task instance below,
 # each prefixed by its length in 8 big-endian bytes.
 LARGE_RUN = "606eac25a70c83b0ea2870d944bb119a322fe3a5716c19621406160acd70e477"
+
+# The task XML of generate_workload(7, 60, 6, 0.2) with deadline probability 0.3.
+GENERATED = "2fd4ffedf8fc79616eddd3e9c04a6a58cb25fd22159b39cfca89a2aecf6fb982"
 
 
 def test_demo_artifacts_are_unchanged(tmp_path):
@@ -68,3 +71,10 @@ def test_large_run_is_unchanged():
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
     assert h.hexdigest() == LARGE_RUN
+
+
+def test_generated_workload_is_unchanged():
+    tasks = generate_workload(7, 60, 6, 0.2, deadline_probability=0.3)
+    assert any(t.deadline_time is not None for t in tasks)
+    text = serialize_task_set(tasks)
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED

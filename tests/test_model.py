@@ -176,6 +176,30 @@ def test_unknown_elements_ignored_with_warning(caplog):
     assert any("color" in rec.message for rec in caplog.records)
 
 
+def test_numeric_blocks_name_fields_warn_and_keep_the_last_repeat(caplog):
+    task_doc = MINIMAL_TASK.replace(
+        "<cpuPower>1</cpuPower>",
+        "<cpuPower>1</cpuPower><gpu>2</gpu><memory>3</memory>",
+    )
+    node_doc = MINIMAL_NODE.replace(
+        "<CPU_idle>90</CPU_idle>", "<CPU_idle>90</CPU_idle><Disk>5</Disk>"
+    )
+    with caplog.at_level(logging.WARNING):
+        task = parse_task_file(task_doc)[0]
+        node = parse_resource_file(node_doc)[0]
+    assert task.memory == 3.0
+    assert node.cpu_idle == 90.0
+    warnings = [rec.getMessage() for rec in caplog.records]
+    assert "ignoring unknown element <gpu> in task '1'/requirements" in warnings
+    assert "ignoring unknown element <Disk> in Node 'P01'/Parameters" in warnings
+    with pytest.raises(ValidationError, match="^task '1': cpuPower: not a number"):
+        parse_task_file(MINIMAL_TASK.replace("<cpuPower>1<", "<cpuPower>x<"))
+    with pytest.raises(ValidationError, match="^Node 'P01': CPU_idle: must be"):
+        parse_resource_file(MINIMAL_NODE.replace("<CPU_idle>90<", "<CPU_idle>inf<"))
+    with pytest.raises(ValidationError, match="Parameters must contain"):
+        parse_resource_file(MINIMAL_NODE.replace("<Memory>4</Memory>", ""))
+
+
 def test_self_dependency_rejected():
     with pytest.raises(ValidationError, match="itself"):
         TaskSpec("a", 1.0, 0.0, 0.0, None, (Dependency("a", 1.0),))
