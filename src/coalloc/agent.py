@@ -128,6 +128,9 @@ def schedule_cluster(
 ) -> PartialSchedule:
     """Schedule a cluster's tasks on the given timelines, dependencies inside only.
 
+    ``dag`` may be the whole job's DAG: only edges between the cluster's
+    tasks count.
+
     Tasks are taken block by block (level decomposition over intra-cluster
     edges), ascending task id within a block. Each task goes to the eligible
     resource offering the minimum earliest start; ties fall to the earlier
@@ -136,10 +139,9 @@ def schedule_cluster(
     time is added. Reservations may fill gaps and persist on the timelines.
     A task that would not end at a finite time raises :class:`ValidationError`.
     """
-    inside = set(cluster.tasks)
     specs = [tl.resource for _, tl in sorted(timelines.items())]
     placed: dict[str, Placement] = {}
-    for block in levelize(inside, dag.preds):
+    for block in levelize(cluster.tasks, dag.preds):
         for task_id in block:
             task = dag.tasks[task_id]
             options = eligible_resources(task, specs)
@@ -149,7 +151,9 @@ def schedule_cluster(
                     f"agent {agent_id} has no resource with memory >= "
                     f"{task.memory} and cpuPower >= {task.cpu_power}",
                 )
-            priors = [placed[p] for p in dag.preds[task_id] if p in inside]
+            # In-cluster predecessors sit in earlier blocks, so they are
+            # exactly the predecessors already placed.
+            priors = [placed[p] for p in dag.preds[task_id] if p in placed]
             best: tuple[float, float, str] | None = None
             for rid in options:
                 ready = 0.0

@@ -242,7 +242,7 @@ class Broker:
                     MessageKind.ASSIGN_CLUSTER,
                     BROKER,
                     assignment.cluster_to_agent[cluster.cluster_id],
-                    AssignClusterPayload(cluster, dag.restrict(cluster.tasks)),
+                    AssignClusterPayload(cluster, dag),
                     cluster_id=cluster.cluster_id,
                 )
                 for cluster in (cluster_dag.by_id[cid] for cid in assignment.order)

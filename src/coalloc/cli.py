@@ -1,13 +1,15 @@
 """Command-line frontend: schedule, generate, validate, metrics.
 
-Exit codes: 0 success, 1 input or usage error, 2 infeasible task, 3
-deadline violation under --strict-deadlines.
+Exit codes: 0 success, 1 input or usage error (for ``validate``, also any
+hard violation), 2 infeasible task, 3 missed deadline (``schedule`` under
+--strict-deadlines; ``validate`` when every violation is one).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import logging
 import sys
@@ -175,7 +177,8 @@ def _load_schedule_rows(args: argparse.Namespace) -> FinalSchedule:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Check a schedule file against its inputs; nonzero exit iff violations."""
+    """Check a schedule file against its inputs; nonzero exit iff violations,
+    3 when every violation is a missed deadline."""
     try:
         tasks, resources, agents = _load_inputs(args)
         schedule = _load_schedule_rows(args)
@@ -188,6 +191,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return EXIT_OK
     for line in report.lines():
         print(line)
+    if dataclasses.replace(report, deadline_misses=[]).is_empty():
+        return EXIT_DEADLINE
     return EXIT_INPUT
 
 

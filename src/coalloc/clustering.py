@@ -156,7 +156,7 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     for the first time. A ready child too large for the room left is dropped
     for good, since the room only shrinks. Merges are union by size: only the
     neighbours of the part with fewer adjacency entries are relinked, and the
-    smaller member set is added into the larger, so a merge costs what the
+    smaller member list is appended to the larger, so a merge costs what the
     smaller side holds. The procedure is fully deterministic.
     """
     if num_agents < 1:
@@ -167,7 +167,7 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     limit = max_cluster_size(len(task_ids), num_agents)
 
     index_of = {t: i for i, t in enumerate(task_ids)}
-    members: list[set[str]] = [{t} for t in task_ids]
+    members: list[list[str]] = [[t] for t in task_ids]
     low: list[str] = list(task_ids)  # smallest task id per part
     preds = [{index_of[p] for p in dag.preds[t]} for t in task_ids]
     succs: list[set[int]] = [set() for _ in task_ids]
@@ -234,7 +234,7 @@ def _queue_ready(
 
 def _next_candidate(
     current: int,
-    members: list[set[str]],
+    members: list[list[str]],
     ready: list[tuple[str, int]],
     limit: int,
 ) -> int | None:
@@ -253,7 +253,7 @@ def _next_candidate(
 def _merge_parts(
     current: int,
     other: int,
-    members: list[set[str]],
+    members: list[list[str]],
     low: list[str],
     succs: list[set[int]],
     preds: list[set[int]],
@@ -261,8 +261,8 @@ def _merge_parts(
     """Merge two adjacent parts and return the index of the merged part.
 
     The part with more adjacency entries keeps its index, so only the other
-    part's neighbours are relinked, and the smaller member set is added into
-    the larger one.
+    part's neighbours are relinked, and the smaller member list is appended
+    to the larger one.
     """
     keep, gone = current, other
     if len(succs[gone]) + len(preds[gone]) > len(succs[keep]) + len(preds[keep]):
@@ -270,9 +270,9 @@ def _merge_parts(
     big, small = members[keep], members[gone]
     if len(big) < len(small):
         big, small = small, big
-    big |= small
+    big += small
     members[keep] = big
-    members[gone] = set()
+    members[gone] = []
     if low[gone] < low[keep]:
         low[keep] = low[gone]
     succs[keep].discard(gone)

@@ -171,16 +171,30 @@ def levelize(
     ``key`` (by the node itself when omitted). A cycle among ``nodes``
     raises :class:`CycleError` with a witness.
     """
-    preds_in = {n: preds.get(n, ()) for n in set(nodes)}
-    level: dict[T, int] = {}
-    for node in _acyclic_order(preds_in):
-        level[node] = 1 + max(
-            (level[p] for p in preds_in[node] if p in level), default=0
-        )
-    blocks: list[list[T]] = [[] for _ in range(max(level.values(), default=0))]
-    for node, lvl in level.items():
-        blocks[lvl - 1].append(node)
-    for block in blocks:
-        block.sort(key=key)
+    # Level-synchronous Kahn: the ready frontier is one level, and releasing
+    # its successors builds the next. A predecessor listed twice is released
+    # twice. The first frontier follows the order of ``nodes``, not a set's.
+    indegree = dict.fromkeys(nodes, 0)
+    succs: dict[T, list[T]] = {}
+    for node in indegree:
+        for p in preds.get(node, ()):
+            if p in indegree:
+                indegree[node] += 1
+                succs.setdefault(p, []).append(node)
+    blocks: list[list[T]] = []
+    frontier = [n for n, deg in indegree.items() if deg == 0]
+    while frontier:
+        frontier.sort(key=key)
+        blocks.append(frontier)
+        released: list[T] = []
+        for node in frontier:
+            for s in succs.get(node, ()):
+                indegree[s] -= 1
+                if indegree[s] == 0:
+                    released.append(s)
+        frontier = released
+    if sum(map(len, blocks)) != len(indegree):
+        # The nodes left over are those on or behind a cycle, whatever the
+        # sweep order, so ``_acyclic_order`` leaves the same ones and raises.
+        _acyclic_order({n: preds.get(n, ()) for n in indegree})
     return blocks
-

@@ -42,7 +42,9 @@ class ScheduleResultPayload:
 @dataclass(frozen=True)
 class AssignClusterPayload:
     cluster: "Cluster"
-    dag: "TaskDag"  # fragment restricted to the cluster's tasks
+    # The job DAG, read-only; the agent reads only its cluster's tasks and
+    # their in-cluster edges.
+    dag: "TaskDag"
 
 
 @dataclass(frozen=True)

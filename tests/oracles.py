@@ -6,8 +6,9 @@ squaring, earliest fits by brute-force candidate enumeration, the
 selection rule by replaying every decision against a rebuilt timeline model,
 phase-1 clustering by a greedy that runs one DFS per merge candidate, the
 descendants of a part by a DFS over a quotient rebuilt from the task edges,
-topological order by rescanning for the least ready node, and resource
-overlaps by a full pairwise scan.
+topological order by rescanning for the least ready node, dependency
+levels by relaxing along that order, and resource overlaps by a full
+pairwise scan.
 None of it imports ``coalloc.clustering``.
 """
 
@@ -201,6 +202,37 @@ def least_ready_order(nodes: list, edges: set, key) -> list:
         order.append(node)
         remaining.remove(node)
     return order
+
+
+def relaxed_levels(nodes, preds: dict, key=None) -> list[list]:
+    """Level decomposition by a topological sweep, then relaxing each node
+    to 1 + the greatest level of its predecessors among ``nodes``.
+
+    The sweep is ``least_ready_order``. On a cycle it raises ``CycleError``
+    with the witness walk: from the least node the sweep leaves over, step
+    to its least leftover predecessor until a node repeats; the loop, in
+    edge direction, starts at the repeated node.
+    """
+    from coalloc import CycleError
+
+    inside = set(nodes)
+    preds_in = {n: [p for p in preds.get(n, ()) if p in inside] for n in inside}
+    edges = {(p, n) for n in inside for p in preds_in[n]}
+    order = least_ready_order(sorted(inside), edges, key=lambda n: n)
+    if len(order) < len(inside):
+        leftover = inside.difference(order)
+        path = [min(leftover)]
+        while path.count(path[-1]) == 1:
+            path.append(min(p for p in preds_in[path[-1]] if p in leftover))
+        start = path.index(path[-1])
+        raise CycleError([path[-1], *reversed(path[start + 1:-1])])
+    level: dict = {}
+    for node in order:
+        level[node] = 1 + max((level[p] for p in preds_in[node]), default=0)
+    blocks: list[list] = [[] for _ in range(max(level.values(), default=0))]
+    for node in order:
+        blocks[level[node] - 1].append(node)
+    return [sorted(block, key=key) for block in blocks]
 
 
 def all_pairs_overlaps(placements) -> list[tuple[str, str, str]]:

@@ -226,6 +226,52 @@ def test_intra_cluster_constraints_hold_and_selection_is_optimal():
         ) == []
 
 
+@st.composite
+def clustered_dags(draw):
+    """A random DAG with ids shuffled against topological order, split into
+    1-4 clusters taken in a random order, and a pool of 1-3 resources of
+    which the first hosts every task."""
+    n = draw(st.integers(1, 16))
+    ids = draw(st.permutations([f"t{i:02d}" for i in range(n)]))  # by topo position
+    quarters = st.integers(0, 12).map(lambda q: q * 0.25)
+    tasks = []
+    for i in range(n):
+        preds = draw(st.sets(st.integers(0, i - 1), max_size=3)) if i else ()
+        deps = tuple(Dependency(ids[j], draw(quarters)) for j in sorted(preds))
+        tasks.append(TaskSpec(
+            ids[i], draw(quarters), draw(quarters), draw(quarters), None, deps
+        ))
+    owner = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    clusters = [
+        Cluster(f"C{c}", tuple(sorted(ids[i] for i in range(n) if owner[i] == c)))
+        for c in draw(st.permutations(sorted(set(owner))))
+    ]
+    pool = [resource("r0", memory=3.0, cpu=3.0)] + [
+        resource(f"r{k}", memory=draw(quarters), cpu=draw(quarters))
+        for k in range(1, draw(st.integers(1, 3)))
+    ]
+    return tasks, clusters, pool
+
+
+@settings(deadline=None, max_examples=200)
+@given(clustered_dags())
+def test_job_dag_and_restricted_fragments_schedule_alike(case):
+    # Phase 2 reads the one job DAG; a fragment restricted to the cluster
+    # must give the same placements and leave the same reservations.
+    tasks, clusters, pool = case
+    dag = build_dag(tasks)
+    whole, fragments = timelines(*pool), timelines(*pool)
+    for cluster in clusters:
+        got = schedule_cluster(cluster, dag, whole, "a1")
+        expected = schedule_cluster(
+            cluster, dag.restrict(cluster.tasks), fragments, "a1"
+        )
+        assert got == expected
+        assert list(got.placements) == list(expected.placements)
+    for rid, tl in whole.items():
+        assert tl.reservations == fragments[rid].reservations
+
+
 def shifted_gaps(partial):
     items = sorted(partial.placements.items())
     return [

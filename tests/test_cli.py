@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import dataclasses
 import re
 
 import pytest
@@ -340,6 +341,37 @@ def test_validate_flags_injected_overlap(demo_inputs, tmp_path, capsys):
     report = capsys.readouterr().out
     assert report.count("overlap on") == 1
     assert "overlap on P01: 4 and 6" in report
+
+
+def test_validate_exits_3_when_only_deadlines_are_missed(
+    demo_inputs, tmp_path, capsys
+):
+    tasks, resources, agents = demo_inputs
+    out = tmp_path / "out"
+    assert run_schedule(demo_inputs, out) == 0
+    capsys.readouterr()
+    # the same schedule, checked against a deadline that task 8 misses
+    late = [
+        dataclasses.replace(t, deadline_time=1.0) if t.task_id == "8" else t
+        for t in make_engineered().tasks
+    ]
+    tasks.write_text(serialize_task_set(late))
+    validate = ["validate", "--tasks", str(tasks), "--resources", str(resources),
+                "--agents", str(agents), "--schedule", str(out / "schedule.csv")]
+    assert cli.main(validate) == 3
+    report = capsys.readouterr().out.splitlines()
+    assert len(report) == 1 and report[0].startswith("deadline: 8 ends ")
+
+    # a hard violation beside the missed deadline keeps the input-error code
+    schedule_file = out / "schedule.csv"
+    lines = schedule_file.read_text().splitlines()
+    assert lines[5] == "6,P03,agent2,3.0,4.0"
+    lines[5] = "6,P01,agent1,3.0,4.0"
+    schedule_file.write_text("\n".join(lines) + "\n")
+    assert cli.main(validate) == 1
+    report = capsys.readouterr().out
+    assert "overlap on P01: 4 and 6" in report
+    assert "deadline: 8 ends " in report
 
 
 def test_validate_rejects_infinite_times(demo_inputs, tmp_path, capsys):

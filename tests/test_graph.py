@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     CycleError,
@@ -18,7 +20,7 @@ from coalloc import (
     levelize,
 )
 from conftest import make_engineered
-from oracles import closure_by_squaring, coloring_is_acyclic
+from oracles import closure_by_squaring, coloring_is_acyclic, relaxed_levels
 
 
 def task(task_id, processing=1.0, deps=()):
@@ -179,6 +181,45 @@ def test_level_decompose_properties(seed):
         for (p, s) in dag.edges:
             assert not (p in members and s in members)  # no edge inside a block
         assert block == sorted(block)
+
+
+@st.composite
+def levelize_cases(draw):
+    """A node list in two orders, with predecessor lists that may name nodes
+    outside it, repeat a predecessor, or (when not drawn acyclic) close a
+    cycle, and an optional injective sort key."""
+    n = draw(st.integers(0, 12))
+    universe = [f"n{i}" for i in range(n + 3)]  # the last three stay outside
+    acyclic = draw(st.booleans())
+    preds = {}
+    for i, node in enumerate(universe):
+        pool = universe[:i] if acyclic else universe
+        preds[node] = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    nodes = draw(st.lists(st.sampled_from(universe[:n]), max_size=n)) if n else []
+    shuffled = draw(st.permutations(nodes))
+    key = draw(st.sampled_from([None, lambda v: -int(v[1:])]))
+    return nodes, shuffled, preds, key
+
+
+def levels_or_cycle(nodes, preds, key, levels):
+    try:
+        return levels(nodes, preds, key=key)
+    except CycleError as err:
+        return ("cycle", err.cycle)
+
+
+@settings(deadline=None, max_examples=200)
+@given(levelize_cases())
+@example((["a", "b"], ["b", "a"], {"b": ["a", "a", "zz"]}, None))  # twice, outside
+@example((["x"], ["x"], {"x": ["x"]}, None))  # self-loop
+@example((["c", "a", "b"], ["b", "c", "a"], {"a": ["c"], "b": ["a"], "c": ["b"]}, None))
+def test_levelize_matches_sweep_then_relax_reference(case):
+    nodes, shuffled, preds, key = case
+    got = levels_or_cycle(nodes, preds, key, levelize)
+    assert got == levels_or_cycle(nodes, preds, key, relaxed_levels)
+    # the same blocks, or the same witness, whatever order ``nodes`` is in
+    assert levels_or_cycle(shuffled, preds, key, levelize) == got
+    assert levels_or_cycle(set(nodes), preds, key, levelize) == got
 
 
 @pytest.mark.parametrize("seed", range(10))
