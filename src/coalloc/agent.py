@@ -21,9 +21,10 @@ from . import protocol
 
 
 class ResourceTimeline:
-    """Reservation calendar for one resource: non-overlapping closed-open slots.
+    """Free time of one resource, kept only as an index of its free gaps.
 
-    Free time is indexed as sorted, disjoint, positive-length gaps that never
+    Reservations are non-overlapping closed-open slots. The timeline holds
+    the sorted, disjoint, positive-length gaps between them, which never
     touch; their bounds are the slots' own floats, and an empty timeline has
     one gap ``(-inf, inf)``. A request of duration ``d`` fits at ``t`` in a
     gap when ``t + d <= gap end``: the test ``reserve`` and the validator make.
@@ -31,17 +32,12 @@ class ResourceTimeline:
 
     def __init__(self, resource: ResourceSpec):
         self.resource = resource
-        self._slots: list[tuple[float, float, str]] = []  # (start, end, task)
         self._gap_starts: list[float] = [-math.inf]
         self._gap_ends: list[float] = [math.inf]
 
     @property
     def resource_id(self) -> str:
         return self.resource.resource_id
-
-    @property
-    def reservations(self) -> tuple[tuple[float, float, str], ...]:
-        return tuple(self._slots)
 
     def earliest_fit(self, ready: float, duration: float) -> float:
         """Earliest instant >= ready where a slot of ``duration`` fits.
@@ -59,17 +55,16 @@ class ResourceTimeline:
         return math.inf  # only after a reservation that runs to infinity
 
     def reserve(self, task_id: str, start: float, duration: float) -> None:
+        """Take ``[start, start + duration)`` out of the free gap holding it.
+
+        A zero-length request occupies nothing and changes nothing. A
+        positive one that no single free gap holds, such as one overlapping
+        a reservation or one starting at NaN, raises :class:`StructuralError`.
+        """
         end = start + duration
         if duration > 0:
             i = bisect.bisect_right(self._gap_starts, start) - 1
             if i < 0 or not end <= self._gap_ends[i]:
-                # no gap holds the slot: name the first one it overlaps
-                for s, e, other in self._slots:
-                    if e > s and start < e and s < end:
-                        raise StructuralError(
-                            f"reservation for {task_id!r} overlaps {other!r} "
-                            f"on {self.resource_id}"
-                        )
                 raise StructuralError(
                     f"reservation for {task_id!r} at [{start}, {end}) fits no "
                     f"free gap on {self.resource_id}"
@@ -78,7 +73,6 @@ class ResourceTimeline:
             before, after = gap_start < start, end < gap_end  # pieces that stay
             self._gap_starts[i:i + 1] = [gap_start] * before + [end] * after
             self._gap_ends[i:i + 1] = [start] * before + [gap_end] * after
-        bisect.insort(self._slots, (start, end, task_id))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import heapq
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -34,11 +33,6 @@ class TaskDag:
             preds[succ].append(pred)
         self.preds = {t: tuple(sorted(ps)) for t, ps in preds.items()}
 
-    @functools.cached_property
-    def position(self) -> dict[str, int]:
-        """Index of each task in ``tasks``; computed once, read-only."""
-        return {t: i for i, t in enumerate(self.tasks)}
-
     def release(self, prior: Placement, task_id: str, resource_id: str) -> float:
         """Earliest start of ``task_id`` on ``resource_id`` after ``prior``.
 
@@ -59,13 +53,14 @@ class TaskDag:
         unknown = sorted(t for t in keep if t not in self.tasks)
         if unknown:
             raise ValidationError("subset contains unknown tasks: " + ", ".join(unknown))
-        # Built from the subset alone, in the same task and edge order as
-        # filtering ``tasks`` and ``edges`` (as ``build_dag`` lays them out).
-        # Specs are frozen, so one that keeps all its dependencies is shared.
+        # Tasks and edges come in the same order as filtering ``tasks`` and
+        # ``edges`` (as ``build_dag`` lays them out). Specs are frozen, so
+        # one that keeps all its dependencies is shared.
         tasks: dict[str, TaskSpec] = {}
         edges: dict[tuple[str, str], float] = {}
-        for t in sorted(keep, key=self.position.__getitem__):
-            spec = self.tasks[t]
+        for t, spec in self.tasks.items():
+            if t not in keep:
+                continue
             deps = tuple(d for d in spec.dependencies if d.task_id in keep)
             if len(deps) != len(spec.dependencies):
                 spec = dataclasses.replace(spec, dependencies=deps)

@@ -46,6 +46,14 @@ def task(task_id, processing=1.0, memory=0.0, cpu=0.0, deps=()):
     )
 
 
+def assert_disjoint(intervals):
+    """No two positive-length closed-open intervals overlap."""
+    busy = [(s, e) for s, e in intervals if e > s]
+    for i, (s1, e1) in enumerate(busy):
+        for s2, e2 in busy[i + 1:]:
+            assert not (s1 < e2 and s2 < e1)
+
+
 def test_eligible_filters_on_both_requirements():
     t = task("t", memory=2.0, cpu=1.0)
     pool = [resource("P01", memory=4.0, cpu=2.0), resource("P02", memory=1.0, cpu=2.0)]
@@ -124,37 +132,28 @@ def test_timelines_persist_across_clusters():
     second = schedule_cluster(Cluster("C2", ("b",)), dag, tls, "a1")
     assert first.placements["a"].start == 0.0
     assert second.placements["b"].start == 3.0  # r1 already booked by C1
-    starts_ends = [(s, e) for s, e, _ in tls["r1"].reservations]
-    assert starts_ends == [(0.0, 3.0), (3.0, 6.0)]
+    assert tls["r1"].earliest_fit(0.0, 1.0) == 6.0  # [0, 6) stays booked
 
 
 def test_reserve_rejects_overlap():
     tl = ResourceTimeline(resource("r1"))
-    tl.reserve("a", 0.0, 2.0)
-    with pytest.raises(StructuralError, match="overlaps"):
-        tl.reserve("b", 1.0, 2.0)
-
-
-@pytest.mark.parametrize(
-    "start, duration, named",
-    [
-        (1.5, 3.0, "b"),  # starts in the gap before b, runs over b and c
-        (0.5, 3.0, "a"),  # starts inside a, runs over a and b
-    ],
-)
-def test_reserve_names_the_earliest_overlapped_slot(start, duration, named):
-    tl = ResourceTimeline(resource("r1"))
     for task_id, slot_start in (("c", 4.0), ("a", 0.0), ("b", 2.0)):
         tl.reserve(task_id, slot_start, 1.0)
-    with pytest.raises(StructuralError, match=f"overlaps '{named}' on r1"):
-        tl.reserve("x", start, duration)
+    for start, duration in [
+        (0.5, 1.0),  # starts inside a, runs past it
+        (1.5, 3.0),  # starts in the gap before b, runs over b and c
+        (0.5, 3.0),  # starts inside a, runs over a and b
+    ]:
+        with pytest.raises(StructuralError, match="fits no free gap on r1"):
+            tl.reserve("x", start, duration)
+    assert tl.earliest_fit(0.0, 1.0) == 1.0  # the refusals changed nothing
 
 
 def test_reserve_rejects_a_start_in_no_gap():
     tl = ResourceTimeline(resource("r1"))
     with pytest.raises(StructuralError, match="fits no free gap on r1"):
         tl.reserve("x", float("nan"), 1.0)
-    assert tl.reservations == ()
+    assert tl.earliest_fit(0.0, 1.0) == 0.0  # the timeline is unchanged
 
 
 def test_fitted_start_is_one_reserve_accepts_off_grid():
@@ -190,12 +189,11 @@ def test_fits_match_brute_force_and_reserve_accepts_them(steps):
     for i, (ready, duration) in enumerate(steps):
         if isinstance(ready, int):
             ready = reserved[ready % len(reserved)][1] if reserved else 0.0
-        busy = [(s, e) for s, e, _ in reserved]
         start = tl.earliest_fit(ready, duration)
-        assert start == brute_force_earliest(busy, ready, duration)
+        assert start == brute_force_earliest(reserved, ready, duration)
         tl.reserve(f"t{i:02d}", start, duration)
-        reserved.append((start, start + duration, f"t{i:02d}"))
-        assert tl.reservations == tuple(sorted(reserved))
+        reserved.append((start, start + duration))
+    assert_disjoint(reserved)
 
 
 def test_intra_cluster_constraints_hold_and_selection_is_optimal():
@@ -214,12 +212,13 @@ def test_intra_cluster_constraints_hold_and_selection_is_optimal():
             pp, ss = partial.placements[p], partial.placements[s]
             required = pp.end if pp.resource_id == ss.resource_id else pp.end + comm
             assert ss.start >= required
-        # no overlapping reservations anywhere
-        for tl in tls.values():
-            busy = [(s, e) for s, e, _ in tl.reservations if e > s]
-            for i, (s1, e1) in enumerate(busy):
-                for s2, e2 in busy[i + 1:]:
-                    assert not (s1 < e2 and s2 < e1)
+        # no overlapping placements on any resource
+        for rid in tls:
+            assert_disjoint([
+                (p.start, p.end)
+                for p in partial.placements.values()
+                if p.resource_id == rid
+            ])
         # exchange property: no eligible resource offered a strictly earlier start
         assert check_selection_rule(
             cluster.tasks, dag, resources, {}, partial.placements
@@ -257,7 +256,7 @@ def clustered_dags(draw):
 @given(clustered_dags())
 def test_job_dag_and_restricted_fragments_schedule_alike(case):
     # Phase 2 reads the one job DAG; a fragment restricted to the cluster
-    # must give the same placements and leave the same reservations.
+    # must give the same placements and leave the same free gaps.
     tasks, clusters, pool = case
     dag = build_dag(tasks)
     whole, fragments = timelines(*pool), timelines(*pool)
@@ -269,7 +268,8 @@ def test_job_dag_and_restricted_fragments_schedule_alike(case):
         assert got == expected
         assert list(got.placements) == list(expected.placements)
     for rid, tl in whole.items():
-        assert tl.reservations == fragments[rid].reservations
+        assert tl._gap_starts == fragments[rid]._gap_starts
+        assert tl._gap_ends == fragments[rid]._gap_ends
 
 
 def shifted_gaps(partial):

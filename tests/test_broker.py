@@ -397,6 +397,37 @@ def test_repair_pushes_overlap_apart_and_recheck_dependencies():
     assert validate_schedule(schedule, dag, resources, agents).is_empty()
 
 
+def test_repair_order_is_not_the_sorted_placements():
+    # Sorting the merged placements by (start, end, task id) is no valid
+    # repair order: zero-length a sorts before its predecessor b, which only
+    # learns its final start once x is pushed behind w.
+    tasks = [
+        task("w", 2.0), task("x", 2.0),
+        task("b", 0.0, [("x", 0.0)]), task("a", 0.0, [("b", 0.0)]),
+    ]
+    dag = build_dag(tasks)
+    partials = [
+        PartialSchedule("C1", {"w": Placement("w", "r1", "a1", 0.0, 2.0)}),
+        PartialSchedule("C2", {
+            "x": Placement("x", "r1", "a1", 1.0, 3.0),
+            "b": Placement("b", "r2", "a1", 3.0, 3.0),
+            "a": Placement("a", "r2", "a1", 3.0, 3.0),
+        }),
+    ]
+    merged = [p for partial in partials for p in partial.placements.values()]
+    by_sort = sorted(merged, key=lambda p: (p.start, p.end, p.task_id))
+    assert [p.task_id for p in by_sort] == ["w", "x", "a", "b"]
+
+    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    spans = {t: (p.start, p.end) for t, p in schedule.by_task().items()}
+    assert spans == {
+        "w": (0.0, 2.0), "x": (2.0, 4.0), "b": (4.0, 4.0), "a": (4.0, 4.0)
+    }
+    resources = [ResourceSpec(r, r, "c", "f", 8.0, 8.0, 90.0) for r in ("r1", "r2")]
+    agents = [AgentSpec("a1", ("r1", "r2"))]
+    assert validate_schedule(schedule, dag, resources, agents).is_empty()
+
+
 def test_repair_reports_deadline_violations():
     late = TaskSpec("late", 5.0, 0.0, 0.0, deadline_time=4.0)
     dag = build_dag([late])

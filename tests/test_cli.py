@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import dataclasses
+import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from coalloc import cli
+from coalloc import cli, generate_workload
 from coalloc.model import (
     parse_task_file,
     placements_from_csv,
@@ -13,7 +18,7 @@ from coalloc.model import (
     serialize_resource_set,
     serialize_task_set,
 )
-from conftest import make_engineered
+from conftest import make_engineered, make_pool
 
 
 @pytest.fixture
@@ -430,3 +435,69 @@ def test_schedule_runs_are_byte_identical(demo_inputs, tmp_path):
     for name in ["schedule.csv", "metrics.csv", "tasks_per_agent.csv",
                  "protocol.log", "gantt.svg", "gantt.txt"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# Value-level fuzz: generated inputs with 1-3 field texts replaced by hostile
+# tokens, or by another field's text, which duplicates or dangles an id.
+HOSTILE = ["nan", "inf", "-inf", "-0", "5e-324", "1e308", "", "\u0661", "ghost"]
+XML_FIELD = re.compile(r">([^<>\s][^<>]*)<")
+AGENT_FIELD = re.compile(r"([^:,\s]+)")
+
+
+@st.composite
+def hostile_inputs(draw):
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 8))
+    tasks = generate_workload(
+        seed, n, draw(st.integers(1, min(n, 3))), draw(st.sampled_from([0.2, 0.6])),
+        deadline_probability=draw(st.sampled_from([0.0, 0.5])),
+    )
+    num_agents = draw(st.integers(1, 3))
+    resources, agents = make_pool(
+        random.Random(seed), num_agents, draw(st.integers(num_agents, 4))
+    )
+    texts = [
+        serialize_task_set(tasks),
+        serialize_resource_set(resources),
+        serialize_agent_map(agents),
+    ]
+    fields = [
+        (i, m.start(1), m.end(1))
+        for i, text in enumerate(texts)
+        for m in (AGENT_FIELD if i == 2 else XML_FIELD).finditer(text)
+    ]
+    originals = sorted({texts[i][a:b] for i, a, b in fields})
+    picks = draw(st.lists(st.sampled_from(fields), min_size=1, max_size=3, unique=True))
+    for i, a, b in sorted(picks, reverse=True):  # from the back: spans stay put
+        token = draw(st.sampled_from(HOSTILE) | st.sampled_from(originals))
+        texts[i] = texts[i][:a] + token + texts[i][b:]
+    return texts
+
+
+@settings(
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(texts=hostile_inputs())
+def test_hostile_field_values_exit_cleanly(texts, tmp_path, capsys):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        paths = [Path(scratch, name) for name in ("t.xml", "r.xml", "a.txt")]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        inputs = [
+            "--tasks", str(paths[0]), "--resources", str(paths[1]),
+            "--agents", str(paths[2]),
+        ]
+        out = Path(scratch, "out")
+        capsys.readouterr()
+        code = cli.main(["schedule", *inputs, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err
+        else:
+            validate = ["validate", *inputs, "--schedule", str(out / "schedule.csv")]
+            assert cli.main(validate) in (0, 3), capsys.readouterr().out

@@ -1,0 +1,54 @@
+"""Source hygiene: every name a library module imports is used in it.
+
+A deletion that leaves its import behind fails here. Names imported under
+``if TYPE_CHECKING:`` serve string annotations only and count as used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coalloc"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Imported names that no ``Name`` node in the module reads."""
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+        for inner in ast.walk(node)
+    }
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert unused_imports(tree) == []
+
+
+def test_an_unused_import_is_caught():
+    tree = ast.parse(
+        "import functools\nimport heapq\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .graph import TaskDag\n"
+        "heapq.heapify([])\n"
+        "if TYPE_CHECKING:\n    pass\n"
+    )
+    assert unused_imports(tree) == ["functools (line 1)"]
