@@ -59,15 +59,23 @@ class ResourceTimeline:
 
         A zero-length request occupies nothing and changes nothing. A
         positive one that no single free gap holds, such as one overlapping
-        a reservation or one starting at NaN, raises :class:`StructuralError`.
+        a reservation or one starting at NaN, raises :class:`StructuralError`;
+        an overlap names the earliest booked stretch it runs into, the span
+        between two gaps (adjacent reservations read as one stretch).
         """
         end = start + duration
         if duration > 0:
-            i = bisect.bisect_right(self._gap_starts, start) - 1
-            if i < 0 or not end <= self._gap_ends[i]:
+            starts, ends = self._gap_starts, self._gap_ends
+            i = bisect.bisect_right(starts, start) - 1
+            if i < 0 or not end <= ends[i]:
+                where = ""
+                if not (math.isnan(start) or math.isnan(end)):
+                    lo = ends[i] if i >= 0 else -math.inf
+                    hi = starts[i + 1] if i + 1 < len(starts) else math.inf
+                    where = f": it overlaps booked [{lo}, {hi})"
                 raise StructuralError(
                     f"reservation for {task_id!r} at [{start}, {end}) fits no "
-                    f"free gap on {self.resource_id}"
+                    f"free gap on {self.resource_id}{where}"
                 )
             gap_start, gap_end = self._gap_starts[i], self._gap_ends[i]
             before, after = gap_start < start, end < gap_end  # pieces that stay

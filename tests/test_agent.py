@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,6 +148,25 @@ def test_reserve_rejects_overlap():
         with pytest.raises(StructuralError, match="fits no free gap on r1"):
             tl.reserve("x", start, duration)
     assert tl.earliest_fit(0.0, 1.0) == 1.0  # the refusals changed nothing
+
+
+@pytest.mark.parametrize(
+    "start, duration, named",
+    [
+        (1.5, 3.0, "b"),  # starts in the gap before b, runs over b and c
+        (0.5, 3.0, "a"),  # starts inside a, runs over a and b
+    ],
+)
+def test_reserve_names_the_earliest_overlapped_slot(start, duration, named):
+    slots = {"a": (0.0, 1.0), "b": (2.0, 3.0), "c": (4.0, 5.0)}
+    tl = ResourceTimeline(resource("r1"))
+    for task_id in ("c", "a", "b"):
+        lo, hi = slots[task_id]
+        tl.reserve(task_id, lo, hi - lo)
+    lo, hi = slots[named]
+    overlap = re.escape(f"on r1: it overlaps booked [{lo}, {hi})")
+    with pytest.raises(StructuralError, match=overlap):
+        tl.reserve("x", start, duration)
 
 
 def test_reserve_rejects_a_start_in_no_gap():
