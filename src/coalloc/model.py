@@ -13,11 +13,14 @@ import io
 import logging
 import math
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import StructuralError, ValidationError, XmlFormatError
 
 logger = logging.getLogger(__name__)
+_Item = TypeVar("_Item")
 
 
 def format_number(value: float) -> str:
@@ -25,11 +28,23 @@ def format_number(value: float) -> str:
     return str(float(value))
 
 
+def _decimal(text: str) -> float:
+    """``float(text)`` for an ASCII decimal; ValueError for anything else.
+
+    ``float`` also takes non-ASCII digits and ``_`` between digits. An ASCII
+    text without ``_`` that it takes is a sign, digits, a point and an
+    exponent, or ``nan``/``inf``, which the callers reject as not finite.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(text)
+
+
 def _require_number(text: str | None, what: str) -> float:
     if text is None or not text.strip():
         raise ValidationError(f"{what}: missing numeric value")
     try:
-        value = float(text.strip())
+        value = _decimal(text.strip())
     except ValueError:
         raise ValidationError(f"{what}: not a number: {text.strip()!r}") from None
     if not math.isfinite(value):
@@ -179,14 +194,64 @@ class FinalSchedule:
 # Task XML
 
 
-def _parse_xml(xml_text: str) -> ET.Element:
+_FEED_CHARS = 16 * 1024  # text per parser feed; ET.iterparse reads as much
+
+
+def _parse_children(
+    xml_text: str, tag: str, parse: Callable[[ET.Element, int], _Item]
+) -> list[_Item]:
+    """``parse(child, index)`` for each root child named ``tag``, in file order.
+
+    Other root children are skipped with a warning. The text goes to a pull
+    parser one slice at a time. After each slice, every root child but the
+    last is complete, since a sibling starts only after the one before it
+    ends: those are parsed and dropped, so the element tree never holds the
+    whole document. The first error that ``parse`` raises ends the parsing,
+    but it is raised only once the whole text is known to be well-formed, so
+    a syntax error anywhere wins, as it would over a whole tree.
+    """
+    parser = ET.XMLPullParser(("start",))
+    root: ET.Element | None = None
+    items: list[_Item] = []
+    failure: ValidationError | None = None
+
+    def read_events() -> None:
+        nonlocal root
+        for _, elem in parser.read_events():  # raises a queued syntax error
+            if root is None:
+                root = elem
+
+    def take(children: list[ET.Element]) -> None:
+        nonlocal failure
+        if failure is not None:
+            return
+        try:
+            for child in children:
+                if child.tag == tag:
+                    items.append(parse(child, len(items)))
+                else:
+                    _warn_unknown(child.tag, f"<{root.tag}>")
+        except ValidationError as exc:
+            failure = exc
+
     try:
-        return ET.fromstring(xml_text)
+        for at in range(0, len(xml_text), _FEED_CHARS):
+            parser.feed(xml_text[at : at + _FEED_CHARS])
+            read_events()
+            if root is not None and len(root) > 1:
+                take(root[:-1])
+                del root[:-1]
+        parser.close()
+        read_events()
     except ET.ParseError as exc:
         line, col = exc.position
         raise XmlFormatError(
             f"malformed XML at line {line}, column {col}: {exc.msg}"
         ) from None
+    take(root[:])
+    if failure is not None:
+        raise failure
+    return items
 
 
 def _warn_unknown(tag: str, where: str) -> None:
@@ -273,13 +338,7 @@ def parse_task_file(xml_text: str) -> list[TaskSpec]:
     Dependencies naming ids absent from the file are kept as-is; resolving
     them is the DAG builder's job.
     """
-    root = _parse_xml(xml_text)
-    tasks: list[TaskSpec] = []
-    for child in root:
-        if child.tag != "task":
-            _warn_unknown(child.tag, f"<{root.tag}>")
-            continue
-        tasks.append(_parse_task(child, len(tasks)))
+    tasks = _parse_children(xml_text, "task", _parse_task)
     seen: set[str] = set()
     for task in tasks:
         if task.task_id in seen:
@@ -354,13 +413,7 @@ def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
 
 def parse_resource_file(xml_text: str) -> list[ResourceSpec]:
     """Parse a resource XML document into a resource set, in file order."""
-    root = _parse_xml(xml_text)
-    resources: list[ResourceSpec] = []
-    for child in root:
-        if child.tag != "Node":
-            _warn_unknown(child.tag, f"<{root.tag}>")
-            continue
-        resources.append(_parse_node(child, len(resources)))
+    resources = _parse_children(xml_text, "Node", _parse_node)
     seen: set[str] = set()
     for res in resources:
         if res.resource_id in seen:
@@ -491,10 +544,12 @@ def placements_from_csv(text: str) -> list[Placement]:
         )
     placements: list[Placement] = []
     for lineno, row in enumerate(reader, start=2):
+        if None in (row[field] for field in SCHEDULE_FIELDS):
+            raise ValidationError(f"schedule line {lineno}: too few fields")
         try:
-            start = float(row["start"])
-            end = float(row["end"])
-        except (TypeError, ValueError):
+            start = _decimal(row["start"].strip())
+            end = _decimal(row["end"].strip())
+        except ValueError:
             raise ValidationError(
                 f"schedule line {lineno}: start/end must be numbers"
             ) from None

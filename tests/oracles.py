@@ -7,8 +7,9 @@ selection rule by replaying every decision against a rebuilt timeline model,
 phase-1 clustering by a greedy that runs one DFS per merge candidate, the
 descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, dependency
-levels by relaxing along that order, and resource overlaps by a full
-pairwise scan.
+levels by relaxing along that order, resource overlaps by a full
+pairwise scan, and the XML readers by building the whole element tree
+before walking it (only the per-element parsers are shared).
 None of it imports ``coalloc.clustering``.
 """
 
@@ -311,3 +312,35 @@ def check_selection_rule(
             if spec.processing_time > 0:
                 busy[chosen.resource_id].append((chosen.start, chosen.end))
     return violations
+
+
+def whole_tree_items(xml_text: str, kind: str) -> list:
+    """``parse_task_file`` (kind ``"task"``) or ``parse_resource_file``
+    (kind ``"Node"``) as one ``ET.fromstring`` followed by a walk over the
+    root's children, raising the same errors and logging the same warnings.
+    """
+    import xml.etree.ElementTree as ET
+
+    from coalloc import StructuralError, XmlFormatError
+    from coalloc.model import _parse_node, _parse_task, _warn_unknown
+
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise XmlFormatError(
+            f"malformed XML at line {line}, column {col}: {exc.msg}"
+        ) from None
+    parse = _parse_task if kind == "task" else _parse_node
+    items: list = []
+    for child in root:
+        if child.tag != kind:
+            _warn_unknown(child.tag, f"<{root.tag}>")
+            continue
+        items.append(parse(child, len(items)))
+    ids = [item.task_id if kind == "task" else item.resource_id for item in items]
+    for i, item_id in enumerate(ids):
+        if item_id in ids[:i]:
+            what = "taskId" if kind == "task" else "resource Id"
+            raise StructuralError(f"duplicate {what} {item_id!r}")
+    return items

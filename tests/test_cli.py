@@ -12,8 +12,12 @@ from hypothesis import strategies as st
 
 from coalloc import cli, generate_workload
 from coalloc.model import (
+    SCHEDULE_FIELDS,
+    FinalSchedule,
+    Placement,
     parse_task_file,
     placements_from_csv,
+    schedule_to_csv,
     serialize_agent_map,
     serialize_resource_set,
     serialize_task_set,
@@ -501,3 +505,78 @@ def test_hostile_field_values_exit_cleanly(texts, tmp_path, capsys):
         else:
             validate = ["validate", *inputs, "--schedule", str(out / "schedule.csv")]
             assert cli.main(validate) in (0, 3), capsys.readouterr().out
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\u0663.\u0665", "\uff12"])
+def test_numbers_must_be_ascii_decimals(token, demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    out = tmp_path / "out"
+    assert run_schedule(demo_inputs, out) == 0
+    validate = ["validate", "--tasks", str(tasks), "--resources", str(resources),
+                "--agents", str(agents), "--schedule", str(out / "schedule.csv")]
+    cases = [
+        (tasks, r"(<processingTime>)[^<]*", "processingTime: not a number"),
+        (resources, r"(<Memory>)[^<]*", "Memory: not a number"),
+        (out / "schedule.csv", r"(\n(?:[^,]*,){3})[^,]*", "start/end must be numbers"),
+    ]
+    for path, field, message in cases:
+        good = path.read_text()
+        path.write_text(re.sub(field, lambda m: m.group(1) + token, good, count=1))
+        capsys.readouterr()
+        assert cli.main(validate) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        path.write_text(good)
+
+
+# Value-level fuzz of `metrics --schedule`: hostile cells, a dropped column,
+# a short row and reordered columns.
+HOSTILE_CELLS = ["nan", "inf", "1_0", "\u0661", ""]
+
+
+@st.composite
+def hostile_schedules(draw):
+    placements = []
+    for i in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 40)) * 0.25
+        end = start + draw(st.integers(0, 8)) * 0.25
+        resource = draw(st.sampled_from(["P01", "P02"]))
+        agent = draw(st.sampled_from(["a1", "a2"]))
+        placements.append(Placement(f"t{i}", resource, agent, start, end))
+    csv_text = schedule_to_csv(
+        FinalSchedule(tuple(placements), max(p.end for p in placements))
+    )
+    order = draw(st.permutations(range(len(SCHEDULE_FIELDS))))
+    rows = [[line.split(",")[i] for i in order] for line in csv_text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["cell", "cell", "drop-column", "short-row"]))
+        row = draw(st.integers(1, len(rows) - 1))
+        col = draw(st.integers(0, len(rows[0]) - 1))
+        if edit == "cell" and col < len(rows[row]):
+            rows[row][col] = draw(st.sampled_from(HOSTILE_CELLS))
+        elif edit == "drop-column":
+            rows = [r[:col] + r[col + 1:] for r in rows]
+        elif edit == "short-row":
+            del rows[row][-1:]
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+@settings(
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=hostile_schedules())
+def test_hostile_schedule_cells_exit_cleanly_from_metrics(text, tmp_path, capsys):
+    schedule_file = tmp_path / "schedule.csv"
+    schedule_file.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    code = cli.main(["metrics", "--schedule", str(schedule_file)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in captured.err
+    if code:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    else:
+        assert captured.out.startswith("metric,key,value\n")

@@ -1,8 +1,14 @@
 """Parsing, serialization, and round-trip behavior of the on-disk formats."""
 
+import gc
 import logging
+import random
+import re
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coalloc import (
     AgentSpec,
@@ -25,6 +31,10 @@ from coalloc import (
     serialize_task_set,
     validate_agent_map,
 )
+from coalloc.errors import SchedulingError
+from coalloc.model import _FEED_CHARS
+from conftest import make_pool
+from oracles import whole_tree_items
 
 MINIMAL_TASK = """
 <tasks>
@@ -278,3 +288,121 @@ def test_schedule_csv_rejects_non_finite_times(start, end):
     text = f"taskId,resourceId,agentId,start,end\na,P01,agent1,{start},{end}\n"
     with pytest.raises(ValidationError, match="line 2: start/end must be finite"):
         placements_from_csv(text)
+
+
+@pytest.mark.parametrize("token", ["+2", " 5 ", "1e3", ".5", "2.50"])
+def test_ascii_decimals_parse(token):
+    task_doc = MINIMAL_TASK.replace(">5</processingTime>", f">{token}</processingTime>")
+    node_doc = MINIMAL_NODE.replace(">4</Memory>", f">{token}</Memory>")
+    row = f"taskId,resourceId,agentId,start,end\na,P01,agent1,{token},{token}\n"
+    assert parse_task_file(task_doc)[0].processing_time == float(token)
+    assert parse_resource_file(node_doc)[0].memory == float(token)
+    [placement] = placements_from_csv(row)
+    assert placement.start == placement.end == float(token)
+
+
+def test_schedule_csv_rejects_a_short_row():
+    # a short row leaves its last fields None; with agentId last, a None agent
+    # would reach compute_metrics, which sorts agent ids
+    text = "start,end,taskId,resourceId,agentId\n0,1,a,P01,x\n0,1,b,P01\n"
+    with pytest.raises(ValidationError, match="^schedule line 3: too few fields$"):
+        placements_from_csv(text)
+
+
+# Differential test of the streamed XML readers against a parse of the whole
+# tree: generated documents with unknown elements at root, task and node level,
+# a <task> nested in an unknown root child, field errors and duplicate ids,
+# padded to at least three feed slices and sometimes truncated.
+ROOT_EXTRAS = [
+    "<note>\u00fcber</note>",
+    "<extra><task><taskId>z</taskId></task></extra>",
+    "<!-- remark -->",
+    "<color>blue</color>",
+]
+FIELD_TEXT = re.compile(r">([^<>\s][^<>]*)<")
+
+
+@st.composite
+def xml_documents(draw):
+    kind = draw(st.sampled_from(["task", "Node"]))
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(1, 12))
+    if kind == "task":
+        tasks = generate_workload(seed, n, draw(st.integers(1, min(n, 3))), 0.3)
+        text = serialize_task_set(tasks)
+    else:
+        text = serialize_resource_set(make_pool(random.Random(seed), 1, n)[0])
+    fields = [m.span(1) for m in FIELD_TEXT.finditer(text)]
+    originals = sorted({text[a:b] for a, b in fields})
+    picks = draw(st.lists(st.sampled_from(fields), max_size=2, unique=True))
+    for a, b in sorted(picks, reverse=True):  # from the back: spans stay put
+        token = draw(st.sampled_from(["x", "-1", "1_0"]) | st.sampled_from(originals))
+        text = text[:a] + token + text[b:]
+    # between the root's start and end tags every line holds whole elements
+    lines = text.splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 5))):
+        at = draw(st.integers(2, len(lines) - 1))
+        lines.insert(at, draw(st.sampled_from(ROOT_EXTRAS)) + "\n")
+    slots = draw(st.lists(st.integers(2, len(lines) - 1), min_size=1, max_size=4))
+    missing = 3 * _FEED_CHARS - len("".join(lines)) + draw(st.integers(0, _FEED_CHARS))
+    for at in sorted(slots, reverse=True):
+        lines.insert(at, " " * (missing // len(slots)) + "\n")
+    text = "".join(lines)
+    boundaries = range(_FEED_CHARS, len(text), _FEED_CHARS)
+    cut = draw(
+        st.none() | st.integers(0, len(text)) | st.sampled_from(boundaries)
+    )
+    return kind, text if cut is None else text[:cut]
+
+
+def read_outcome(read, text, caplog):
+    caplog.clear()
+    try:
+        result = read(text)
+    except SchedulingError as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, [rec.getMessage() for rec in caplog.records]
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(document=xml_documents())
+def test_streamed_reader_matches_the_whole_tree(document, caplog):
+    kind, text = document
+    read = parse_task_file if kind == "task" else parse_resource_file
+    with caplog.at_level(logging.WARNING, logger="coalloc.model"):
+        result, warnings = read_outcome(read, text, caplog)
+        expected, expected_warnings = read_outcome(
+            lambda t: whole_tree_items(t, kind), text, caplog
+        )
+    assert result == expected
+    # on a malformed document, elements read before the syntax error have warned
+    if not (isinstance(expected, tuple) and expected[0] == "XmlFormatError"):
+        assert warnings == expected_warnings
+
+
+def test_field_error_in_a_truncated_document_is_a_syntax_error():
+    text = serialize_task_set(generate_workload(5, 200, 4, 0.05))
+    bad = text.replace("<processingTime>", "<processingTime>x", 1)
+    assert len(bad) > 2 * _FEED_CHARS
+    with pytest.raises(ValidationError, match="^task 't001': processingTime: not a"):
+        parse_task_file(bad)
+    with pytest.raises(XmlFormatError, match="^malformed XML at line"):
+        parse_task_file(bad[: 2 * _FEED_CHARS])
+
+
+def test_reading_holds_far_less_than_the_element_tree():
+    text = serialize_task_set(generate_workload(3, 3000, 10, 0.003))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tasks = parse_task_file(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tasks) == 3000
+    # a whole element tree takes about 9.5x the text
+    assert peak - held < 0.5 * len(text)
