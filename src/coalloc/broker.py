@@ -32,8 +32,6 @@ from .protocol import (
     Message,
     MessageKind,
     MessageLog,
-    ScheduleResultPayload,
-    SubmitTasksPayload,
 )
 
 __all__ = [
@@ -215,14 +213,7 @@ class Broker:
         """Cluster, distribute, schedule, delay, and assemble the task set."""
         validate_agent_map(list(agents), list(resources))
         log = MessageLog()  # one per run, so a reused broker starts clean
-        log.record(
-            Message(
-                MessageKind.SUBMIT_TASKS,
-                USER,
-                BROKER,
-                SubmitTasksPayload(len(tasks)),
-            )
-        )
+        log.record(Message(MessageKind.SUBMIT_TASKS, USER, BROKER, len(tasks)))
         dag = build_dag(tasks)
         cluster_dag = cluster_tasks(dag, len(agents))
         assignment = distribute(cluster_dag, agents, dag, resources)
@@ -237,16 +228,10 @@ class Broker:
         # ignored; agents start from time 0 on their own timelines. An agent
         # finds a task infeasible only in a cluster no agent can host.
         try:
-            partials = _exchange(log, actors, [
-                Message(
-                    MessageKind.ASSIGN_CLUSTER,
-                    BROKER,
-                    assignment.cluster_to_agent[cluster.cluster_id],
-                    AssignClusterPayload(cluster, dag),
-                    cluster_id=cluster.cluster_id,
-                )
-                for cluster in (cluster_dag.by_id[cid] for cid in assignment.order)
-            ])
+            partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
+                cid: AssignClusterPayload(cluster_dag.by_id[cid], dag)
+                for cid in assignment.order
+            })
         except InfeasibleTaskError as exc:
             raise InfeasibleTaskError(
                 exc.task_id,
@@ -257,49 +242,44 @@ class Broker:
         # Phase 3: sweep the cluster levels; the first level stands as-is,
         # deeper clusters get readiness reports and shift rigidly.
         for level in cluster_dag.levels()[1:]:
-            partials.update(_exchange(log, actors, [
-                Message(
-                    MessageKind.DEPENDENCY_INFO,
-                    BROKER,
-                    assignment.cluster_to_agent[cluster.cluster_id],
-                    DependencyInfoPayload(
-                        cluster.cluster_id,
-                        tuple(_readiness_entries(cluster, dag, cluster_dag, partials)),
-                    ),
-                    cluster_id=cluster.cluster_id,
+            reports = {
+                cluster.cluster_id: DependencyInfoPayload(
+                    cluster.cluster_id,
+                    tuple(_readiness_entries(cluster, dag, cluster_dag, partials)),
                 )
                 for cluster in level
-            ]))
+            }
+            partials.update(
+                _exchange(log, actors, assignment, MessageKind.DEPENDENCY_INFO, reports)
+            )
 
         del actors  # free the agents' timelines before the repair pass's peak
         schedule = assemble_and_repair(
             [partials[cid] for cid in assignment.order], dag, assignment
         )
-        mappings = tuple(
-            (p.task_id, p.resource_id) for p in schedule.placements
-        )
-        log.record(
-            Message(
-                MessageKind.SCHEDULE_RESULT,
-                BROKER,
-                USER,
-                ScheduleResultPayload(mappings, schedule.makespan),
-            )
-        )
+        log.record(Message(MessageKind.SCHEDULE_RESULT, BROKER, USER, schedule))
         return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)
 
 
 def _exchange(
     log: MessageLog,
     actors: dict[str, AgentActor],
-    requests: list[Message],
+    assignment: Assignment,
+    kind: MessageKind,
+    payloads: dict[str, object],
 ) -> dict[str, PartialSchedule]:
-    """Send one request per cluster and return the replies' schedules by cluster.
+    """Send one ``kind`` request per cluster to the agent it is assigned to
+    and return the replies' schedules by cluster.
 
-    The log records the requests, then the replies in request order. Agents
+    ``payloads`` maps cluster ids to request payloads, in request order. The
+    log records the requests, then the replies in request order. Agents
     answer in ascending agent-id order, each taking its requests in the
     order given.
     """
+    requests = [
+        Message(kind, BROKER, assignment.cluster_to_agent[cid], payload, cluster_id=cid)
+        for cid, payload in payloads.items()
+    ]
     for request in requests:
         log.record(request)
     replies = {

@@ -175,33 +175,39 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         for p in ps:
             succs[p].add(i)
 
-    # A live part that is not done has never merged, so it is still the
-    # singleton {task i} in slot i, and every task before i in sorted order
-    # sits in a done part: it is the unfinished part with the least ``low``.
-    # A merge may keep the other part's slot, one the pass has yet to reach;
-    # ``done`` spares that finished part a second, fruitless search.
-    done = [False] * len(task_ids)
+    # Only the current part merges, so an unfinished part has never merged:
+    # it is still the singleton {task i} in slot i, and every task before i
+    # in sorted order sits in a finished part, so it is the unfinished part
+    # with the least ``low``. A finished part in a slot the pass has yet to
+    # reach absorbed at least one other part, so it holds two or more tasks.
     for first in sorted(range(len(task_ids)), key=task_ids.__getitem__):
-        if done[first] or not members[first]:
+        if len(members[first]) != 1:
             continue
         current = first
         below = _descendants(current, succs)
-        # A child is ready while its preds miss ``below``. Merges only shrink
+        # A child is ready while its preds miss ``below``: contracting C -> D
+        # closes a cycle iff a predecessor of D lies in ``below``, the strict
+        # descendants of C (C itself never does). Merges only shrink
         # ``below`` and relink preds to the merged part, never in ``below``,
         # so a ready child stays ready and only a successor of the absorbed
         # part can turn ready: those not yet queued are tested after the
         # merge, again if blocked before and for the first time if new.
         ready: list[tuple[str, int]] = []
         queued: set[int] = set()
-        _queue_ready(succs[current], preds, below, low, ready, queued)
-        while (chosen := _next_candidate(current, members, ready, limit)) is not None:
+        children = succs[current]
+        while True:
+            for d in children:
+                if preds[d].isdisjoint(below):
+                    heapq.heappush(ready, (low[d], d))
+                    queued.add(d)
+            chosen = _next_candidate(current, members, ready, limit)
+            if chosen is None:
+                break
             # The merged part may keep ``chosen``'s slot; either way that
             # slot is no longer a strict descendant of the current part.
             below.discard(chosen)
-            fresh = succs[chosen] - queued
+            children = succs[chosen] - queued
             current = _merge_parts(current, chosen, members, low, succs, preds)
-            _queue_ready(fresh, preds, below, low, ready, queued)
-        done[current] = True
 
     return quotient(dag, [m for m in members if m])
 
@@ -214,22 +220,6 @@ def _descendants(source: int, succs: list[set[int]]) -> set[int]:
         frontier = set().union(*[succs[x] for x in frontier]) - below
         below |= frontier
     return below
-
-
-def _queue_ready(
-    children: set[int],
-    preds: list[set[int]],
-    below: set[int],
-    low: list[str],
-    ready: list[tuple[str, int]],
-    queued: set[int],
-) -> None:
-    # Contracting C -> D closes a cycle iff a predecessor of D lies in
-    # ``below``, the strict descendants of C (C itself never does).
-    for d in children:
-        if preds[d].isdisjoint(below):
-            heapq.heappush(ready, (low[d], d))
-            queued.add(d)
 
 
 def _next_candidate(

@@ -6,6 +6,7 @@ code, so it can serve as an oracle for the engine's output.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from collections.abc import Iterable, Sequence
@@ -124,10 +125,12 @@ def validate_schedule(
             owner[rid] = agent.agent_id
 
     rows: dict[str, list] = {}
-    for task_id in sorted(by_task):
-        rows.setdefault(by_task[task_id].resource_id, []).append(by_task[task_id])
+    for p in schedule.placements:
+        rows.setdefault(p.resource_id, []).append(p)
     for rid in sorted(rows):
-        # zero-length rows are empty closed-open intervals: they never overlap
+        # zero-length rows are empty closed-open intervals: they never overlap;
+        # task ids are unique and a NaN row fails ``end > start``, so the key
+        # orders the group totally, whatever the order of the placements
         group = sorted(
             (p for p in rows[rid] if p.end > p.start),
             key=lambda p: (p.start, p.task_id),
@@ -248,10 +251,9 @@ def generate_workload(
     cpu_power = {t: _draw(rng, *_CPU_POWER) for t in ids}
 
     deps: dict[str, list[Dependency]] = {t: [] for t in ids}
-    for j, consumer in enumerate(ids):
-        for i, producer in enumerate(ids[:j]):
-            if layer_of[i] >= layer_of[j]:
-                continue
+    for consumer, layer in zip(ids, layer_of):
+        # ``layer_of`` ascends, so the earlier-layer tasks are a prefix
+        for producer in ids[:bisect.bisect_left(layer_of, layer)]:
             if rng.random() < edge_density:
                 deps[consumer].append(
                     Dependency(producer, _draw(rng, *_COMM_TIME))

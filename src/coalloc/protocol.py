@@ -29,17 +29,6 @@ class MessageKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SubmitTasksPayload:
-    task_count: int
-
-
-@dataclass(frozen=True)
-class ScheduleResultPayload:
-    mappings: tuple[tuple[str, str], ...]  # (taskId, resourceId)
-    makespan: float
-
-
-@dataclass(frozen=True)
 class AssignClusterPayload:
     cluster: "Cluster"
     # The job DAG, read-only; the agent reads only its cluster's tasks and
@@ -58,6 +47,7 @@ class Message:
     kind: MessageKind
     sender: str
     receiver: str
+    # SubmitTasks carries the task count, ScheduleResult the FinalSchedule.
     payload: Any
     cluster_id: str | None = None
 
@@ -65,10 +55,10 @@ class Message:
         """Short payload description for the exported log."""
         kind = self.kind
         if kind is MessageKind.SUBMIT_TASKS:
-            return f"tasks={self.payload.task_count}"
+            return f"tasks={self.payload}"
         if kind is MessageKind.SCHEDULE_RESULT:
             return (
-                f"mappings={len(self.payload.mappings)} "
+                f"mappings={len(self.payload.placements)} "
                 f"makespan={self.payload.makespan}"
             )
         if kind is MessageKind.ASSIGN_CLUSTER:

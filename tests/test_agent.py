@@ -409,6 +409,13 @@ def test_rigid_shift_meets_every_entry_with_one_least_delta(pairs):
         )
 
 
+def test_actor_needs_a_spec_for_every_resource_it_lists():
+    with pytest.raises(
+        StructuralError, match="^agent 'a1' given no spec for: r2, r3$"
+    ):
+        AgentActor(AgentSpec("a1", ("r3", "r1", "r2")), [resource("r1")])
+
+
 def test_actor_rejects_readiness_for_an_unassigned_cluster():
     actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")])
     message = Message(

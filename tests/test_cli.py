@@ -102,6 +102,14 @@ def test_empty_task_file_succeeds(demo_inputs, tmp_path):
     )
 
 
+def test_empty_task_file_draws_an_empty_gantt(demo_inputs, tmp_path):
+    tasks, resources, agents = demo_inputs
+    tasks.write_text("<tasks/>")
+    out = tmp_path / "out"
+    assert run_schedule((tasks, resources, agents), out, ["--emit-gantt"]) == 0
+    assert (out / "gantt.txt").read_text() == "(empty schedule)\n"
+
+
 def test_infeasible_task_exits_2(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     text = tasks.read_text().replace(
@@ -203,6 +211,15 @@ def test_out_path_that_is_a_file_exits_1(command, demo_inputs, tmp_path, capsys)
     assert cli.main([*argv, "--out", str(tasks)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: output path {tasks} is not a directory\n"
+    assert captured.out == ""
+
+
+def test_out_path_below_a_file_exits_1(demo_inputs, tmp_path, capsys):
+    out = demo_inputs[0] / "out"
+    assert run_schedule(demo_inputs, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot create output directory {out}: ")
+    assert captured.err.count("\n") == 1
     assert captured.out == ""
 
 

@@ -8,6 +8,7 @@ from coalloc import (
     Dependency,
     StructuralError,
     TaskSpec,
+    ValidationError,
     build_dag,
     cluster_tasks,
     clustering,
@@ -71,6 +72,11 @@ def test_chain_fills_clusters_in_order():
 def test_more_agents_than_tasks_gives_singletons():
     cdag = cluster_tasks(build_dag(chain(3)), 10)
     assert all(len(c.tasks) == 1 for c in cdag.clusters)
+
+
+def test_clustering_needs_an_agent():
+    with pytest.raises(ValidationError, match="^num_agents must be >= 1, got 0$"):
+        cluster_tasks(build_dag(chain(3)), 0)
 
 
 def test_cycle_closing_merge_is_skipped():
@@ -138,7 +144,7 @@ def test_current_absorbs_a_larger_finished_part(monkeypatch):
 def test_single_successor_is_taken_and_its_slot_followed(monkeypatch):
     # a -> d -> c <- b with quota 4 // 2 + 1 = 3. Each of a's picks sees one
     # successor, and each merge keeps the successor's slot (d, then c),
-    # slots the sorted pass reaches later and must skip as done.
+    # slots the sorted pass reaches later and must skip as finished.
     tasks = [dependent("a"), dependent("b"), dependent("c", "d", "b"),
              dependent("d", "a")]
     cdag, merges, finished = traced_clustering(monkeypatch, tasks, 2)

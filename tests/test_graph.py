@@ -57,6 +57,8 @@ def test_duplicate_edge_rejected():
 
     with pytest.raises(StructuralError, match="twice"):
         build_dag([task("1"), task("2", deps=[("1", 1.0), ("1", 2.0)])])
+    with pytest.raises(StructuralError, match="^duplicate taskId '1'$"):
+        build_dag([task("1"), task("1", 2.0)])
 
 
 def test_eight_task_dag_against_closure_oracle():

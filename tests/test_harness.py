@@ -134,6 +134,7 @@ def test_eligibility_violation_detected():
     schedule = FinalSchedule((place("needy", "r1", 0.0, 1.0),), 1.0)
     report = validate_schedule(schedule, dag, resources, agents)
     assert report.eligibility_violations == [("needy", "r1")]
+    assert report.lines() == ["eligibility: needy cannot run on r1"]
 
 
 def test_wrong_agent_counts_as_eligibility_violation():
@@ -241,6 +242,8 @@ def test_generate_rejects_bad_parameters():
         generate_workload(1, 10, 2, 0.5, deadline_probability=1.5)
     with pytest.raises(ValidationError, match="deadline_probability"):
         generate_workload(1, 0, 1, 0.5, deadline_probability=-0.1)
+    with pytest.raises(ValidationError, match="^num_tasks must be nonnegative$"):
+        generate_workload(1, -1, 1, 0.5)
 
 
 def test_metrics_balance_scenario():

@@ -176,6 +176,78 @@ def test_missing_required_elements():
         )
 
 
+@pytest.mark.parametrize(
+    "parse, document, error, match",
+    [
+        (parse_task_file,
+         MINIMAL_TASK.replace("<taskId>1</taskId>", ""),
+         ValidationError, "^task #1: missing taskId$"),
+        (parse_task_file,
+         MINIMAL_TASK.replace("<taskId>0</taskId>", ""),
+         ValidationError, "^task '1': depends element lacks a taskId$"),
+        (parse_task_file,
+         MINIMAL_TASK.replace("<commTime>2</commTime>", ""),
+         ValidationError, "^task '1': depends element lacks a commTime$"),
+        (parse_task_file,
+         MINIMAL_TASK.replace("<memory>1</memory>", ""),
+         ValidationError, "^task '1': requirements lack memory$"),
+        (parse_task_file,
+         MINIMAL_TASK.replace("<cpuPower>1</cpuPower>", ""),
+         ValidationError, "^task '1': requirements lack cpuPower$"),
+        (parse_resource_file,
+         MINIMAL_NODE.replace("<Id>P01</Id>", ""),
+         ValidationError, "^Node #1: missing Id$"),
+        (parse_resource_file,
+         serialize_resource_set([ResourceSpec("P01"), ResourceSpec("P01")]),
+         StructuralError, "^duplicate resource Id 'P01'$"),
+    ],
+)
+def test_file_field_errors_name_the_field(parse, document, error, match):
+    with pytest.raises(error, match=match):
+        parse(document)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: Dependency("", 1.0), ValidationError,
+         "^dependency taskId must be nonempty$"),
+        (lambda: Dependency("a", -1.0), ValidationError,
+         "^commTime must be nonnegative, got -1.0$"),
+        (lambda: TaskSpec("", 1.0), ValidationError, "^taskId must be nonempty$"),
+        (lambda: TaskSpec("t", -1.0), ValidationError,
+         "^task 't': processing_time must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, memory=-1.0), ValidationError,
+         "^task 't': memory must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, cpu_power=-1.0), ValidationError,
+         "^task 't': cpu_power must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, deadline_time=-1.0), ValidationError,
+         "^task 't': deadlineTime must be nonnegative$"),
+        (lambda: ResourceSpec(""), ValidationError,
+         "^resource Id must be nonempty$"),
+        (lambda: ResourceSpec("r", cpu_power=-1.0), ValidationError,
+         "^resource 'r': cpu_power must be nonnegative$"),
+        (lambda: ResourceSpec("r", memory=-1.0), ValidationError,
+         "^resource 'r': memory must be nonnegative$"),
+        (lambda: ResourceSpec("r", cpu_idle=-1.0), ValidationError,
+         "^resource 'r': cpu_idle must be nonnegative$"),
+        (lambda: AgentSpec("", ("r",)), ValidationError,
+         "^agentId must be nonempty$"),
+        (lambda: AgentSpec("a", ()), ValidationError,
+         "^agent 'a' must manage at least one resource$"),
+        (lambda: AgentSpec("a", ("r", "r")), StructuralError,
+         "^agent 'a' lists a resource twice$"),
+        (lambda: Placement("t", "r", "a", -1.0, 1.0), ValidationError,
+         "^placement of 't': start must be nonnegative$"),
+        (lambda: Placement("t", "r", "a", 2.0, 1.0), ValidationError,
+         "^placement of 't': end precedes start$"),
+    ],
+)
+def test_model_constructors_reject_bad_fields(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
 def test_unknown_elements_ignored_with_warning(caplog):
     doc = MINIMAL_TASK.replace(
         "<processingTime>", "<color>blue</color><processingTime>"
@@ -248,6 +320,10 @@ def test_validate_agent_map_partition():
     with pytest.raises(StructuralError, match="unknown"):
         validate_agent_map(
             [AgentSpec("a1", ("P01", "P02", "P99"))], resources
+        )
+    with pytest.raises(StructuralError, match="^resource 'P01' managed by two agents$"):
+        validate_agent_map(
+            [AgentSpec("a1", ("P01", "P02")), AgentSpec("a2", ("P01",))], resources
         )
 
 
