@@ -156,7 +156,7 @@ def assemble_and_repair(
     for chain in by_resource.values():
         chain.sort(key=lambda t: (merged[t].start, t))
         for prev, nxt in zip(chain, chain[1:]):
-            waits_for[nxt] += (prev,)
+            waits_for[nxt] = (*waits_for[nxt], prev)
 
     order = topological_sweep(waits_for)
     if len(order) != len(merged):

@@ -128,11 +128,12 @@ def quotient(dag: TaskDag, partition: list[set[str]]) -> ClusterDag:
     ]
     owner = {t: c.cluster_id for c in clusters for t in c.tasks}
     edges: dict[tuple[str, str], float] = {}
-    for (pred, succ), cost in dag.edges.items():
-        a, b = owner[pred], owner[succ]
-        if a == b:
-            continue
-        edges[(a, b)] = edges.get((a, b), 0.0) + cost
+    for succ, spec in dag.tasks.items():
+        b = owner[succ]
+        for dep in spec.dependencies:
+            a = owner[dep.task_id]
+            if a != b:
+                edges[(a, b)] = edges.get((a, b), 0.0) + dep.comm_time
     return ClusterDag(clusters, edges)
 
 

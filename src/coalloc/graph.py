@@ -18,20 +18,20 @@ T = TypeVar("T")
 class TaskDag:
     """Directed acyclic graph over tasks.
 
-    Node cost is the task's processing time; edge cost is the declared
-    communication time. ``preds`` adjacency is derived, sorted ascending by
-    task id, and must be treated as read-only.
+    Node cost is the task's processing time; edge cost is the communication
+    time each spec declares on its dependencies, the one copy of every edge.
+    ``preds[t]`` is derived from it: each predecessor of ``t``, in ascending
+    task id, mapped to its communication time. Treat it as read-only.
     """
 
     tasks: dict[str, TaskSpec]
-    edges: dict[tuple[str, str], float]
-    preds: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
+    preds: dict[str, dict[str, float]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        preds: dict[str, list[str]] = {t: [] for t in self.tasks}
-        for pred, succ in self.edges:
-            preds[succ].append(pred)
-        self.preds = {t: tuple(sorted(ps)) for t, ps in preds.items()}
+        self.preds = {
+            t: dict(sorted((d.task_id, d.comm_time) for d in spec.dependencies))
+            for t, spec in self.tasks.items()
+        }
 
     def release(self, prior: Placement, task_id: str, resource_id: str) -> float:
         """Earliest start of ``task_id`` on ``resource_id`` after ``prior``.
@@ -41,7 +41,7 @@ class TaskDag:
         """
         if prior.resource_id == resource_id:
             return prior.end
-        return prior.end + self.edges[(prior.task_id, task_id)]
+        return prior.end + self.preds[task_id][prior.task_id]
 
     def restrict(self, subset: Iterable[str]) -> "TaskDag":
         """Sub-DAG over ``subset``: only tasks and edges inside the subset.
@@ -53,11 +53,8 @@ class TaskDag:
         unknown = sorted(t for t in keep if t not in self.tasks)
         if unknown:
             raise ValidationError("subset contains unknown tasks: " + ", ".join(unknown))
-        # Tasks and edges come in the same order as filtering ``tasks`` and
-        # ``edges`` (as ``build_dag`` lays them out). Specs are frozen, so
-        # one that keeps all its dependencies is shared.
+        # Specs are frozen, so one that keeps all its dependencies is shared.
         tasks: dict[str, TaskSpec] = {}
-        edges: dict[tuple[str, str], float] = {}
         for t, spec in self.tasks.items():
             if t not in keep:
                 continue
@@ -65,9 +62,7 @@ class TaskDag:
             if len(deps) != len(spec.dependencies):
                 spec = dataclasses.replace(spec, dependencies=deps)
             tasks[t] = spec
-            for d in deps:
-                edges[(d.task_id, t)] = d.comm_time
-        return TaskDag(tasks, edges)
+        return TaskDag(tasks)
 
 
 def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
@@ -83,18 +78,17 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
         if task.task_id in by_id:
             raise StructuralError(f"duplicate taskId {task.task_id!r}")
         by_id[task.task_id] = task
-    edges: dict[tuple[str, str], float] = {}
     for task in tasks:
+        seen: set[str] = set()
         for dep in task.dependencies:
             if dep.task_id not in by_id:
                 raise UnknownReferenceError(task.task_id, dep.task_id)
-            key = (dep.task_id, task.task_id)
-            if key in edges:
+            if dep.task_id in seen:
                 raise StructuralError(
                     f"task {task.task_id!r} depends on {dep.task_id!r} twice"
                 )
-            edges[key] = dep.comm_time
-    dag = TaskDag(by_id, edges)
+            seen.add(dep.task_id)
+    dag = TaskDag(by_id)
     _acyclic_order(dag.preds)
     return dag
 

@@ -105,7 +105,9 @@ def validate_schedule(
     Checks resource overlaps (closed-open intervals), every dependency edge
     (communication time owed only across resources), task-resource
     eligibility including agent ownership, deadlines, row durations, and
-    that every start and end is finite.
+    that every start and end is finite. Each check is the float expression
+    the engine computes: ``fl(end + commTime) <= start`` for an edge across
+    resources and ``fl(start + processingTime) == end`` for a row.
     """
     by_task = {p.task_id: p for p in schedule.placements}
     if len(by_task) != len(schedule.placements):
@@ -142,11 +144,13 @@ def validate_schedule(
                     break
                 report.overlaps.append((rid, a.task_id, b.task_id))
 
-    for (pred, succ), comm in dag.edges.items():
-        p, s = by_task[pred], by_task[succ]
-        required = p.end if p.resource_id == s.resource_id else p.end + comm
-        if s.start < required:
-            report.precedence_violations.append((pred, succ, required, s.start))
+    for succ, spec in dag.tasks.items():
+        s = by_task[succ]
+        for dep in spec.dependencies:
+            p = by_task[dep.task_id]
+            required = p.end if p.resource_id == s.resource_id else p.end + dep.comm_time
+            if s.start < required:
+                report.precedence_violations.append((p.task_id, succ, required, s.start))
 
     for task_id in sorted(by_task):
         placement = by_task[task_id]

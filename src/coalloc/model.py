@@ -68,7 +68,7 @@ class Dependency:
     def __post_init__(self) -> None:
         if not self.task_id:
             raise ValidationError("dependency taskId must be nonempty")
-        if self.comm_time < 0:
+        if not self.comm_time >= 0:  # NaN fails too
             raise ValidationError(
                 f"commTime must be nonnegative, got {self.comm_time}"
             )
@@ -93,11 +93,11 @@ class TaskSpec:
         if not self.task_id:
             raise ValidationError("taskId must be nonempty")
         for name in ("processing_time", "memory", "cpu_power"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(
                     f"task {self.task_id!r}: {name} must be nonnegative"
                 )
-        if self.deadline_time is not None and self.deadline_time < 0:
+        if self.deadline_time is not None and not self.deadline_time >= 0:
             raise ValidationError(
                 f"task {self.task_id!r}: deadlineTime must be nonnegative"
             )
@@ -127,7 +127,7 @@ class ResourceSpec:
         if not self.resource_id:
             raise ValidationError("resource Id must be nonempty")
         for name in ("cpu_power", "memory", "cpu_idle"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValidationError(
                     f"resource {self.resource_id!r}: {name} must be nonnegative"
                 )

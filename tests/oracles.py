@@ -43,6 +43,16 @@ def successor_lists(edges) -> dict:
     return adjacency
 
 
+def edge_costs(dag) -> dict:
+    """``(pred, succ) -> commTime`` for every dependency the task specs declare,
+    in task order and then declaration order."""
+    return {
+        (dep.task_id, succ): dep.comm_time
+        for succ, spec in dag.tasks.items()
+        for dep in spec.dependencies
+    }
+
+
 def closure_by_squaring(nodes: list, pairs: set) -> dict:
     """Transitive closure (paths of length >= 1) via repeated squaring."""
     index = {n: i for i, n in enumerate(nodes)}
@@ -84,7 +94,7 @@ def greedy_clustering(dag, num_agents: int, finished: list | None = None):
 
     def quotient_succs() -> dict:
         out = {part: set() for part in owner.values()}
-        for a, b in dag.edges:
+        for a, b in edge_costs(dag):
             if owner[a] != owner[b]:
                 out[owner[a]].add(owner[b])
         return out
@@ -129,7 +139,7 @@ def greedy_clustering(dag, num_agents: int, finished: list | None = None):
     clusters = [tuple(sorted(t for t in owner if owner[t] == k)) for k in keys]
     name = {k: f"C{i}" for i, k in enumerate(keys, start=1)}
     edges: dict = {}
-    for (a, b), cost in dag.edges.items():
+    for (a, b), cost in edge_costs(dag).items():
         pair = (name[owner[a]], name[owner[b]])
         if pair[0] != pair[1]:
             edges[pair] = edges.get(pair, 0.0) + cost
@@ -270,6 +280,7 @@ def check_selection_rule(
     minimum earliest start.
     """
     inside = set(cluster_task_ids)
+    costs = edge_costs(dag)
     busy = {r.resource_id: list(initial_busy.get(r.resource_id, []))
             for r in resource_specs}
     violations: list[str] = []
@@ -289,7 +300,7 @@ def check_selection_rule(
                     prior = placements[pred]
                     need = prior.end
                     if prior.resource_id != rid:
-                        need += dag.edges[(pred, task_id)]
+                        need += costs[(pred, task_id)]
                     ready = max(ready, need)
                 starts[rid] = brute_force_earliest(
                     busy[rid], ready, spec.processing_time

@@ -38,7 +38,12 @@ from coalloc.model import (
     serialize_task_set,
 )
 from conftest import corpus_instance, make_engineered, make_pool
-from oracles import check_selection_rule, coloring_is_acyclic, successor_lists
+from oracles import (
+    check_selection_rule,
+    coloring_is_acyclic,
+    edge_costs,
+    successor_lists,
+)
 
 CORPUS_SIZE = 1000
 
@@ -79,6 +84,7 @@ def protocol_deviations(result) -> list[str]:
 
     cdag = result.cluster_dag
     owner = cdag.cluster_of
+    costs = edge_costs(result.dag)
     latest: dict[str, dict] = {}
     for entry in result.log:
         if entry.kind in (MessageKind.CLUSTER_SCHEDULED,
@@ -96,7 +102,7 @@ def protocol_deviations(result) -> list[str]:
                     prior = latest[owner[pred]][pred]
                     ready = prior.end
                     if prior.resource_id != t_res:
-                        ready += result.dag.edges[(pred, task_id)]
+                        ready += costs[(pred, task_id)]
                     expected_entries.append((task_id, ready))
             if tuple(expected_entries) != entry.payload.entries:
                 issues.append(

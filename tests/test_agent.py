@@ -29,7 +29,7 @@ from coalloc import (
 )
 from coalloc.protocol import BROKER, DependencyInfoPayload, Message, MessageKind
 from conftest import make_pool
-from oracles import brute_force_earliest, check_selection_rule
+from oracles import brute_force_earliest, check_selection_rule, edge_costs
 
 
 def resource(rid, memory=8.0, cpu=8.0):
@@ -228,7 +228,7 @@ def test_intra_cluster_constraints_hold_and_selection_is_optimal():
         partial = schedule_cluster(cluster, dag, tls, "a1")
 
         # every edge constraint holds, with comm owed only across resources
-        for (p, s), comm in dag.edges.items():
+        for (p, s), comm in edge_costs(dag).items():
             pp, ss = partial.placements[p], partial.placements[s]
             required = pp.end if pp.resource_id == ss.resource_id else pp.end + comm
             assert ss.start >= required

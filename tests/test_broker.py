@@ -28,7 +28,7 @@ from coalloc import (
     validate_schedule,
 )
 from coalloc.broker import _readiness_entries
-from oracles import least_ready_order
+from oracles import edge_costs, least_ready_order
 
 
 def task(task_id, processing=1.0, deps=()):
@@ -263,7 +263,7 @@ def test_dependency_info_covers_every_crossing_edge(engineered):
     result = orchestrate(engineered.tasks, engineered.resources, engineered.agents)
     owner = result.cluster_dag.cluster_of
     crossing = [
-        (p, s) for (p, s) in result.dag.edges if owner[p] != owner[s]
+        (p, s) for (p, s) in edge_costs(result.dag) if owner[p] != owner[s]
     ]
     entries = [
         entry

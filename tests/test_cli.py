@@ -597,3 +597,82 @@ def test_hostile_schedule_cells_exit_cleanly_from_metrics(text, tmp_path, capsys
         assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     else:
         assert captured.out.startswith("metric,key,value\n")
+
+
+# Value-level fuzz of `generate`: each argument is left out, valid, out of
+# range or no number at all. --num-tasks never asks for more than 60 tasks.
+GENERATE_VALUES = {
+    "--seed": st.sampled_from(["0", "-7", "2147483648", "1e3", "x", ""]),
+    "--num-tasks": st.integers(-2, 60).map(str) | st.sampled_from(["1.5", "nan", ""]),
+    "--layers": st.integers(-1, 62).map(str) | st.sampled_from(["nan", "two"]),
+    "--density": st.sampled_from(
+        ["0", "0.05", "1", "-0.1", "1.5", "nan", "inf", "-inf", "1e-300", "x"]
+    ),
+    "--deadline-prob": st.sampled_from(["0", "0.5", "1", "-0.5", "2", "nan", "inf"]),
+}
+
+
+@settings(
+    deadline=None,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(values=st.fixed_dictionaries(
+    {flag: st.none() | values for flag, values in GENERATE_VALUES.items()}
+))
+def test_hostile_generate_arguments_exit_cleanly(values, tmp_path, capsys):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        out = Path(scratch, "g")
+        argv = ["generate", "--out", str(out)]
+        for flag, value in values.items():
+            if value is not None:
+                argv += [flag, value]
+        capsys.readouterr()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # a usage error, reported by argparse
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code:
+            assert "error: " in err.splitlines()[-1], err
+            assert not out.exists()
+        else:
+            tasks = parse_task_file((out / "tasks.xml").read_text(encoding="utf-8"))
+            assert len(tasks) == int(values["--num-tasks"] or 20)
+
+
+@settings(
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    seed=st.integers(0, 2**16),
+    num_tasks=st.integers(1, 12),
+    spare_agents=st.integers(1, 3),
+)
+def test_more_agents_than_tasks_gives_singleton_clusters(
+    seed, num_tasks, spare_agents, tmp_path
+):
+    # The quota num_tasks // num_agents + 1 is 1, so no two tasks share a
+    # cluster.
+    tasks = generate_workload(
+        seed, num_tasks, min(num_tasks, 3), 0.5, deadline_probability=0.5
+    )
+    num_agents = num_tasks + spare_agents
+    resources, agents = make_pool(random.Random(seed), num_agents, num_agents + 1)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        paths = [Path(scratch, name) for name in ("t.xml", "r.xml", "a.txt")]
+        paths[0].write_text(serialize_task_set(tasks))
+        paths[1].write_text(serialize_resource_set(resources))
+        paths[2].write_text(serialize_agent_map(agents))
+        out = Path(scratch, "out")
+        assert run_schedule(paths, out, ["--emit-log"]) == 0
+        lines = (out / "clusters.txt").read_text().splitlines()
+        assert len(lines) == num_tasks
+        assert len({line.split(" -> ")[1] for line in lines}) == num_tasks
+        validate = ["validate", "--tasks", str(paths[0]), "--resources", str(paths[1]),
+                    "--agents", str(paths[2]), "--schedule", str(out / "schedule.csv")]
+        assert cli.main(validate) in (0, 3)

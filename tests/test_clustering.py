@@ -19,6 +19,7 @@ from coalloc import (
 from conftest import corpus_instance
 from oracles import (
     coloring_is_acyclic,
+    edge_costs,
     greedy_clustering,
     part_descendants,
     successor_lists,
@@ -176,11 +177,29 @@ def test_quotient_sums_crossing_costs():
     cdag = quotient(dag, [{"1", "2"}, {"3", "4"}])
     crossing = [
         cost
-        for (p, s), cost in dag.edges.items()
+        for (p, s), cost in edge_costs(dag).items()
         if p in {"1", "2"} and s in {"3", "4"}
     ]
     assert cdag.edges == {("C1", "C2"): sum(crossing)}
     assert cdag.edges[("C1", "C2")] == 3.0
+
+
+def test_quotient_sums_in_declaration_order():
+    # Tasks in input order (y before x), then each task's dependencies as
+    # declared (c, a, b): 0.1 + 0.1 + 0.4 + 0.3. Summed by task id, by
+    # predecessor id within a task or by (pred, succ) pair, the same terms
+    # give 0.9 or 0.8999999999999999.
+    tasks = [
+        TaskSpec("a", 1.0),
+        TaskSpec("b", 1.0),
+        TaskSpec("c", 1.0),
+        TaskSpec("y", 1.0, dependencies=(
+            Dependency("c", 0.1), Dependency("a", 0.1), Dependency("b", 0.4),
+        )),
+        TaskSpec("x", 1.0, dependencies=(Dependency("a", 0.3),)),
+    ]
+    cdag = quotient(build_dag(tasks), [{"a", "b", "c"}, {"x", "y"}])
+    assert cdag.edges == {("C1", "C2"): 0.9000000000000001}
 
 
 def test_quotient_total_merge_has_no_edges():
@@ -220,7 +239,7 @@ def test_clustering_invariants_on_seeded_instances(seed):
     # and every quotient cost is the brute-force sum of crossing costs
     owner = cdag.cluster_of
     sums = {}
-    for (p, s), cost in dag.edges.items():
+    for (p, s), cost in edge_costs(dag).items():
         a, b = owner[p], owner[s]
         if a == b:
             continue
@@ -285,7 +304,7 @@ def fresh_candidate(dag, members, current, below, limit):
     quota and whose predecessor parts miss ``below``, from the task edges."""
     owner = {t: i for i, part in enumerate(members) for t in part}
     children, pred_parts = set(), {}
-    for a, b in dag.edges:
+    for a, b in edge_costs(dag):
         pa, pb = owner[a], owner[b]
         if pa != pb:
             pred_parts.setdefault(pb, set()).add(pa)
@@ -330,7 +349,7 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
 
     def pick_spy(current, members, ready, limit_):
         assert limit_ == limit
-        below = part_descendants(dag.edges, members, current)
+        below = part_descendants(edge_costs(dag), members, current)
         assert searched[-1] == below
         expected = fresh_candidate(dag, members, current, below, limit)
         chosen = pick(current, members, ready, limit_)

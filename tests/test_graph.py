@@ -20,7 +20,12 @@ from coalloc import (
     levelize,
 )
 from conftest import make_engineered
-from oracles import closure_by_squaring, coloring_is_acyclic, relaxed_levels
+from oracles import (
+    closure_by_squaring,
+    coloring_is_acyclic,
+    edge_costs,
+    relaxed_levels,
+)
 
 
 def task(task_id, processing=1.0, deps=()):
@@ -32,10 +37,10 @@ def task(task_id, processing=1.0, deps=()):
 
 def test_build_two_task_dag():
     dag = build_dag([task("1", 4.0), task("2", 6.0, [("1", 3.0)])])
-    assert dag.edges == {("1", "2"): 3.0}
+    assert edge_costs(dag) == {("1", "2"): 3.0}
     assert dag.tasks["1"].processing_time == 4.0
     assert dag.tasks["2"].processing_time == 6.0
-    assert dag.preds["2"] == ("1",)
+    assert dag.preds["2"] == {"1": 3.0}
 
 
 def test_two_task_cycle_witness():
@@ -61,6 +66,22 @@ def test_duplicate_edge_rejected():
         build_dag([task("1"), task("1", 2.0)])
 
 
+def test_build_errors_come_at_the_first_bad_dependency():
+    # Tasks in file order, each one's dependencies as declared: the first
+    # dependency that repeats or names an unknown id raises.
+    from coalloc import StructuralError
+
+    with pytest.raises(StructuralError, match="^task 't' depends on 'a' twice$"):
+        build_dag([task("a"), task("t", deps=[("a", 1.0), ("a", 1.0), ("ghost", 1.0)])])
+    with pytest.raises(UnknownReferenceError) as err:
+        build_dag([task("a"), task("t", deps=[("ghost", 1.0), ("a", 1.0), ("a", 1.0)])])
+    assert (err.value.task_id, err.value.ref_id) == ("t", "ghost")
+    with pytest.raises(UnknownReferenceError) as err:
+        build_dag([task("a"), task("u", deps=[("ghost", 1.0)]),
+                   task("t", deps=[("a", 1.0), ("a", 1.0)])])
+    assert err.value.task_id == "u"
+
+
 def test_eight_task_dag_against_closure_oracle():
     scenario = make_engineered()
     dag = build_dag(scenario.tasks)
@@ -76,7 +97,7 @@ def test_eight_task_dag_against_closure_oracle():
                     stack.append(nxt)
         return seen
 
-    closure = closure_by_squaring(sorted(dag.tasks), set(dag.edges))
+    closure = closure_by_squaring(sorted(dag.tasks), set(edge_costs(dag)))
     for t in dag.tasks:
         assert ancestors(t) == {u for u in dag.tasks if t in closure[u]}
         assert t not in closure[t]  # acyclic: nothing reaches itself
@@ -172,7 +193,7 @@ def test_level_decompose_properties(seed):
     assert sorted(flat) == sorted(subset)  # partition
     position = {t: i for i, t in enumerate(flat)}
     block_of = {t: k for k, block in enumerate(blocks, start=1) for t in block}
-    for (p, s) in dag.edges:
+    for (p, s) in edge_costs(dag):
         if p in subset and s in subset:
             assert position[p] < position[s]  # concatenation is a topo order
     for t in subset:
@@ -180,7 +201,7 @@ def test_level_decompose_properties(seed):
         assert block_of[t] == 1 + max(in_preds, default=0)
     for block in blocks:
         members = set(block)
-        for (p, s) in dag.edges:
+        for (p, s) in edge_costs(dag):
             assert not (p in members and s in members)  # no edge inside a block
         assert block == sorted(block)
 
@@ -233,10 +254,11 @@ def test_restrict_matches_filtering_in_order(seed):
     subset = [t for t in sorted(dag.tasks) if rng.random() < 0.5]
     fragment = dag.restrict(subset)
 
-    expected_edges = [(p, s) for (p, s) in dag.edges if p in subset and s in subset]
+    costs = edge_costs(dag)
+    expected_edges = [(p, s) for (p, s) in costs if p in subset and s in subset]
     assert list(fragment.tasks) == [t for t in dag.tasks if t in subset]
-    assert list(fragment.edges) == expected_edges
-    assert fragment.edges == {e: dag.edges[e] for e in expected_edges}
+    assert list(edge_costs(fragment)) == expected_edges
+    assert edge_costs(fragment) == {e: costs[e] for e in expected_edges}
     for t, spec in fragment.tasks.items():
         kept = [d for d in dag.tasks[t].dependencies if d.task_id in subset]
         assert spec == dataclasses.replace(dag.tasks[t], dependencies=tuple(kept))

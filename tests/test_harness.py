@@ -116,6 +116,35 @@ def test_cross_resource_precedence_violation():
     assert report.precedence_violations == [("p", "s", 3.0, 1.0)]
 
 
+def test_precedence_violations_by_task_then_declared_dependency():
+    # Tasks in input order (d before c), each task's dependencies as
+    # declared (b before a), not in id order.
+    deps = (Dependency("b", 1.0), Dependency("a", 3.0))
+    tasks = [
+        TaskSpec("a", 1.0),
+        TaskSpec("b", 1.0),
+        TaskSpec("d", 1.0, dependencies=deps),
+        TaskSpec("c", 1.0, dependencies=deps),
+    ]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule(
+        (
+            place("a", "r1", 0.0, 1.0),
+            place("b", "r1", 1.0, 2.0),
+            place("c", "r2", 0.0, 1.0),
+            place("d", "r2", 1.0, 2.0),
+        ),
+        2.0,
+    )
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert report.precedence_violations == [
+        ("b", "d", 3.0, 1.0),
+        ("a", "d", 4.0, 1.0),
+        ("b", "c", 3.0, 0.0),
+        ("a", "c", 4.0, 0.0),
+    ]
+
+
 def test_same_resource_needs_no_comm_time():
     tasks = [
         TaskSpec("p", 2.0, 0.0, 0.0),

@@ -1,10 +1,12 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene: every name a library module imports is used in it, and
+every module it imports from outside the package is in the standard library.
 
 A deletion that leaves its import behind fails here. Names imported under
 ``if TYPE_CHECKING:`` serve string annotations only and count as used.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,36 @@ def test_an_unused_import_is_caught():
         "if TYPE_CHECKING:\n    pass\n"
     )
     assert unused_imports(tree) == ["functools (line 1)"]
+
+
+def non_stdlib_imports(tree: ast.Module) -> list[str]:
+    """Absolute imports whose top-level module is not in the standard library."""
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ]
+    names += [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+    ]
+    return sorted(
+        {n for n in names if n.split(".")[0] not in sys.stdlib_module_names}
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert non_stdlib_imports(tree) == []
+
+
+def test_a_third_party_import_is_caught():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import json\nimport numpy.linalg\nfrom yaml import safe_load\n"
+        "from . import graph\nfrom .model import TaskSpec\n"
+    )
+    assert non_stdlib_imports(tree) == ["numpy.linalg", "yaml"]

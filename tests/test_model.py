@@ -2,6 +2,7 @@
 
 import gc
 import logging
+import math
 import random
 import re
 import tracemalloc
@@ -214,22 +215,38 @@ def test_file_field_errors_name_the_field(parse, document, error, match):
          "^dependency taskId must be nonempty$"),
         (lambda: Dependency("a", -1.0), ValidationError,
          "^commTime must be nonnegative, got -1.0$"),
+        (lambda: Dependency("a", math.nan), ValidationError,
+         "^commTime must be nonnegative, got nan$"),
         (lambda: TaskSpec("", 1.0), ValidationError, "^taskId must be nonempty$"),
         (lambda: TaskSpec("t", -1.0), ValidationError,
          "^task 't': processing_time must be nonnegative$"),
+        (lambda: TaskSpec("t", math.nan), ValidationError,
+         "^task 't': processing_time must be nonnegative$"),
         (lambda: TaskSpec("t", 1.0, memory=-1.0), ValidationError,
+         "^task 't': memory must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, memory=math.nan), ValidationError,
          "^task 't': memory must be nonnegative$"),
         (lambda: TaskSpec("t", 1.0, cpu_power=-1.0), ValidationError,
          "^task 't': cpu_power must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, cpu_power=math.nan), ValidationError,
+         "^task 't': cpu_power must be nonnegative$"),
         (lambda: TaskSpec("t", 1.0, deadline_time=-1.0), ValidationError,
+         "^task 't': deadlineTime must be nonnegative$"),
+        (lambda: TaskSpec("t", 1.0, deadline_time=math.nan), ValidationError,
          "^task 't': deadlineTime must be nonnegative$"),
         (lambda: ResourceSpec(""), ValidationError,
          "^resource Id must be nonempty$"),
         (lambda: ResourceSpec("r", cpu_power=-1.0), ValidationError,
          "^resource 'r': cpu_power must be nonnegative$"),
+        (lambda: ResourceSpec("r", cpu_power=math.nan), ValidationError,
+         "^resource 'r': cpu_power must be nonnegative$"),
         (lambda: ResourceSpec("r", memory=-1.0), ValidationError,
          "^resource 'r': memory must be nonnegative$"),
+        (lambda: ResourceSpec("r", memory=math.nan), ValidationError,
+         "^resource 'r': memory must be nonnegative$"),
         (lambda: ResourceSpec("r", cpu_idle=-1.0), ValidationError,
+         "^resource 'r': cpu_idle must be nonnegative$"),
+        (lambda: ResourceSpec("r", cpu_idle=math.nan), ValidationError,
          "^resource 'r': cpu_idle must be nonnegative$"),
         (lambda: AgentSpec("", ("r",)), ValidationError,
          "^agentId must be nonempty$"),
