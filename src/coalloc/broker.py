@@ -147,18 +147,18 @@ def assemble_and_repair(
 
     # Fixed per-resource succession over positive-duration placements only;
     # zero-length slots occupy nothing and constrain nobody. A task waits for
-    # its DAG predecessors and for the task before it on its resource.
+    # its DAG predecessors and for the task ``before`` it on its resource.
     by_resource: dict[str, list[str]] = defaultdict(list)
     for task_id, placement in merged.items():
         if placement.duration > 0:
             by_resource[placement.resource_id].append(task_id)
-    waits_for = dict(dag.preds)
+    before: dict[str, str] = {}
     for chain in by_resource.values():
         chain.sort(key=lambda t: (merged[t].start, t))
-        for prev, nxt in zip(chain, chain[1:]):
-            waits_for[nxt] = (*waits_for[nxt], prev)
+        before.update(zip(chain[1:], chain))
+    del by_resource  # free the chains before the sweep's peak
 
-    order = topological_sweep(waits_for)
+    order = topological_sweep(dag.preds, before)
     if len(order) != len(merged):
         raise StructuralError("repair pass found circular constraints")
     # Every predecessor is repaired before its successors, so ``merged`` is
@@ -166,9 +166,11 @@ def assemble_and_repair(
     for task_id in order:
         placement = merged[task_id]
         start = placement.start
-        for pred in waits_for[task_id]:
+        for pred in dag.preds[task_id]:
             prior = merged[pred]
             start = max(start, dag.release(prior, task_id, placement.resource_id))
+        if task_id in before:
+            start = max(start, merged[before[task_id]].end)
         end = start + dag.tasks[task_id].processing_time
         if start != placement.start or end != placement.end:
             merged[task_id] = Placement(

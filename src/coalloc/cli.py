@@ -12,8 +12,11 @@ import csv
 import dataclasses
 import io
 import logging
+import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import TextIO
 
 from . import broker, clustering, harness, render
 from .errors import InfeasibleTaskError, SchedulingError
@@ -49,8 +52,14 @@ def _read(path: Path, what: str) -> str:
 
 
 def _write(path: Path, text: str) -> None:
+    _fill(path, lambda out: out.write(text))
+
+
+def _fill(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Open ``path`` for writing and let ``write`` fill it."""
     try:
-        path.write_text(text)
+        with path.open("w") as out:
+            write(out)
     except OSError as exc:
         raise SchedulingError(f"cannot write {path}: {exc}") from None
 
@@ -128,8 +137,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         )
         _write_metrics_artifacts(out, metrics)
         if args.emit_gantt:
-            _write(out / "gantt.svg", render.gantt_svg(schedule))
-            _write(out / "gantt.txt", render.gantt_text(schedule))
+            _fill(out / "gantt.svg", lambda f: render.gantt_svg(schedule, f))
+            _fill(out / "gantt.txt", lambda f: render.gantt_text(schedule, f))
         if args.emit_log:
             _write(out / "protocol.log", result.log.to_text())
             _write(
@@ -211,7 +220,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits with EXIT_INPUT on a usage error: argparse's 2 would mean infeasible."""
+    """Exits with EXIT_INPUT on a usage error: argparse's 2 would mean infeasible.
+
+    A value that starts with ``-`` and reads as a number, such as ``-1e-3``
+    or ``-inf``, stays a value as ``-0.5`` does, so it reaches the range
+    check; argparse alone takes it for an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -9,10 +9,15 @@ quotient edges.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import StructuralError, ValidationError
 from .graph import TaskDag, levelize, topological_sweep
+
+# A part's neighbour slots: the list it was built with until its first merge,
+# a set from then on.
+Adjacency = list[int] | set[int]
 
 __all__ = [
     "Cluster",
@@ -69,12 +74,15 @@ class ClusterDag:
 
     def topological_order(self) -> list[Cluster]:
         """Topological order; among ready clusters the least min task id goes first."""
-        order = topological_sweep(
-            self.preds, key=lambda cid: self.by_id[cid].min_task
-        )
+        # Swept by min task id, which names each cluster uniquely.
+        by_min = {c.min_task: c for c in self.clusters}
+        order = topological_sweep({
+            c.min_task: [self.by_id[p].min_task for p in self.preds[c.cluster_id]]
+            for c in self.clusters
+        })
         if len(order) != len(self.clusters):
             raise StructuralError("cluster graph is not acyclic")
-        return [self.by_id[cid] for cid in order]
+        return [by_min[t] for t in order]
 
 
 def max_cluster_size(num_tasks: int, num_agents: int) -> int:
@@ -122,9 +130,14 @@ def quotient(dag: TaskDag, partition: list[set[str]]) -> ClusterDag:
         raise StructuralError(
             "partition misses tasks: " + ", ".join(sorted(uncovered))
         )
-    groups.sort(key=min)
+    return _collapse(dag, groups)
+
+
+def _collapse(dag: TaskDag, parts: Iterable[Iterable[str]]) -> ClusterDag:
+    """``quotient`` over parts known to partition the tasks, unchecked."""
     clusters = [
-        Cluster(f"C{i}", tuple(sorted(g))) for i, g in enumerate(groups, start=1)
+        Cluster(f"C{i}", tasks)
+        for i, tasks in enumerate(sorted(tuple(sorted(p)) for p in parts), start=1)
     ]
     owner = {t: c.cluster_id for c in clusters for t in c.tasks}
     edges: dict[tuple[str, str], float] = {}
@@ -159,6 +172,14 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     neighbours of the part with fewer adjacency entries are relinked, and the
     smaller member list is appended to the larger, so a merge costs what the
     smaller side holds. The procedure is fully deterministic.
+
+    Parts are int slots, one per task to begin with. A part keeps the lists
+    of predecessor and successor slots it is built with until it first
+    merges; only a merged part holds them as sets, and a part merged away
+    holds neither. So at most one slot per cluster holds sets, and every
+    other slot a list, which costs a fraction of a set. The task-to-slot map
+    is dropped once the lists are built, and the lists are dropped before
+    the cluster DAG is built from the member lists.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -167,14 +188,17 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         return ClusterDag([], {})
     limit = max_cluster_size(len(task_ids), num_agents)
 
-    index_of = {t: i for i, t in enumerate(task_ids)}
     members: list[list[str]] = [[t] for t in task_ids]
     low: list[str] = list(task_ids)  # smallest task id per part
-    preds = [{index_of[p] for p in dag.preds[t]} for t in task_ids]
-    succs: list[set[int]] = [set() for _ in task_ids]
+    index_of = {t: i for i, t in enumerate(task_ids)}
+    preds: list[Adjacency] = [
+        list(map(index_of.__getitem__, dag.preds[t])) for t in task_ids
+    ]
+    del index_of
+    succs: list[Adjacency] = [[] for _ in task_ids]
     for i, ps in enumerate(preds):
         for p in ps:
-            succs[p].add(i)
+            succs[p].append(i)
 
     # Only the current part merges, so an unfinished part has never merged:
     # it is still the singleton {task i} in slot i, and every task before i
@@ -191,29 +215,32 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
         # descendants of C (C itself never does). Merges only shrink
         # ``below`` and relink preds to the merged part, never in ``below``,
         # so a ready child stays ready and only a successor of the absorbed
-        # part can turn ready: those not yet queued are tested after the
-        # merge, again if blocked before and for the first time if new.
+        # part can turn ready: those not yet queued are tested, again if
+        # blocked before and for the first time if new. They are tested
+        # before the merge: ``chosen`` has left ``below`` by then, and the
+        # merge only relinks it to the merged part, which is not in it either.
         ready: list[tuple[str, int]] = []
         queued: set[int] = set()
-        children = succs[current]
+        chosen = current  # the first pass tests the children of ``current``
         while True:
-            for d in children:
-                if preds[d].isdisjoint(below):
+            for d in succs[chosen]:
+                if d not in queued and below.isdisjoint(preds[d]):
                     heapq.heappush(ready, (low[d], d))
                     queued.add(d)
+            if chosen != current:
+                current = _merge_parts(current, chosen, members, low, succs, preds)
             chosen = _next_candidate(current, members, ready, limit)
             if chosen is None:
                 break
             # The merged part may keep ``chosen``'s slot; either way that
             # slot is no longer a strict descendant of the current part.
             below.discard(chosen)
-            children = succs[chosen] - queued
-            current = _merge_parts(current, chosen, members, low, succs, preds)
 
-    return quotient(dag, [m for m in members if m])
+    del preds, succs
+    return _collapse(dag, filter(None, members))
 
 
-def _descendants(source: int, succs: list[set[int]]) -> set[int]:
+def _descendants(source: int, succs: list[Adjacency]) -> set[int]:
     """Every part reachable from ``source`` by a path of one or more edges."""
     below = set(succs[source])
     frontier = below
@@ -246,14 +273,16 @@ def _merge_parts(
     other: int,
     members: list[list[str]],
     low: list[str],
-    succs: list[set[int]],
-    preds: list[set[int]],
+    succs: list[Adjacency],
+    preds: list[Adjacency],
 ) -> int:
     """Merge two adjacent parts and return the index of the merged part.
 
     The part with more adjacency entries keeps its index, so only the other
     part's neighbours are relinked, and the smaller member list is appended
-    to the larger one.
+    to the larger one. The merged part holds sets from then on; a neighbour
+    that never merged keeps its list, where ``keep`` takes ``gone``'s place
+    or, if already listed, ``gone`` is dropped.
     """
     keep, gone = current, other
     if len(succs[gone]) + len(preds[gone]) > len(succs[keep]) + len(preds[keep]):
@@ -266,20 +295,33 @@ def _merge_parts(
     members[gone] = []
     if low[gone] < low[keep]:
         low[keep] = low[gone]
-    succs[keep].discard(gone)
-    preds[keep].discard(gone)
+    if type(succs[keep]) is list:
+        succs[keep] = set(succs[keep])
+        preds[keep] = set(preds[keep])
+    out, into = succs[keep], preds[keep]
+    out.discard(gone)
+    into.discard(gone)
     for s in succs[gone]:
-        if s == keep:
-            continue
-        preds[s].discard(gone)
-        preds[s].add(keep)
-        succs[keep].add(s)
+        if s != keep:
+            out.add(s)
+            ps = preds[s]
+            if type(ps) is set:
+                ps.discard(gone)
+                ps.add(keep)
+            elif keep in ps:
+                ps.remove(gone)
+            else:
+                ps[ps.index(gone)] = keep
     for p in preds[gone]:
-        if p == keep:
-            continue
-        succs[p].discard(gone)
-        succs[p].add(keep)
-        preds[keep].add(p)
-    succs[gone].clear()
-    preds[gone].clear()
+        if p != keep:
+            into.add(p)
+            ss = succs[p]
+            if type(ss) is set:
+                ss.discard(gone)
+                ss.add(keep)
+            elif keep in ss:
+                ss.remove(gone)
+            else:
+                ss[ss.index(gone)] = keep
+    succs[gone] = preds[gone] = ()
     return keep

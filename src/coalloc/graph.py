@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TypeVar
 
@@ -93,40 +93,40 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
     return dag
 
 
-def topological_sweep(preds: Mapping[T, Iterable[T]], *, key=None) -> list[T]:
+def topological_sweep(
+    preds: Mapping[T, Collection[T]], before: Mapping[T, T] | None = None
+) -> list[T]:
     """Kahn's algorithm over the keys of ``preds``, least ready node first.
 
-    Only predecessors that are themselves keys count; a predecessor listed
-    twice must be released twice. Ready nodes leave in ascending ``key``
-    order (the node itself when omitted), ties in the order of ``preds``.
+    Every predecessor must itself be a key. ``before`` gives some nodes one
+    more predecessor each, and a predecessor listed twice is released twice.
     Nodes on or behind a cycle never become ready, so on a cyclic graph the
     result is shorter than ``preds``.
     """
-    # Nodes are handled by their rank in that order, so the heap holds ints.
-    nodes = sorted(preds, key=key)
-    rank = {n: i for i, n in enumerate(nodes)}
-    succs: list[list[int]] = [[] for _ in nodes]
-    indegree = [0] * len(nodes)
+    # Keyed by the nodes themselves: no sorted copy of them and no rank map.
+    indegree: dict[T, int] = {}
+    succs: dict[T, list[T]] = {node: [] for node in preds}
     for node, ps in preds.items():
-        i = rank[node]
+        indegree[node] = len(ps)
         for p in ps:
-            j = rank.get(p)
-            if j is not None:
-                succs[j].append(i)
-                indegree[i] += 1
-    ready = [i for i, deg in enumerate(indegree) if deg == 0]
+            succs[p].append(node)
+    for node, p in (before or {}).items():
+        indegree[node] += 1
+        succs[p].append(node)
+    ready = [node for node, deg in indegree.items() if not deg]
+    heapq.heapify(ready)
     order: list[T] = []
     while ready:
-        i = heapq.heappop(ready)
-        order.append(nodes[i])
-        for j in succs[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(ready, j)
+        node = heapq.heappop(ready)
+        order.append(node)
+        for s in succs[node]:
+            indegree[s] -= 1
+            if not indegree[s]:
+                heapq.heappush(ready, s)
     return order
 
 
-def _acyclic_order(preds: Mapping[T, Iterable[T]]) -> list[T]:
+def _acyclic_order(preds: Mapping[T, Collection[T]]) -> list[T]:
     """``topological_sweep(preds)``, or :class:`CycleError` if it leaves nodes.
 
     Every node left over has a leftover predecessor, so stepping from the
@@ -185,5 +185,7 @@ def levelize(
     if sum(map(len, blocks)) != len(indegree):
         # The nodes left over are those on or behind a cycle, whatever the
         # sweep order, so ``_acyclic_order`` leaves the same ones and raises.
-        _acyclic_order({n: preds.get(n, ()) for n in indegree})
+        _acyclic_order(
+            {n: [p for p in preds.get(n, ()) if p in indegree] for n in indegree}
+        )
     return blocks

@@ -1,10 +1,14 @@
 """Static renderers: Gantt charts (SVG and plain text) and balance bar charts.
 
 Everything is emitted as deterministic text so repeated runs produce
-byte-identical artifacts.
+byte-identical artifacts. The Gantt charts grow with the schedule and are
+written line by line to an open file; the bar chart, one bar per agent, is
+returned whole.
 """
 
 from __future__ import annotations
+
+from typing import TextIO
 
 from .model import FinalSchedule, format_number
 
@@ -48,67 +52,62 @@ def _ticks(span: float) -> list[float]:
     return ticks
 
 
-def gantt_svg(schedule: FinalSchedule) -> str:
-    """Task rows on the vertical axis, scaled time intervals horizontally."""
+def gantt_svg(schedule: FinalSchedule, out: TextIO) -> None:
+    """Write the chart to ``out`` line by line: task rows on the vertical
+    axis, scaled time intervals horizontally."""
     tasks = sorted({p.task_id for p in schedule.placements})
     colors = _color_map([p.agent_id for p in schedule.placements])
     span = max(schedule.makespan, 1.0)
     scale = (_WIDTH - _LEFT - 20) / span
     height = _ROW_H * (len(tasks) + 2) + 20
     row_of = {t: i for i, t in enumerate(tasks)}
-    parts = [
+    out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
-        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
-    ]
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">\n'
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>\n'
+    )
     for tick in _ticks(span):
         x = _LEFT + tick * scale
-        parts.append(
+        out.write(
             f'<line x1="{x:.1f}" y1="10" x2="{x:.1f}" '
-            f'y2="{height - 28}" stroke="#dddddd"/>'
-        )
-        parts.append(
+            f'y2="{height - 28}" stroke="#dddddd"/>\n'
             f'<text x="{x:.1f}" y="{height - 12}" {_FONT} '
-            f'text-anchor="middle">{format_number(tick)}</text>'
+            f'text-anchor="middle">{format_number(tick)}</text>\n'
         )
     for p in sorted(schedule.placements, key=lambda p: (p.task_id, p.start)):
         y = 14 + row_of[p.task_id] * _ROW_H
         x = _LEFT + p.start * scale
         w = max(p.duration * scale, 1.0)
-        parts.append(
+        out.write(
             f'<text x="{_LEFT - 8}" y="{y + 12}" {_FONT} '
-            f'text-anchor="end">{p.task_id}</text>'
-        )
-        parts.append(
+            f'text-anchor="end">{p.task_id}</text>\n'
             f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" height="{_ROW_H - 6}" '
             f'fill="{colors[p.agent_id]}">'
             f"<title>{p.task_id} on {p.resource_id} "
-            f"[{format_number(p.start)}, {format_number(p.end)})</title></rect>"
+            f"[{format_number(p.start)}, {format_number(p.end)})</title></rect>\n"
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    out.write("</svg>\n")
 
 
-def gantt_text(schedule: FinalSchedule) -> str:
-    """Plain-text fallback: one scaled bar line per task."""
+def gantt_text(schedule: FinalSchedule, out: TextIO) -> None:
+    """Plain-text fallback, written to ``out``: one scaled bar line per task."""
     if not schedule.placements:
-        return "(empty schedule)\n"
+        out.write("(empty schedule)\n")
+        return
     span = max(schedule.makespan, 1e-9)
     id_w = max(len(p.task_id) for p in schedule.placements)
     res_w = max(len(p.resource_id) for p in schedule.placements)
-    lines = []
     for p in sorted(schedule.placements, key=lambda p: (p.task_id, p.start)):
         lo = int(round(p.start / span * _TEXT_WIDTH))
         hi = int(round(p.end / span * _TEXT_WIDTH))
         hi = max(hi, lo + 1) if p.duration > 0 else hi
         bar = " " * lo + "#" * (hi - lo)
-        lines.append(
+        out.write(
             f"{p.task_id:<{id_w}} {p.resource_id:<{res_w}} "
-            f"|{bar:<{_TEXT_WIDTH}}| {format_number(p.start)}..{format_number(p.end)}"
+            f"|{bar:<{_TEXT_WIDTH}}| {format_number(p.start)}..{format_number(p.end)}\n"
         )
-    lines.append(f"{'':<{id_w}} {'':<{res_w}}  makespan "
-                 f"{format_number(schedule.makespan)}")
-    return "\n".join(lines) + "\n"
+    out.write(f"{'':<{id_w}} {'':<{res_w}}  makespan "
+              f"{format_number(schedule.makespan)}\n")
 
 
 def bar_chart_svg(series: list[tuple[str, int]], title: str) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -105,3 +107,23 @@ def corpus_instance(seed: int) -> Scenario:
     tasks = generate_workload(seed, n, layers, density)
     resources, agents = make_pool(rng, num_agents, num_resources)
     return Scenario(tasks, resources, agents)
+
+
+def peak_above_live(fn, *args) -> int:
+    """Bytes ``fn(*args)`` holds at its peak above what was live before the
+    call, traced by ``tracemalloc`` with the cyclic collector off."""
+    collecting, tracing = gc.isenabled(), tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if collecting:
+            gc.enable()

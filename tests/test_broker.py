@@ -1,5 +1,7 @@
 """Distribution, the three protocols, delay propagation, and the repair pass."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,10 +26,13 @@ from coalloc import (
     build_dag,
     cluster_tasks,
     distribute,
+    generate_workload,
     orchestrate,
     validate_schedule,
 )
+from coalloc import broker as broker_module
 from coalloc.broker import _readiness_entries
+from conftest import make_pool, peak_above_live
 from oracles import edge_costs, least_ready_order
 
 
@@ -426,6 +431,44 @@ def test_repair_order_is_not_the_sorted_placements():
     resources = [ResourceSpec(r, r, "c", "f", 8.0, 8.0, 90.0) for r in ("r1", "r2")]
     agents = [AgentSpec("a1", ("r1", "r2"))]
     assert validate_schedule(schedule, dag, resources, agents).is_empty()
+
+
+def test_repair_releases_a_chain_predecessor_that_is_also_a_dag_predecessor():
+    # On r1, a follows w and b follows a, which b also depends on: a is
+    # b's predecessor twice, once in the DAG and once on the resource, and
+    # must release it twice, or b never becomes ready.
+    tasks = [task("w", 2.0), task("a", 2.0), task("b", 1.0, [("a", 1.0)])]
+    dag = build_dag(tasks)
+    partials = [
+        PartialSchedule("C1", {"w": Placement("w", "r1", "a1", 0.0, 2.0)}),
+        PartialSchedule("C2", {
+            "a": Placement("a", "r1", "a1", 1.0, 3.0),
+            "b": Placement("b", "r1", "a1", 3.0, 4.0),
+        }),
+    ]
+    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    spans = {t: (p.start, p.end) for t, p in schedule.by_task().items()}
+    assert spans == {"w": (0.0, 2.0), "a": (2.0, 4.0), "b": (4.0, 5.0)}
+    resources = [ResourceSpec("r1", "r1", "c", "f", 8.0, 8.0, 90.0)]
+    agents = [AgentSpec("a1", ("r1",))]
+    assert validate_schedule(schedule, dag, resources, agents).is_empty()
+
+
+def test_repair_peak_memory_stays_small(monkeypatch):
+    # The resource-chain predecessors sit in their own map instead of a
+    # copy of every chained task's predecessors, and the sweep keeps no
+    # sorted node list or rank map. Before, this call peaked at 0.88 MB
+    # above the live set.
+    captured = []
+
+    def spy(*args):
+        captured.append(args)
+        return assemble_and_repair(*args)
+
+    monkeypatch.setattr(broker_module, "assemble_and_repair", spy)
+    resources, agents = make_pool(random.Random(7), 10, 30)
+    orchestrate(generate_workload(99, 2000, 25, 0.01), resources, agents)
+    assert peak_above_live(assemble_and_repair, *captured[0]) <= 0.75e6
 
 
 def test_repair_reports_deadline_violations():

@@ -337,6 +337,25 @@ def test_generate_rejects_a_deadline_probability_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--density", "-1e-3", "edge_density must be in [0, 1]"),
+        ("--density", "-inf", "edge_density must be in [0, 1]"),
+        ("--deadline-prob", "-1e-3", "deadline_probability must be in [0, 1]"),
+    ],
+)
+def test_generate_reads_a_negative_exponent_or_infinity_as_a_value(
+    flag, value, message, tmp_path, capsys
+):
+    # argparse alone reads a token that starts with "-" and is not shaped
+    # like -1 or -1.5 as an option, and fails with "expected one argument".
+    code = cli.main(["generate", "--out", str(tmp_path / "g"), flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g").exists()
+
+
 def test_validate_accepts_engine_output(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     out = tmp_path / "out"

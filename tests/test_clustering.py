@@ -16,7 +16,7 @@ from coalloc import (
     max_cluster_size,
     quotient,
 )
-from conftest import corpus_instance
+from conftest import corpus_instance, peak_above_live
 from oracles import (
     coloring_is_acyclic,
     edge_costs,
@@ -155,6 +155,14 @@ def test_single_successor_is_taken_and_its_slot_followed(monkeypatch):
     assert finished == [("a", "c", "d"), ("b",)]
 
 
+def test_cluster_tasks_peak_memory_stays_small():
+    # A part holds int lists of its neighbours until it first merges, and
+    # the lists are released before the quotient is built. With a set per
+    # task for each direction this job peaked at 3.65 MB above the live set.
+    dag = build_dag(generate_workload(99, 2000, 25, 0.01))
+    assert peak_above_live(cluster_tasks, dag, 10) <= 2.0e6
+
+
 def test_quotient_of_singletons_is_isomorphic():
     tasks = [
         TaskSpec("x", 1.0, 0.0, 0.0),
@@ -290,6 +298,21 @@ def shuffled_dags(draw):
 @example(([TaskSpec(str(i), 1.0) for i in (3, 1, 2)], 2))  # no edges
 @example((chain(6), 1))  # one agent: quota n + 1
 @example((chain(4), 9))  # more agents than tasks: quota 1
+# a absorbs b, whose slot is kept (4 adjacency entries against a's 2), so
+# a's neighbour x, which never merged, has its pred list [a] relinked to
+# [b]; quota 7
+@example((
+    [dependent("a"), dependent("b", "a"), dependent("x", "a"),
+     dependent("c", "b"), dependent("d", "b"), dependent("e", "b")],
+    1,
+))
+# the same merge, but x's pred list [a, b] already holds the kept b, so a
+# is dropped from it; quota 6
+@example((
+    [dependent("a"), dependent("b", "a"), dependent("x", "a", "b"),
+     dependent("c", "b"), dependent("d", "b")],
+    1,
+))
 def test_cluster_tasks_matches_per_candidate_reference(case):
     tasks, num_agents = case
     dag = build_dag(tasks)
