@@ -200,9 +200,17 @@ def apply_dependency_delays(
 
 
 class AgentActor:
-    """One scheduling agent: owns resource timelines, reacts to broker messages."""
+    """One scheduling agent: owns resource timelines, reacts to broker messages.
 
-    def __init__(self, spec: AgentSpec, resources: Sequence[ResourceSpec]):
+    It is built with the job DAG, read-only, and picks its own resources out
+    of ``resources``. An AssignCluster message carries the cluster to
+    schedule; a DependencyInfo message carries the (taskId, readyTime) pairs
+    for the cluster it names.
+    """
+
+    def __init__(
+        self, spec: AgentSpec, resources: Sequence[ResourceSpec], dag: TaskDag
+    ):
         by_id = {r.resource_id: r for r in resources}
         missing = sorted(set(spec.resources) - set(by_id))
         if missing:
@@ -210,6 +218,7 @@ class AgentActor:
                 f"agent {spec.agent_id!r} given no spec for: " + ", ".join(missing)
             )
         self.spec = spec
+        self.dag = dag
         self.timelines = {
             rid: ResourceTimeline(by_id[rid]) for rid in sorted(spec.resources)
         }
@@ -221,20 +230,19 @@ class AgentActor:
 
     def handle(self, message: protocol.Message) -> protocol.Message:
         """Process a broker message and produce the protocol reply."""
-        payload = message.payload
         if message.kind is protocol.MessageKind.ASSIGN_CLUSTER:
             partial = schedule_cluster(
-                payload.cluster, payload.dag, self.timelines, self.agent_id
+                message.payload, self.dag, self.timelines, self.agent_id
             )
             kind = protocol.MessageKind.CLUSTER_SCHEDULED
         elif message.kind is protocol.MessageKind.DEPENDENCY_INFO:
-            stored = self._partials.get(payload.cluster_id)
+            stored = self._partials.get(message.cluster_id)
             if stored is None:
                 raise ProtocolError(
                     f"agent {self.agent_id} got readiness for unassigned "
-                    f"cluster {payload.cluster_id!r}"
+                    f"cluster {message.cluster_id!r}"
                 )
-            partial = apply_dependency_delays(stored, payload.entries)
+            partial = apply_dependency_delays(stored, message.payload)
             kind = protocol.MessageKind.ADJUSTED_SCHEDULE
         else:
             raise ProtocolError(

@@ -24,15 +24,7 @@ from .model import (
     TaskSpec,
     validate_agent_map,
 )
-from .protocol import (
-    BROKER,
-    USER,
-    AssignClusterPayload,
-    DependencyInfoPayload,
-    Message,
-    MessageKind,
-    MessageLog,
-)
+from .protocol import BROKER, USER, Message, MessageKind, MessageLog
 
 __all__ = [
     "Assignment",
@@ -220,19 +212,14 @@ class Broker:
         cluster_dag = cluster_tasks(dag, len(agents))
         assignment = distribute(cluster_dag, agents, dag, resources)
 
-        resource_by_id = {r.resource_id: r for r in resources}
-        actors = {
-            a.agent_id: AgentActor(a, [resource_by_id[rid] for rid in a.resources])
-            for a in agents
-        }
+        actors = {a.agent_id: AgentActor(a, resources, dag) for a in agents}
 
         # Phase 2: every cluster is scheduled locally, inter-cluster edges
         # ignored; agents start from time 0 on their own timelines. An agent
         # finds a task infeasible only in a cluster no agent can host.
         try:
             partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
-                cid: AssignClusterPayload(cluster_dag.by_id[cid], dag)
-                for cid in assignment.order
+                cid: cluster_dag.by_id[cid] for cid in assignment.order
             })
         except InfeasibleTaskError as exc:
             raise InfeasibleTaskError(
@@ -245,11 +232,8 @@ class Broker:
         # deeper clusters get readiness reports and shift rigidly.
         for level in cluster_dag.levels()[1:]:
             reports = {
-                cluster.cluster_id: DependencyInfoPayload(
-                    cluster.cluster_id,
-                    tuple(_readiness_entries(cluster, dag, cluster_dag, partials)),
-                )
-                for cluster in level
+                c.cluster_id: tuple(_readiness_entries(c, dag, cluster_dag, partials))
+                for c in level
             }
             partials.update(
                 _exchange(log, actors, assignment, MessageKind.DEPENDENCY_INFO, reports)

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from .clustering import Cluster
-    from .graph import TaskDag
+from typing import Any
 
 USER = "user"
 BROKER = "broker"
@@ -29,26 +25,16 @@ class MessageKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AssignClusterPayload:
-    cluster: "Cluster"
-    # The job DAG, read-only; the agent reads only its cluster's tasks and
-    # their in-cluster edges.
-    dag: "TaskDag"
-
-
-@dataclass(frozen=True)
-class DependencyInfoPayload:
-    cluster_id: str
-    entries: tuple[tuple[str, float], ...]  # (taskId, readyTime)
-
-
-@dataclass(frozen=True)
 class Message:
     kind: MessageKind
     sender: str
     receiver: str
-    # SubmitTasks carries the task count, ScheduleResult the FinalSchedule.
+    # Only what the receiver lacks: SubmitTasks carries the task count,
+    # AssignCluster the Cluster, ClusterScheduled and AdjustedSchedule a
+    # PartialSchedule, DependencyInfo a tuple of (taskId, readyTime) pairs
+    # and ScheduleResult the FinalSchedule. Agents hold the job DAG.
     payload: Any
+    # The cluster a broker-agent message is about; None for user messages.
     cluster_id: str | None = None
 
     def summary(self) -> str:
@@ -62,20 +48,12 @@ class Message:
                 f"makespan={self.payload.makespan}"
             )
         if kind is MessageKind.ASSIGN_CLUSTER:
-            return (
-                f"cluster={self.payload.cluster.cluster_id} "
-                f"tasks={len(self.payload.cluster.tasks)}"
-            )
-        if kind is MessageKind.DEPENDENCY_INFO:
-            return (
-                f"cluster={self.payload.cluster_id} "
-                f"entries={len(self.payload.entries)}"
-            )
-        # ClusterScheduled / AdjustedSchedule carry a PartialSchedule
-        return (
-            f"cluster={self.payload.cluster_id} "
-            f"placements={len(self.payload.placements)}"
-        )
+            count = f"tasks={len(self.payload.tasks)}"
+        elif kind is MessageKind.DEPENDENCY_INFO:
+            count = f"entries={len(self.payload)}"
+        else:
+            count = f"placements={len(self.payload.placements)}"
+        return f"cluster={self.cluster_id} {count}"
 
 
 @dataclass

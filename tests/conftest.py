@@ -109,6 +109,35 @@ def corpus_instance(seed: int) -> Scenario:
     return Scenario(tasks, resources, agents)
 
 
+def off_grid_instance(rng: random.Random) -> Scenario:
+    """Random instance off the quarter-second grid: 2-30 tasks with
+    3-decimal processing and communication times, one task in ten of zero
+    length, ids shuffled against the dependency order, the task list
+    shuffled too, and 1-4 agents of 2 resources each, every resource able
+    to host every task."""
+    n = rng.randint(2, 30)
+    names = [f"t{k:02d}" for k in rng.sample(range(n), n)]
+    tasks = []
+    for i, name in enumerate(names):
+        preds = [p for p in range(i) if rng.random() < 0.2]
+        processing = 0.0 if rng.random() < 0.1 else rng.randint(1, 5000) / 1000
+        deps = tuple(
+            Dependency(names[p], rng.randint(0, 5000) / 1000) for p in preds
+        )
+        tasks.append(TaskSpec(name, processing, 1.0, 1.0, None, deps))
+    rng.shuffle(tasks)
+    num_agents = rng.randint(1, 4)
+    resources = [
+        ResourceSpec(f"R{i}", cpu_power=4.0, memory=4.0)
+        for i in range(2 * num_agents)
+    ]
+    agents = [
+        AgentSpec(f"A{k + 1}", (f"R{2 * k}", f"R{2 * k + 1}"))
+        for k in range(num_agents)
+    ]
+    return Scenario(tasks, resources, agents)
+
+
 def peak_above_live(fn, *args) -> int:
     """Bytes ``fn(*args)`` holds at its peak above what was live before the
     call, traced by ``tracemalloc`` with the cyclic collector off."""

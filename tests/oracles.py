@@ -8,12 +8,18 @@ phase-1 clustering by a greedy that runs one DFS per merge candidate, the
 descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, dependency
 levels by relaxing along that order, resource overlaps by a full
-pairwise scan, and the XML readers by building the whole element tree
-before walking it (only the per-element parsers are shared).
+pairwise scan, the XML readers by building the whole element tree
+before walking it (only the per-element parsers are shared), phase 3 and
+the repair pass by shifting clusters from the logged phase-2 placements
+and iterating the release rule to a fixpoint, and the float contract by
+exact rational arithmetic.
 None of it imports ``coalloc.clustering``.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 
 def coloring_is_acyclic(adjacency: dict) -> bool:
@@ -355,3 +361,132 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
             what = "taskId" if kind == "task" else "resource Id"
             raise StructuralError(f"duplicate {what} {item_id!r}")
     return items
+
+
+def reference_phase3_and_repair(result):
+    """The final schedule of ``result``, rebuilt from its logged phase-2
+    placements by rigid cluster shifts and a fixpoint repair.
+
+    Each ``ClusterScheduled`` message gives one cluster's placements. In
+    cluster topological order, a cluster shifts by the largest
+    ``ready - start`` over its tasks' predecessors in other clusters, where
+    ``ready`` is the predecessor's shifted end plus the commTime unless both
+    run on one resource; a shift that leaves ``start + shift < ready`` is
+    stepped up one float until it does not, and a cluster with no such
+    predecessor stays put. The repair then keeps each positive-length task
+    behind the one before it on its resource (by shifted start, then task
+    id) and its DAG predecessors, recomputing every start from the shifted
+    start and every end as ``start + processingTime`` until nothing changes.
+    """
+    from coalloc import FinalSchedule, MessageKind, Placement
+
+    specs = result.dag.tasks
+    scheduled = {
+        m.cluster_id: m.payload.placements
+        for m in result.log
+        if m.kind is MessageKind.CLUSTER_SCHEDULED
+    }
+    owner = {t: cid for cid, placements in scheduled.items() for t in placements}
+    outside = {
+        cid: [
+            (t, dep)
+            for t in placements
+            for dep in specs[t].dependencies
+            if owner[dep.task_id] != cid
+        ]
+        for cid, placements in scheduled.items()
+    }
+    shifted: dict = {}  # task id -> phase-3 placement
+    left = set(scheduled)
+    while left:
+        batch = [
+            cid for cid in sorted(left)
+            if not any(owner[dep.task_id] in left for _, dep in outside[cid])
+        ]
+        assert batch, "the cluster quotient has a cycle"
+        for cid in batch:
+            placements = scheduled[cid]
+            delta = 0.0
+            for t, dep in outside[cid]:
+                prior, start = shifted[dep.task_id], placements[t].start
+                ready = prior.end
+                if prior.resource_id != placements[t].resource_id:
+                    ready += dep.comm_time
+                step = ready - start
+                while start + step < ready:
+                    step = math.nextafter(step, math.inf)
+                delta = max(delta, step)
+            for t, p in placements.items():
+                shifted[t] = Placement(
+                    t, p.resource_id, p.agent_id, p.start + delta, p.end + delta
+                )
+        left.difference_update(batch)
+
+    before: dict = {}
+    chains: dict = {}
+    for p in shifted.values():
+        if p.end > p.start:
+            chains.setdefault(p.resource_id, []).append(p)
+    for chain in chains.values():
+        chain.sort(key=lambda p: (p.start, p.task_id))
+        before.update((b.task_id, a.task_id) for a, b in zip(chain, chain[1:]))
+    start = {t: p.start for t, p in shifted.items()}
+    end = {t: p.start + specs[t].processing_time for t, p in shifted.items()}
+    changed = True
+    while changed:
+        changed = False
+        for t, p in shifted.items():
+            s = p.start
+            for dep in specs[t].dependencies:
+                need = end[dep.task_id]
+                if shifted[dep.task_id].resource_id != p.resource_id:
+                    need += dep.comm_time
+                s = max(s, need)
+            if t in before:
+                s = max(s, end[before[t]])
+            if (s, s + specs[t].processing_time) != (start[t], end[t]):
+                start[t], end[t] = s, s + specs[t].processing_time
+                changed = True
+
+    placements = tuple(sorted(
+        (Placement(t, p.resource_id, p.agent_id, start[t], end[t])
+         for t, p in shifted.items()),
+        key=lambda p: (p.start, p.task_id),
+    ))
+    late = tuple(sorted(
+        t for t, spec in specs.items()
+        if spec.deadline_time is not None and end[t] > spec.deadline_time
+    ))
+    return FinalSchedule(placements, max(end.values(), default=0.0), late)
+
+
+def exact_shortfalls(schedule, dag) -> list:
+    """Every dependency and row of a finite schedule that misses the float
+    contract by more than one ulp, in exact rational arithmetic.
+
+    An edge falls short by ``end + commTime - start`` (no commTime on one
+    resource) and a row by ``|start + processingTime - end|``. The allowance
+    is one ulp of the float sum the engine computes, ``fl(end + commTime)``
+    or ``fl(start + processingTime)``; an edge on one resource sums nothing
+    and is allowed nothing. Returns ``(predId, succId, shortfall)`` for
+    edges and ``(taskId, taskId, shortfall)`` for rows, shortfalls as
+    ``Fraction``s.
+    """
+    by_task = {p.task_id: p for p in schedule.placements}
+    out = []
+    for succ, spec in dag.tasks.items():
+        s = by_task[succ]
+        for dep in spec.dependencies:
+            p = by_task[dep.task_id]
+            need, allowed = Fraction(p.end), 0.0
+            if p.resource_id != s.resource_id:
+                need += Fraction(dep.comm_time)
+                allowed = math.ulp(p.end + dep.comm_time)
+            if need - Fraction(s.start) > Fraction(allowed):
+                out.append((dep.task_id, succ, need - Fraction(s.start)))
+        miss = abs(
+            Fraction(s.start) + Fraction(spec.processing_time) - Fraction(s.end)
+        )
+        if miss > Fraction(math.ulp(s.start + spec.processing_time)):
+            out.append((succ, succ, miss))
+    return out

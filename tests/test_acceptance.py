@@ -67,7 +67,9 @@ class CorpusSummary:
 
 
 def protocol_deviations(result) -> list[str]:
-    """Check per-cluster message sequences and recompute every readyTime."""
+    """Check per-cluster message sequences, that every cluster-addressed
+    message names the cluster its payload carries or schedules, and
+    recompute every readyTime."""
     issues: list[str] = []
     level_of = {
         c.cluster_id: depth
@@ -87,6 +89,19 @@ def protocol_deviations(result) -> list[str]:
     costs = edge_costs(result.dag)
     latest: dict[str, dict] = {}
     for entry in result.log:
+        if entry.kind is MessageKind.DEPENDENCY_INFO:
+            # the entries name the cluster's own tasks
+            carried = {owner.get(task_id) for task_id, _ in entry.payload}
+        elif entry.kind in long:
+            carried = {entry.payload.cluster_id}
+        else:
+            continue
+        if entry.cluster_id is None or carried != {entry.cluster_id}:
+            issues.append(
+                f"{entry.kind.value} for cluster {entry.cluster_id!r} "
+                f"carries {sorted(carried, key=str)}"
+            )
+            continue
         if entry.kind in (MessageKind.CLUSTER_SCHEDULED,
                           MessageKind.ADJUSTED_SCHEDULE):
             latest[entry.cluster_id] = entry.payload.placements
@@ -104,9 +119,9 @@ def protocol_deviations(result) -> list[str]:
                     if prior.resource_id != t_res:
                         ready += costs[(pred, task_id)]
                     expected_entries.append((task_id, ready))
-            if tuple(expected_entries) != entry.payload.entries:
+            if tuple(expected_entries) != entry.payload:
                 issues.append(
-                    f"{entry.cluster_id}: readiness {entry.payload.entries} "
+                    f"{entry.cluster_id}: readiness {entry.payload} "
                     f"!= end+commTime {tuple(expected_entries)}"
                 )
     return issues

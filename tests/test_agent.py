@@ -27,7 +27,7 @@ from coalloc import (
     generate_workload,
     schedule_cluster,
 )
-from coalloc.protocol import BROKER, DependencyInfoPayload, Message, MessageKind
+from coalloc.protocol import BROKER, Message, MessageKind
 from conftest import make_pool
 from oracles import brute_force_earliest, check_selection_rule, edge_costs
 
@@ -413,21 +413,23 @@ def test_actor_needs_a_spec_for_every_resource_it_lists():
     with pytest.raises(
         StructuralError, match="^agent 'a1' given no spec for: r2, r3$"
     ):
-        AgentActor(AgentSpec("a1", ("r3", "r1", "r2")), [resource("r1")])
+        AgentActor(
+            AgentSpec("a1", ("r3", "r1", "r2")), [resource("r1")], build_dag([])
+        )
 
 
 def test_actor_rejects_readiness_for_an_unassigned_cluster():
-    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")])
+    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")], build_dag([]))
     message = Message(
         MessageKind.DEPENDENCY_INFO, BROKER, "a1",
-        DependencyInfoPayload("C9", (("t", 1.0),)), "C9",
+        (("t", 1.0),), "C9",
     )
     with pytest.raises(ProtocolError, match="unassigned cluster 'C9'"):
         actor.handle(message)
 
 
 def test_actor_rejects_a_kind_it_cannot_handle():
-    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")])
+    actor = AgentActor(AgentSpec("a1", ("r1",)), [resource("r1")], build_dag([]))
     partial = PartialSchedule("C1", {"t": Placement("t", "r1", "a1", 0.0, 1.0)})
     message = Message(MessageKind.CLUSTER_SCHEDULED, BROKER, "a1", partial, "C1")
     with pytest.raises(ProtocolError, match="cannot handle ClusterScheduled"):

@@ -32,8 +32,9 @@ from coalloc import (
 )
 from coalloc import broker as broker_module
 from coalloc.broker import _readiness_entries
-from conftest import make_pool, peak_above_live
-from oracles import edge_costs, least_ready_order
+from coalloc.model import schedule_to_csv
+from conftest import corpus_instance, make_pool, off_grid_instance, peak_above_live
+from oracles import edge_costs, least_ready_order, reference_phase3_and_repair
 
 
 def task(task_id, processing=1.0, deps=()):
@@ -232,7 +233,7 @@ def test_chained_clusters_get_readiness_and_respect_it():
     info = [e for e in result.log if e.kind is MessageKind.DEPENDENCY_INFO]
     assert len(info) == 1
     end_t3 = result.schedule.by_task()["t3"].end
-    assert info[0].payload.entries == (("t4", end_t3 + 2.0),)
+    assert info[0].payload == (("t4", end_t3 + 2.0),)
     assert result.schedule.by_task()["t4"].start >= end_t3 + 2.0
     # four-step sequence for the delayed cluster
     kinds = [e.kind for e in result.log.for_cluster("C2")]
@@ -274,7 +275,7 @@ def test_dependency_info_covers_every_crossing_edge(engineered):
         entry
         for e in result.log
         if e.kind is MessageKind.DEPENDENCY_INFO
-        for entry in e.payload.entries
+        for entry in e.payload
     ]
     assert len(entries) == len(crossing)
     assert sorted(t for t, _ in entries) == sorted(s for _, s in crossing)
@@ -606,3 +607,21 @@ def test_off_grid_instances_schedule_and_validate(instance):
     result = orchestrate(tasks, resources, agents)
     report = validate_schedule(result.schedule, result.dag, resources, agents)
     assert report.is_empty(), report
+
+
+def assert_reference_phase3_and_repair(instance):
+    result = orchestrate(instance.tasks, instance.resources, instance.agents)
+    reference = reference_phase3_and_repair(result)
+    assert schedule_to_csv(reference) == schedule_to_csv(result.schedule)
+    assert reference == result.schedule
+
+
+def test_phase3_and_repair_match_the_reference_on_the_corpus():
+    for seed in range(100):
+        assert_reference_phase3_and_repair(corpus_instance(seed))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False))
+def test_phase3_and_repair_match_the_reference_off_grid(rng):
+    assert_reference_phase3_and_repair(off_grid_instance(rng))

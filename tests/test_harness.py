@@ -1,5 +1,7 @@
 """Validator oracle behavior, generator determinism, and metrics."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from coalloc import (
     validate_schedule,
 )
 from coalloc.harness import TIME_GRID
-from oracles import all_pairs_overlaps
+from conftest import off_grid_instance
+from oracles import all_pairs_overlaps, exact_shortfalls
 
 
 def simple_world(tasks):
@@ -114,6 +117,34 @@ def test_cross_resource_precedence_violation():
     )
     report = validate_schedule(schedule, dag, resources, agents)
     assert report.precedence_violations == [("p", "s", 3.0, 1.0)]
+
+
+def test_exact_shortfalls_flag_a_dropped_comm_time_and_a_short_row():
+    # s starts when p ends on another resource, so it is short by the whole
+    # commTime, and its row runs a quarter past its processing time
+    tasks = [
+        TaskSpec("p", 1.5),
+        TaskSpec("s", 1.0, dependencies=(Dependency("p", 0.375),)),
+    ]
+    dag, resources, agents = simple_world(tasks)
+    schedule = FinalSchedule(
+        (place("p", "r1", 0.0, 1.5), place("s", "r2", 1.5, 2.75)), 2.75
+    )
+    assert exact_shortfalls(schedule, dag) == [
+        ("p", "s", Fraction(3, 8)),
+        ("s", "s", Fraction(1, 4)),
+    ]
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert report.precedence_violations == [("p", "s", 1.875, 1.5)]
+    assert report.duration_mismatches == [("s", 2.5, 2.75)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_engine_meets_the_float_contract_within_one_ulp(rng):
+    instance = off_grid_instance(rng)
+    result = orchestrate(instance.tasks, instance.resources, instance.agents)
+    assert exact_shortfalls(result.schedule, result.dag) == []
 
 
 def test_precedence_violations_by_task_then_declared_dependency():
