@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .clustering import Cluster
 from .errors import InfeasibleTaskError, ProtocolError, StructuralError, ValidationError
-from .graph import TaskDag, levelize
+from .graph import TaskDag, levelize, release
 from .model import AgentSpec, Placement, ResourceSpec, TaskSpec
 from . import protocol
 
@@ -155,12 +155,16 @@ def schedule_cluster(
                 )
             # In-cluster predecessors sit in earlier blocks, so they are
             # exactly the predecessors already placed.
-            priors = [placed[p] for p in dag.preds[task_id] if p in placed]
+            priors = [
+                (placed[d.task_id], d.comm_time)
+                for d in task.dependencies
+                if d.task_id in placed
+            ]
             best: tuple[float, float, str] | None = None
             for rid in options:
                 ready = 0.0
-                for prior in priors:
-                    ready = max(ready, dag.release(prior, task_id, rid))
+                for prior, comm_time in priors:
+                    ready = max(ready, release(prior, comm_time, rid))
                 start = timelines[rid].earliest_fit(ready, task.processing_time)
                 candidate = (start, start + task.processing_time, rid)
                 if best is None or candidate[:2] < best[:2]:

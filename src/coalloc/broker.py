@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import InfeasibleTaskError, StructuralError, ValidationError
-from .graph import TaskDag, build_dag, topological_sweep
+from .graph import TaskDag, build_dag, release, topological_sweep
 from .model import (
     AgentSpec,
     FinalSchedule,
@@ -158,9 +158,9 @@ def assemble_and_repair(
     for task_id in order:
         placement = merged[task_id]
         start = placement.start
-        for pred in dag.preds[task_id]:
-            prior = merged[pred]
-            start = max(start, dag.release(prior, task_id, placement.resource_id))
+        for dep in dag.tasks[task_id].dependencies:
+            prior = merged[dep.task_id]
+            start = max(start, release(prior, dep.comm_time, placement.resource_id))
         if task_id in before:
             start = max(start, merged[before[task_id]].end)
         end = start + dag.tasks[task_id].processing_time
@@ -288,19 +288,21 @@ def _readiness_entries(
 ) -> list[tuple[str, float]]:
     """One (taskId, readyTime) entry per incoming cross-cluster edge.
 
-    readyTime is the predecessor's release time (``TaskDag.release``) against
-    the resource the cluster's current schedule gives the task; predecessors
-    sit in earlier levels, so their schedules are final.
+    Entries follow the cluster's tasks in ascending id, and each task's
+    edges in declaration order. readyTime is the predecessor's release time
+    (``graph.release``) against the resource the cluster's current schedule
+    gives the task; predecessors sit in earlier levels, so their schedules
+    are final.
     """
     own = partials[cluster.cluster_id].placements
     entries: list[tuple[str, float]] = []
     for task_id in cluster.tasks:
         resource_id = own[task_id].resource_id
-        for pred in dag.preds[task_id]:
-            owner = cluster_dag.cluster_of[pred]
+        for dep in dag.tasks[task_id].dependencies:
+            owner = cluster_dag.cluster_of[dep.task_id]
             if owner != cluster.cluster_id:
-                prior = partials[owner].placements[pred]
-                entries.append((task_id, dag.release(prior, task_id, resource_id)))
+                prior = partials[owner].placements[dep.task_id]
+                entries.append((task_id, release(prior, dep.comm_time, resource_id)))
     return entries
 
 

@@ -14,7 +14,8 @@ import io
 import logging
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
@@ -44,11 +45,27 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
-def _read(path: Path, what: str) -> str:
+@contextmanager
+def _opened(path: Path, what: str) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8; failing to open, read or decode
+    it, inside the block too, raises :class:`SchedulingError`."""
     try:
-        return path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as source:
+            yield source
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            # Its position counts from the start of the chunk being decoded;
+            # decoding the whole file again gives the position in the file.
+            try:
+                path.read_bytes().decode("utf-8")
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
         raise SchedulingError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _read(path: Path, what: str) -> str:
+    with _opened(path, what) as source:
+        return source.read()
 
 
 def _write(path: Path, text: str) -> None:
@@ -76,8 +93,11 @@ def _make_out_dir(out: Path) -> None:
 
 
 def _load_inputs(args: argparse.Namespace):
-    tasks = parse_task_file(_read(args.tasks, "task file"))
-    resources = parse_resource_file(_read(args.resources, "resource file"))
+    # The XML files go to their parsers a slice at a time, never whole.
+    with _opened(args.tasks, "task file") as source:
+        tasks = parse_task_file(source)
+    with _opened(args.resources, "resource file") as source:
+        resources = parse_resource_file(source)
     agents = parse_agent_map(_read(args.agents, "agent map"))
     validate_agent_map(agents, resources)
     return tasks, resources, agents

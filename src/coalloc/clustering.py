@@ -192,7 +192,8 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     low: list[str] = list(task_ids)  # smallest task id per part
     index_of = {t: i for i, t in enumerate(task_ids)}
     preds: list[Adjacency] = [
-        list(map(index_of.__getitem__, dag.preds[t])) for t in task_ids
+        [index_of[d.task_id] for d in spec.dependencies]
+        for spec in dag.tasks.values()
     ]
     del index_of
     succs: list[Adjacency] = [[] for _ in task_ids]

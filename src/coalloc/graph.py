@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
@@ -18,30 +18,22 @@ T = TypeVar("T")
 class TaskDag:
     """Directed acyclic graph over tasks.
 
-    Node cost is the task's processing time; edge cost is the communication
-    time each spec declares on its dependencies, the one copy of every edge.
-    ``preds[t]`` is derived from it: each predecessor of ``t``, in ascending
-    task id, mapped to its communication time. Treat it as read-only.
+    Node cost is the task's processing time. Edges live only in the specs:
+    each spec's ``dependencies`` names the task's predecessors with their
+    communication times, the one copy of every edge, and every phase visits
+    them in declaration order. ``preds`` reads the same edges as predecessor
+    ids, for the generic sweeps below.
     """
 
     tasks: dict[str, TaskSpec]
-    preds: dict[str, dict[str, float]] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.preds = {
-            t: dict(sorted((d.task_id, d.comm_time) for d in spec.dependencies))
-            for t, spec in self.tasks.items()
-        }
+    @property
+    def preds(self) -> Mapping[str, list[str]]:
+        """Each task's predecessor ids, in declaration order.
 
-    def release(self, prior: Placement, task_id: str, resource_id: str) -> float:
-        """Earliest start of ``task_id`` on ``resource_id`` after ``prior``.
-
-        That is ``prior``'s end, plus the communication time of their edge
-        unless both run on the same resource, where no edge is looked up.
+        A read-only view: every lookup reads the spec, and nothing is kept.
         """
-        if prior.resource_id == resource_id:
-            return prior.end
-        return prior.end + self.preds[task_id][prior.task_id]
+        return _PredIds(self.tasks)
 
     def restrict(self, subset: Iterable[str]) -> "TaskDag":
         """Sub-DAG over ``subset``: only tasks and edges inside the subset.
@@ -63,6 +55,35 @@ class TaskDag:
                 spec = dataclasses.replace(spec, dependencies=deps)
             tasks[t] = spec
         return TaskDag(tasks)
+
+
+class _PredIds(Mapping[str, list[str]]):
+    """``TaskDag.preds``: a fresh id list per lookup, over the specs."""
+
+    __slots__ = ("_tasks",)
+
+    def __init__(self, tasks: Mapping[str, TaskSpec]) -> None:
+        self._tasks = tasks
+
+    def __getitem__(self, task_id: str) -> list[str]:
+        return [d.task_id for d in self._tasks[task_id].dependencies]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tasks)
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+
+def release(prior: Placement, comm_time: float, resource_id: str) -> float:
+    """Earliest start on ``resource_id`` after ``prior`` along an edge.
+
+    That is ``prior``'s end, plus the edge's ``comm_time`` unless both run
+    on the same resource.
+    """
+    if prior.resource_id == resource_id:
+        return prior.end
+    return prior.end + comm_time
 
 
 def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:

@@ -13,9 +13,9 @@ import io
 import logging
 import math
 import xml.etree.ElementTree as ET
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import TextIO, TypeVar
 
 from .errors import StructuralError, ValidationError, XmlFormatError
 
@@ -197,8 +197,21 @@ class FinalSchedule:
 _FEED_CHARS = 16 * 1024  # text per parser feed; ET.iterparse reads as much
 
 
+def _slices(source: str | TextIO) -> Iterator[str]:
+    """``source`` in pieces of at most ``_FEED_CHARS`` characters.
+
+    A text file is read one piece at a time, so its whole text is never
+    held; reading or decoding errors surface from the piece that hits them.
+    """
+    if isinstance(source, str):
+        return (
+            source[at : at + _FEED_CHARS] for at in range(0, len(source), _FEED_CHARS)
+        )
+    return iter(lambda: source.read(_FEED_CHARS), "")
+
+
 def _parse_children(
-    xml_text: str, tag: str, parse: Callable[[ET.Element, int], _Item]
+    source: str | TextIO, tag: str, parse: Callable[[ET.Element, int], _Item]
 ) -> list[_Item]:
     """``parse(child, index)`` for each root child named ``tag``, in file order.
 
@@ -235,8 +248,8 @@ def _parse_children(
             failure = exc
 
     try:
-        for at in range(0, len(xml_text), _FEED_CHARS):
-            parser.feed(xml_text[at : at + _FEED_CHARS])
+        for piece in _slices(source):
+            parser.feed(piece)
             read_events()
             if root is not None and len(root) > 1:
                 take(root[:-1])
@@ -332,13 +345,14 @@ def _parse_task(elem: ET.Element, index: int) -> TaskSpec:
     )
 
 
-def parse_task_file(xml_text: str) -> list[TaskSpec]:
-    """Parse a task XML document into a task set, preserving file order.
+def parse_task_file(source: str | TextIO) -> list[TaskSpec]:
+    """Parse a task XML document, given as text or as a text file open for
+    reading, into a task set, preserving file order.
 
     Dependencies naming ids absent from the file are kept as-is; resolving
     them is the DAG builder's job.
     """
-    tasks = _parse_children(xml_text, "task", _parse_task)
+    tasks = _parse_children(source, "task", _parse_task)
     seen: set[str] = set()
     for task in tasks:
         if task.task_id in seen:
@@ -411,9 +425,10 @@ def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
     )
 
 
-def parse_resource_file(xml_text: str) -> list[ResourceSpec]:
-    """Parse a resource XML document into a resource set, in file order."""
-    resources = _parse_children(xml_text, "Node", _parse_node)
+def parse_resource_file(source: str | TextIO) -> list[ResourceSpec]:
+    """Parse a resource XML document, given as text or as a text file open
+    for reading, into a resource set, in file order."""
+    resources = _parse_children(source, "Node", _parse_node)
     seen: set[str] = set()
     for res in resources:
         if res.resource_id in seen:

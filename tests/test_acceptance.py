@@ -41,7 +41,6 @@ from conftest import corpus_instance, make_engineered, make_pool
 from oracles import (
     check_selection_rule,
     coloring_is_acyclic,
-    edge_costs,
     successor_lists,
 )
 
@@ -86,7 +85,6 @@ def protocol_deviations(result) -> list[str]:
 
     cdag = result.cluster_dag
     owner = cdag.cluster_of
-    costs = edge_costs(result.dag)
     latest: dict[str, dict] = {}
     for entry in result.log:
         if entry.kind is MessageKind.DEPENDENCY_INFO:
@@ -111,13 +109,13 @@ def protocol_deviations(result) -> list[str]:
             expected_entries = []
             for task_id in cluster.tasks:
                 t_res = latest[entry.cluster_id][task_id].resource_id
-                for pred in result.dag.preds[task_id]:
-                    if pred in inside:
+                for dep in result.dag.tasks[task_id].dependencies:
+                    if dep.task_id in inside:
                         continue
-                    prior = latest[owner[pred]][pred]
+                    prior = latest[owner[dep.task_id]][dep.task_id]
                     ready = prior.end
                     if prior.resource_id != t_res:
-                        ready += costs[(pred, task_id)]
+                        ready += dep.comm_time
                     expected_entries.append((task_id, ready))
             if tuple(expected_entries) != entry.payload:
                 issues.append(

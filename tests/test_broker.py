@@ -1,5 +1,6 @@
 """Distribution, the three protocols, delay propagation, and the repair pass."""
 
+import dataclasses
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from coalloc import (
     TaskSpec,
     ValidationError,
     assemble_and_repair,
+    assignment_dump,
     build_dag,
     cluster_tasks,
     distribute,
@@ -625,3 +627,28 @@ def test_phase3_and_repair_match_the_reference_on_the_corpus():
 @given(st.randoms(use_true_random=False))
 def test_phase3_and_repair_match_the_reference_off_grid(rng):
     assert_reference_phase3_and_repair(off_grid_instance(rng))
+
+
+def artifacts(tasks, resources, agents) -> tuple[str, str, str]:
+    result = orchestrate(tasks, resources, agents)
+    return (
+        schedule_to_csv(result.schedule),
+        assignment_dump(result.cluster_dag),
+        result.log.to_text(),
+    )
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_declaration_order_never_reaches_an_artifact(rng, off_grid):
+    # Every phase visits a task's edges in the order its spec declares them.
+    instance = (
+        off_grid_instance(rng) if off_grid else corpus_instance(rng.randrange(10**6))
+    )
+    shuffled = []
+    for spec in instance.tasks:
+        deps = list(spec.dependencies)
+        rng.shuffle(deps)
+        shuffled.append(dataclasses.replace(spec, dependencies=tuple(deps)))
+    pool = (instance.resources, instance.agents)
+    assert artifacts(shuffled, *pool) == artifacts(instance.tasks, *pool)

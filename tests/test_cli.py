@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
+import argparse
 import dataclasses
+import gc
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from coalloc import cli, generate_workload
 from coalloc.model import (
+    _FEED_CHARS,
     SCHEDULE_FIELDS,
     FinalSchedule,
     Placement,
@@ -193,6 +197,37 @@ def test_non_utf8_task_file_exits_1(demo_inputs, tmp_path, capsys):
     assert err.startswith(f"error: cannot read task file {tasks}: ")
     assert "can't decode byte 0xff" in err
     assert err.count("\n") == 1
+
+
+def test_undecodable_byte_past_the_first_slice_exits_1(demo_inputs, tmp_path, capsys):
+    tasks, resources, agents = demo_inputs
+    text = serialize_task_set(generate_workload(5, 200, 4, 0.05)).encode()
+    at = text.index(b"<task>", 2 * _FEED_CHARS)
+    tasks.write_bytes(text[:at] + b"\xff" + text[at:])
+    code = run_schedule((tasks, resources, agents), tmp_path / "out")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read task file {tasks}: ")
+    assert f"can't decode byte 0xff in position {at}:" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_task_file_is_never_held_whole(demo_inputs):
+    tasks, resources, agents = demo_inputs
+    tasks.write_text(serialize_task_set(generate_workload(3, 3000, 10, 0.003)))
+    size = tasks.stat().st_size
+    args = argparse.Namespace(tasks=tasks, resources=resources, agents=agents)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = cli._load_inputs(args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded[0]) == 3000
+    # the whole text alone would add ``size`` above what the task set holds
+    assert peak - held < 0.25 * size
 
 
 @pytest.mark.parametrize("command", ["schedule", "generate", "metrics"])

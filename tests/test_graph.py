@@ -1,8 +1,10 @@
 """DAG construction, cycle detection, and level decomposition."""
 
 import dataclasses
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from coalloc import (
     generate_workload,
     levelize,
 )
+from coalloc.graph import release
 from conftest import make_engineered
 from oracles import (
     closure_by_squaring,
@@ -40,7 +43,8 @@ def test_build_two_task_dag():
     assert edge_costs(dag) == {("1", "2"): 3.0}
     assert dag.tasks["1"].processing_time == 4.0
     assert dag.tasks["2"].processing_time == 6.0
-    assert dag.preds["2"] == {"1": 3.0}
+    assert dag.tasks["2"].dependencies == (Dependency("1", 3.0),)
+    assert dag.preds["2"] == ["1"]
 
 
 def test_two_task_cycle_witness():
@@ -270,9 +274,24 @@ def test_restrict_rejects_unknown_tasks():
 
 
 def test_release_adds_comm_time_only_across_resources():
-    dag = build_dag([task("p", 2.0), task("q", deps=[("p", 5.0)]), task("r")])
     prior = Placement("p", "r1", "a1", 1.0, 3.0)
-    assert dag.release(prior, "q", "r1") == 3.0
-    assert dag.release(prior, "q", "r2") == 8.0
-    # a chain neighbour on the same resource needs no edge
-    assert dag.release(prior, "r", "r1") == 3.0
+    assert release(prior, 5.0, "r1") == 3.0
+    assert release(prior, 5.0, "r2") == 8.0
+
+
+def test_dag_holds_nothing_per_task():
+    # Edges live only in the specs, so the DAG adds only its id-to-spec
+    # dict, about 0.06 MB here; a dict per task would add over 0.7 MB.
+    tasks = generate_workload(99, 2000, 25, 0.01)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dag = build_dag(tasks)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(dag.tasks) == 2000
+    assert held <= 0.15e6
