@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import InfeasibleTaskError, StructuralError, ValidationError
-from .graph import TaskDag, build_dag, release, topological_sweep
+from .graph import TaskDag, build_dag, ready_order, release, topological_sweep
 from .model import (
     AgentSpec,
     FinalSchedule,
@@ -117,6 +117,18 @@ def assemble_and_repair(
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
     reported, not rejected; a task pushed to an infinite end raises
     :class:`ValidationError`.
+
+    Only tasks downstream of a broken constraint are revisited. One check
+    pass finds the tasks that the rule above would move against the merged
+    placements; the repair then sweeps just those and what they reach along
+    DAG and resource-chain edges, predecessors first. The constraint graph
+    is acyclic, so its least fixpoint is unique and any topological order
+    reaches it. A task outside that region already meets its constraints
+    and none of its predecessors moves, so it keeps its placement, as a
+    sweep over the whole job would leave it. A cycle among the constraints
+    must break one of them, since a chained task of positive length
+    strictly raises the start of the next, so a cycle always lies inside
+    the region and is reported there.
     """
     merged: dict[str, Placement] = {}
     for partial in partials:
@@ -148,40 +160,88 @@ def assemble_and_repair(
     for chain in by_resource.values():
         chain.sort(key=lambda t: (merged[t].start, t))
         before.update(zip(chain[1:], chain))
-    del by_resource  # free the chains before the sweep's peak
+    del by_resource  # free the chains before the repair
 
-    order = topological_sweep(dag.preds, before)
-    if len(order) != len(merged):
-        raise StructuralError("repair pass found circular constraints")
-    # Every predecessor is repaired before its successors, so ``merged`` is
-    # rewritten in place and each ``merged[pred]`` read is already final.
-    for task_id in order:
+    specs = dag.tasks
+
+    def pushed(task_id: str) -> Placement | None:
+        """``task_id`` at the least start its constraints allow against
+        ``merged``, or None when that leaves its start and end as they are."""
         placement = merged[task_id]
         start = placement.start
-        for dep in dag.tasks[task_id].dependencies:
-            prior = merged[dep.task_id]
-            start = max(start, release(prior, dep.comm_time, placement.resource_id))
+        for dep in specs[task_id].dependencies:
+            ready = release(merged[dep.task_id], dep.comm_time, placement.resource_id)
+            if ready > start:  # ``max`` without a call per edge
+                start = ready
         if task_id in before:
-            start = max(start, merged[before[task_id]].end)
-        end = start + dag.tasks[task_id].processing_time
-        if start != placement.start or end != placement.end:
-            merged[task_id] = Placement(
-                task_id, placement.resource_id, placement.agent_id, start, end
-            )
+            ready = merged[before[task_id]].end
+            if ready > start:
+                start = ready
+        end = start + specs[task_id].processing_time
+        if start == placement.start and end == placement.end:
+            return None
+        return Placement(task_id, placement.resource_id, placement.agent_id, start, end)
+
+    seeds = [t for t in merged if pushed(t) is not None]
+    # Every predecessor is repaired before its successors, so ``merged`` is
+    # rewritten in place and each ``merged[pred]`` read is already final.
+    for task_id in _repair_order(seeds, specs, before):
+        moved = pushed(task_id)
+        if moved is not None:
+            merged[task_id] = moved
 
     placements = tuple(sorted(merged.values(), key=lambda p: (p.start, p.task_id)))
     makespan = max((p.end for p in placements), default=0.0)
     if not math.isfinite(makespan):
-        raise overflow_error(next(t for t in order if not math.isfinite(merged[t].end)))
+        waits_for = {
+            t: [dep.task_id for dep in spec.dependencies]
+            + ([before[t]] if t in before else [])
+            for t, spec in specs.items()
+        }
+        raise overflow_error(next(
+            t for t in topological_sweep(waits_for) if not math.isfinite(merged[t].end)
+        ))
     violations = tuple(
         sorted(
             t
             for t, p in merged.items()
-            if dag.tasks[t].deadline_time is not None
-            and p.end > dag.tasks[t].deadline_time
+            if specs[t].deadline_time is not None and p.end > specs[t].deadline_time
         )
     )
     return FinalSchedule(placements, makespan, violations)
+
+
+def _repair_order(
+    seeds: list[str], specs: dict[str, TaskSpec], before: dict[str, str]
+) -> list[str]:
+    """The tasks that ``seeds`` reach through DAG and resource-chain edges,
+    seeds included, in an order that puts every predecessor first.
+
+    Raises :class:`StructuralError` when they close a cycle. The maps built
+    here die on return, before the repair builds any placement.
+    """
+    if not seeds:
+        return []
+    succs: dict[str, list[str]] = defaultdict(list)
+    for task_id, spec in specs.items():
+        for dep in spec.dependencies:
+            succs[dep.task_id].append(task_id)
+    for task_id, prior in before.items():
+        succs[prior].append(task_id)
+    indegree = dict.fromkeys(seeds, 0)  # the region, counting its own edges
+    stack = list(seeds)
+    while stack:
+        for s in succs.get(stack.pop(), ()):
+            if s not in indegree:
+                indegree[s] = 0
+                stack.append(s)
+    for task_id in indegree:
+        for s in succs.get(task_id, ()):
+            indegree[s] += 1
+    order = ready_order(indegree, succs)
+    if len(order) != len(indegree):
+        raise StructuralError("repair pass found circular constraints")
+    return order
 
 
 @dataclass

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+from collections import defaultdict
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import NoReturn, TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
 from .model import Placement, TaskSpec
@@ -99,6 +100,7 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
         if task.task_id in by_id:
             raise StructuralError(f"duplicate taskId {task.task_id!r}")
         by_id[task.task_id] = task
+    succs: dict[str, list[str]] = defaultdict(list)
     for task in tasks:
         seen: set[str] = set()
         for dep in task.dependencies:
@@ -109,20 +111,39 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
                     f"task {task.task_id!r} depends on {dep.task_id!r} twice"
                 )
             seen.add(dep.task_id)
+            succs[dep.task_id].append(task.task_id)
+    indegree = {t: len(spec.dependencies) for t, spec in by_id.items()}
     dag = TaskDag(by_id)
-    _acyclic_order(dag.preds)
+    if len(ready_order(indegree, succs)) != len(by_id):
+        _raise_cycle({t for t, deg in indegree.items() if deg}, dag.preds)
     return dag
 
 
-def topological_sweep(
-    preds: Mapping[T, Collection[T]], before: Mapping[T, T] | None = None
-) -> list[T]:
+def ready_order(indegree: dict[T, int], succs: Mapping[T, Sequence[T]]) -> list[T]:
+    """Kahn's algorithm without a heap: nodes in the order they become ready.
+
+    ``indegree`` counts each node's predecessors and is used up: a node left
+    with a nonzero count never became ready. ``succs`` lists a node's
+    successors once per edge, so a predecessor listed twice is released
+    twice; a node without successors may be missing. Nodes on or behind a
+    cycle never become ready, so on a cyclic graph the result is shorter
+    than ``indegree``.
+    """
+    order = [node for node, deg in indegree.items() if not deg]
+    for node in order:  # the list grows as nodes become ready
+        for s in succs.get(node, ()):
+            indegree[s] -= 1
+            if not indegree[s]:
+                order.append(s)
+    return order
+
+
+def topological_sweep(preds: Mapping[T, Collection[T]]) -> list[T]:
     """Kahn's algorithm over the keys of ``preds``, least ready node first.
 
-    Every predecessor must itself be a key. ``before`` gives some nodes one
-    more predecessor each, and a predecessor listed twice is released twice.
-    Nodes on or behind a cycle never become ready, so on a cyclic graph the
-    result is shorter than ``preds``.
+    Every predecessor must itself be a key, and a predecessor listed twice
+    is released twice. Nodes on or behind a cycle never become ready, so on
+    a cyclic graph the result is shorter than ``preds``.
     """
     # Keyed by the nodes themselves: no sorted copy of them and no rank map.
     indegree: dict[T, int] = {}
@@ -131,9 +152,6 @@ def topological_sweep(
         indegree[node] = len(ps)
         for p in ps:
             succs[p].append(node)
-    for node, p in (before or {}).items():
-        indegree[node] += 1
-        succs[p].append(node)
     ready = [node for node, deg in indegree.items() if not deg]
     heapq.heapify(ready)
     order: list[T] = []
@@ -147,18 +165,16 @@ def topological_sweep(
     return order
 
 
-def _acyclic_order(preds: Mapping[T, Collection[T]]) -> list[T]:
-    """``topological_sweep(preds)``, or :class:`CycleError` if it leaves nodes.
+def _raise_cycle(leftover: set[T], preds: Mapping[T, Iterable[T]]) -> NoReturn:
+    """Raise :class:`CycleError` with a cycle among the ``leftover`` nodes.
 
-    Every node left over has a leftover predecessor, so stepping from the
-    least leftover node to its least leftover predecessor must revisit a
-    node. The witness starts there and walks the steps back, which is the
-    cycle in edge direction. A self-loop yields a length-1 cycle.
+    ``leftover`` is what a Kahn sweep leaves over: the nodes on or behind a
+    cycle, the same whatever order the sweep takes. Each has a leftover
+    predecessor, so stepping from the least leftover node to its least
+    leftover predecessor must revisit a node. The witness starts there and
+    walks the steps back, which is the cycle in edge direction. A self-loop
+    yields a length-1 cycle.
     """
-    order = topological_sweep(preds)
-    if len(order) == len(preds):
-        return order
-    leftover = set(preds).difference(order)
     path: list[T] = []
     position: dict[T, int] = {}
     node = min(leftover)
@@ -204,9 +220,5 @@ def levelize(
                     released.append(s)
         frontier = released
     if sum(map(len, blocks)) != len(indegree):
-        # The nodes left over are those on or behind a cycle, whatever the
-        # sweep order, so ``_acyclic_order`` leaves the same ones and raises.
-        _acyclic_order(
-            {n: [p for p in preds.get(n, ()) if p in indegree] for n in indegree}
-        )
+        _raise_cycle({n for n, deg in indegree.items() if deg}, preds)
     return blocks

@@ -9,7 +9,16 @@ from dataclasses import dataclass
 
 import pytest
 
-from coalloc import AgentSpec, Dependency, ResourceSpec, TaskSpec, generate_workload
+from coalloc import (
+    AgentSpec,
+    Dependency,
+    PartialSchedule,
+    Placement,
+    ResourceSpec,
+    TaskSpec,
+    build_dag,
+    generate_workload,
+)
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,87 @@ def off_grid_instance(rng: random.Random) -> Scenario:
         for k in range(num_agents)
     ]
     return Scenario(tasks, resources, agents)
+
+
+REPAIR_KINDS = ("consistent", "clusters", "random")
+
+
+def repair_instance(rng: random.Random, kind: str):
+    """Random input for the repair pass: ``(partials, dag)``.
+
+    1-12 tasks with 3-decimal times, one in five of zero length and one in
+    three with a deadline, ids shuffled against the dependency order, in
+    1-4 clusters of agent ``A1`` on resources ``R0``-``R2``. ``kind`` sets
+    the starts:
+
+    - ``"consistent"``: one list schedule of the whole job, so nothing
+      needs repair;
+    - ``"clusters"``: each cluster list-scheduled on its own from time 0 and
+      shifted rigidly by a 3-decimal delay, as phase 3 does, so clusters
+      collide on shared resources and cross-cluster edges can break;
+    - ``"random"``: every start drawn at random, which also puts a task
+      ahead of its own predecessor on a resource and closes a cycle.
+    """
+    def thousandths(hi: int) -> float:
+        return rng.randint(0, hi) / 1000
+
+    n = rng.randint(1, 12)
+    names = [f"t{k:02d}" for k in rng.sample(range(n), n)]
+    tasks = []
+    for i, name in enumerate(names):
+        deps = tuple(
+            Dependency(names[p], thousandths(3000))
+            for p in range(i) if rng.random() < 0.3
+        )
+        processing = 0.0 if rng.random() < 0.2 else thousandths(5000)
+        deadline = thousandths(20000) if rng.random() < 1 / 3 else None
+        tasks.append(TaskSpec(name, processing, 1.0, 1.0, deadline, deps))
+    num_clusters = rng.randint(1, min(n, 4))
+    cluster_of = {t.task_id: rng.randrange(num_clusters) for t in tasks}
+    resource_of = {t.task_id: f"R{rng.randrange(3)}" for t in tasks}
+
+    def list_schedule(group: list[TaskSpec]) -> dict[str, tuple[float, float]]:
+        # in dependency order, behind in-group predecessors and the
+        # resource's last positive-length task, after a random idle gap
+        spans: dict[str, tuple[float, float]] = {}
+        free: dict[str, float] = {}
+        for spec in group:
+            rid = resource_of[spec.task_id]
+            start = free.get(rid, 0.0)
+            for dep in spec.dependencies:
+                if dep.task_id in spans:
+                    ready = spans[dep.task_id][1]
+                    if resource_of[dep.task_id] != rid:
+                        ready += dep.comm_time
+                    start = max(start, ready)
+            start += thousandths(1000)
+            spans[spec.task_id] = (start, start + spec.processing_time)
+            if spec.processing_time > 0:
+                free[rid] = start + spec.processing_time
+        return spans
+
+    if kind == "consistent":
+        spans = list_schedule(tasks)
+    elif kind == "clusters":
+        spans = {}
+        for c in range(num_clusters):
+            delay = thousandths(8000)
+            local = list_schedule([t for t in tasks if cluster_of[t.task_id] == c])
+            spans.update((t, (s + delay, e + delay)) for t, (s, e) in local.items())
+    else:
+        spans = {}
+        for spec in tasks:
+            start = thousandths(15000)
+            spans[spec.task_id] = (start, start + spec.processing_time)
+    rng.shuffle(tasks)
+    placements: list[dict[str, Placement]] = [{} for _ in range(num_clusters)]
+    for spec in tasks:
+        t = spec.task_id
+        placements[cluster_of[t]][t] = Placement(t, resource_of[t], "A1", *spans[t])
+    partials = [
+        PartialSchedule(f"C{c + 1}", placed) for c, placed in enumerate(placements)
+    ]
+    return partials, build_dag(tasks)
 
 
 def peak_above_live(fn, *args) -> int:

@@ -9,9 +9,9 @@ descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, dependency
 levels by relaxing along that order, resource overlaps by a full
 pairwise scan, the XML readers by building the whole element tree
-before walking it (only the per-element parsers are shared), phase 3 and
-the repair pass by shifting clusters from the logged phase-2 placements
-and iterating the release rule to a fixpoint, and the float contract by
+before walking it (only the per-element parsers are shared), phase 3 by
+shifting clusters from the logged phase-2 placements, the repair pass by
+iterating the release rule to a fixpoint, and the float contract by
 exact rational arithmetic.
 None of it imports ``coalloc.clustering``.
 """
@@ -365,7 +365,7 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
 
 def reference_phase3_and_repair(result):
     """The final schedule of ``result``, rebuilt from its logged phase-2
-    placements by rigid cluster shifts and a fixpoint repair.
+    placements by rigid cluster shifts and ``reference_repair``.
 
     Each ``ClusterScheduled`` message gives one cluster's placements. In
     cluster topological order, a cluster shifts by the largest
@@ -373,12 +373,9 @@ def reference_phase3_and_repair(result):
     ``ready`` is the predecessor's shifted end plus the commTime unless both
     run on one resource; a shift that leaves ``start + shift < ready`` is
     stepped up one float until it does not, and a cluster with no such
-    predecessor stays put. The repair then keeps each positive-length task
-    behind the one before it on its resource (by shifted start, then task
-    id) and its DAG predecessors, recomputing every start from the shifted
-    start and every end as ``start + processingTime`` until nothing changes.
+    predecessor stays put.
     """
-    from coalloc import FinalSchedule, MessageKind, Placement
+    from coalloc import MessageKind, PartialSchedule, Placement
 
     specs = result.dag.tasks
     scheduled = {
@@ -421,25 +418,44 @@ def reference_phase3_and_repair(result):
                     t, p.resource_id, p.agent_id, p.start + delta, p.end + delta
                 )
         left.difference_update(batch)
+    return reference_repair([PartialSchedule("all", shifted)], result.dag)
 
+
+def reference_repair(partials, dag):
+    """The repair pass as a fixpoint iteration over the merged ``partials``.
+
+    Each positive-length task stays behind the one before it on its
+    resource (by merged start, then task id) and behind its DAG
+    predecessors; every pass recomputes each start from its merged start
+    and each end as ``start + processingTime``, until a pass changes
+    nothing. After pass k every task that ends a constraint path of fewer
+    than k edges is final, so an acyclic job settles within one pass per
+    task; a pass beyond that which still changes something means a cycle,
+    reported as ``StructuralError("repair pass found circular
+    constraints")``. Deadline violations are the tasks ending past their
+    deadline, by id.
+    """
+    from coalloc import FinalSchedule, Placement, StructuralError
+
+    specs = dag.tasks
+    merged = {t: p for partial in partials for t, p in partial.placements.items()}
     before: dict = {}
     chains: dict = {}
-    for p in shifted.values():
+    for p in merged.values():
         if p.end > p.start:
             chains.setdefault(p.resource_id, []).append(p)
     for chain in chains.values():
         chain.sort(key=lambda p: (p.start, p.task_id))
         before.update((b.task_id, a.task_id) for a, b in zip(chain, chain[1:]))
-    start = {t: p.start for t, p in shifted.items()}
-    end = {t: p.start + specs[t].processing_time for t, p in shifted.items()}
-    changed = True
-    while changed:
+    start = {t: p.start for t, p in merged.items()}
+    end = {t: p.start + specs[t].processing_time for t, p in merged.items()}
+    for _ in range(len(merged) + 1):
         changed = False
-        for t, p in shifted.items():
+        for t, p in merged.items():
             s = p.start
             for dep in specs[t].dependencies:
                 need = end[dep.task_id]
-                if shifted[dep.task_id].resource_id != p.resource_id:
+                if merged[dep.task_id].resource_id != p.resource_id:
                     need += dep.comm_time
                 s = max(s, need)
             if t in before:
@@ -447,10 +463,14 @@ def reference_phase3_and_repair(result):
             if (s, s + specs[t].processing_time) != (start[t], end[t]):
                 start[t], end[t] = s, s + specs[t].processing_time
                 changed = True
+        if not changed:
+            break
+    else:
+        raise StructuralError("repair pass found circular constraints")
 
     placements = tuple(sorted(
         (Placement(t, p.resource_id, p.agent_id, start[t], end[t])
-         for t, p in shifted.items()),
+         for t, p in merged.items()),
         key=lambda p: (p.start, p.task_id),
     ))
     late = tuple(sorted(
