@@ -135,11 +135,11 @@ def schedule_cluster(
 
     Tasks are taken block by block (level decomposition over intra-cluster
     edges), ascending task id within a block. Each task goes to the eligible
-    resource offering the minimum earliest start; ties fall to the earlier
-    finish, then the ascending resource id. A predecessor on the same
-    resource is ready at its end time; on another resource the communication
-    time is added. Reservations may fill gaps and persist on the timelines.
-    A task that would not end at a finite time raises :class:`ValidationError`.
+    resource offering the minimum earliest start; ties fall to the ascending
+    resource id. A predecessor on the same resource is ready at its end
+    time; on another resource the communication time is added. Reservations
+    may fill gaps and persist on the timelines. A task that would not end at
+    a finite time raises :class:`ValidationError`.
     """
     specs = [tl.resource for _, tl in sorted(timelines.items())]
     placed: dict[str, Placement] = {}
@@ -160,16 +160,15 @@ def schedule_cluster(
                 for d in task.dependencies
                 if d.task_id in placed
             ]
-            best: tuple[float, float, str] | None = None
-            for rid in options:
+            start, rid = math.inf, options[0]
+            for candidate in options:
                 ready = 0.0
                 for prior, comm_time in priors:
-                    ready = max(ready, release(prior, comm_time, rid))
-                start = timelines[rid].earliest_fit(ready, task.processing_time)
-                candidate = (start, start + task.processing_time, rid)
-                if best is None or candidate[:2] < best[:2]:
-                    best = candidate
-            start, end, rid = best
+                    ready = max(ready, release(prior, comm_time, candidate))
+                fit = timelines[candidate].earliest_fit(ready, task.processing_time)
+                if fit < start:
+                    start, rid = fit, candidate
+            end = start + task.processing_time
             if not math.isfinite(end):
                 raise overflow_error(task_id)
             timelines[rid].reserve(task_id, start, task.processing_time)
@@ -178,7 +177,7 @@ def schedule_cluster(
 
 
 def apply_dependency_delays(
-    partial: PartialSchedule, readiness: Sequence[tuple[str, float]]
+    partial: PartialSchedule, readiness: Iterable[tuple[str, float]]
 ) -> PartialSchedule:
     """Rigidly shift the cluster so every reported readiness time is met.
 

@@ -8,6 +8,7 @@ placements reported back over the message channel.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .model import (
     TaskSpec,
     validate_agent_map,
 )
-from .protocol import BROKER, USER, Message, MessageKind, MessageLog
+from .protocol import BROKER, USER, Message, MessageKind, MessageLog, ReadinessReport
 
 __all__ = [
     "Assignment",
@@ -158,7 +159,7 @@ def assemble_and_repair(
             by_resource[placement.resource_id].append(task_id)
     before: dict[str, str] = {}
     for chain in by_resource.values():
-        chain.sort(key=lambda t: (merged[t].start, t))
+        _by_start(chain, merged)
         before.update(zip(chain[1:], chain))
     del by_resource  # free the chains before the repair
 
@@ -190,7 +191,9 @@ def assemble_and_repair(
         if moved is not None:
             merged[task_id] = moved
 
-    placements = tuple(sorted(merged.values(), key=lambda p: (p.start, p.task_id)))
+    order = list(merged)
+    _by_start(order, merged)
+    placements = tuple(merged[t] for t in order)
     makespan = max((p.end for p in placements), default=0.0)
     if not math.isfinite(makespan):
         waits_for = {
@@ -209,6 +212,16 @@ def assemble_and_repair(
         )
     )
     return FinalSchedule(placements, makespan, violations)
+
+
+def _by_start(task_ids: list[str], merged: dict[str, Placement]) -> None:
+    """Sort ``task_ids`` in place by start, ties by task id.
+
+    Two stable sorts give that order without a key tuple per task. Starts
+    are never NaN, so they compare totally.
+    """
+    task_ids.sort()
+    task_ids.sort(key=lambda t: merged[t].start)
 
 
 def _repair_order(
@@ -292,7 +305,7 @@ class Broker:
         # deeper clusters get readiness reports and shift rigidly.
         for level in cluster_dag.levels()[1:]:
             reports = {
-                c.cluster_id: tuple(_readiness_entries(c, dag, cluster_dag, partials))
+                c.cluster_id: _readiness_entries(c, dag, cluster_dag, partials)
                 for c in level
             }
             partials.update(
@@ -345,7 +358,7 @@ def _readiness_entries(
     dag: TaskDag,
     cluster_dag: ClusterDag,
     partials: dict[str, PartialSchedule],
-) -> list[tuple[str, float]]:
+) -> ReadinessReport:
     """One (taskId, readyTime) entry per incoming cross-cluster edge.
 
     Entries follow the cluster's tasks in ascending id, and each task's
@@ -355,15 +368,17 @@ def _readiness_entries(
     are final.
     """
     own = partials[cluster.cluster_id].placements
-    entries: list[tuple[str, float]] = []
+    task_ids: list[str] = []
+    ready_times = array("d")
     for task_id in cluster.tasks:
         resource_id = own[task_id].resource_id
         for dep in dag.tasks[task_id].dependencies:
             owner = cluster_dag.cluster_of[dep.task_id]
             if owner != cluster.cluster_id:
                 prior = partials[owner].placements[dep.task_id]
-                entries.append((task_id, release(prior, dep.comm_time, resource_id)))
-    return entries
+                task_ids.append(task_id)
+                ready_times.append(release(prior, dep.comm_time, resource_id))
+    return ReadinessReport(tuple(task_ids), ready_times)
 
 
 def orchestrate(

@@ -33,8 +33,9 @@ class ViolationReport:
     """Everything wrong with a schedule; empty means valid.
 
     ``duration_mismatches`` flags rows whose end is not start + processing
-    time, and ``non_finite`` rows whose start or end is infinite or NaN —
-    both impossible for engine output, possible in hand-made placements.
+    time, and ``non_finite`` rows whose start or end is infinite (a
+    ``Placement`` is never NaN) — both impossible for engine output,
+    possible in hand-made placements.
     """
 
     overlaps: list[tuple[str, str, str]] = field(default_factory=list)
@@ -131,8 +132,8 @@ def validate_schedule(
         rows.setdefault(p.resource_id, []).append(p)
     for rid in sorted(rows):
         # zero-length rows are empty closed-open intervals: they never overlap;
-        # task ids are unique and a NaN row fails ``end > start``, so the key
-        # orders the group totally, whatever the order of the placements
+        # task ids are unique and no start is NaN, so the key orders the
+        # group totally, whatever the order of the placements
         group = sorted(
             (p for p in rows[rid] if p.end > p.start),
             key=lambda p: (p.start, p.task_id),

@@ -164,11 +164,11 @@ class Placement:
     end: float
 
     def __post_init__(self) -> None:
-        if self.start < 0:
+        if not self.start >= 0:  # NaN fails too
             raise ValidationError(
                 f"placement of {self.task_id!r}: start must be nonnegative"
             )
-        if self.end < self.start:
+        if not self.end >= self.start:  # so does a NaN end
             raise ValidationError(
                 f"placement of {self.task_id!r}: end precedes start"
             )

@@ -8,6 +8,8 @@ exported after a run.
 from __future__ import annotations
 
 import enum
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -25,14 +27,35 @@ class MessageKind(enum.Enum):
 
 
 @dataclass(frozen=True)
+class ReadinessReport:
+    """The (taskId, readyTime) entries of one DependencyInfo message.
+
+    The entries are stored as two columns: the task ids, which are the
+    specs' own id strings, and the ready times as unboxed doubles, about
+    16 bytes an entry where a tuple per pair takes about 80. ``len`` is the
+    entry count, and iterating yields the pairs in order, each time exactly
+    the floats stored.
+    """
+
+    task_ids: tuple[str, ...]
+    ready_times: array  # array("d"), one time per task id
+
+    def __len__(self) -> int:
+        return len(self.task_ids)
+
+    def __iter__(self) -> Iterator[tuple[str, float]]:
+        return zip(self.task_ids, self.ready_times)
+
+
+@dataclass(frozen=True)
 class Message:
     kind: MessageKind
     sender: str
     receiver: str
     # Only what the receiver lacks: SubmitTasks carries the task count,
     # AssignCluster the Cluster, ClusterScheduled and AdjustedSchedule a
-    # PartialSchedule, DependencyInfo a tuple of (taskId, readyTime) pairs
-    # and ScheduleResult the FinalSchedule. Agents hold the job DAG.
+    # PartialSchedule, DependencyInfo a ReadinessReport and ScheduleResult
+    # the FinalSchedule. Agents hold the job DAG.
     payload: Any
     # The cluster a broker-agent message is about; None for user messages.
     cluster_id: str | None = None

