@@ -49,7 +49,7 @@ class ResourceTimeline:
             return ready
         starts, ends = self._gap_starts, self._gap_ends
         for i in range(bisect.bisect_right(ends, ready), len(ends)):
-            t = max(ready, starts[i])
+            t = starts[i] if starts[i] > ready else ready  # max() without the call
             if t + duration <= ends[i]:
                 return t
         return math.inf  # only after a reservation that runs to infinity
@@ -77,10 +77,17 @@ class ResourceTimeline:
                     f"reservation for {task_id!r} at [{start}, {end}) fits no "
                     f"free gap on {self.resource_id}{where}"
                 )
-            gap_start, gap_end = self._gap_starts[i], self._gap_ends[i]
-            before, after = gap_start < start, end < gap_end  # pieces that stay
-            self._gap_starts[i:i + 1] = [gap_start] * before + [end] * after
-            self._gap_ends[i:i + 1] = [start] * before + [gap_end] * after
+            # the gap keeps a piece before the slot, after it, both or neither
+            before, after = starts[i] < start, end < ends[i]
+            if before and after:
+                starts.insert(i + 1, end)
+                ends.insert(i, start)
+            elif before:
+                ends[i] = start
+            elif after:
+                starts[i] = end
+            else:
+                del starts[i], ends[i]
 
 
 @dataclass(frozen=True)
@@ -142,8 +149,11 @@ def schedule_cluster(
     a finite time raises :class:`ValidationError`.
     """
     specs = [tl.resource for _, tl in sorted(timelines.items())]
+    preds = {
+        t: [d.task_id for d in dag.tasks[t].dependencies] for t in cluster.tasks
+    }
     placed: dict[str, Placement] = {}
-    for block in levelize(cluster.tasks, dag.preds):
+    for block in levelize(cluster.tasks, preds):
         for task_id in block:
             task = dag.tasks[task_id]
             options = eligible_resources(task, specs)
@@ -183,9 +193,12 @@ def apply_dependency_delays(
 
     The shift is the largest shortfall over the report. A shortfall
     ``ready - start`` may round so that ``start + shortfall`` lands below
-    ``ready``; it is then stepped up one float at a time until the entry is
-    met. The whole schedule moves as one block, so every pairwise start/end
-    difference and the local non-overlap are preserved exactly.
+    ``ready``; one step up to the next float then always meets the entry.
+    The computed shortfall is the float nearest the exact ``ready - start``,
+    so when it falls short, the exact value lies below the next float, and
+    rounding cannot take ``start`` plus that float below ``ready``. The whole
+    schedule moves as one block, so every pairwise start/end difference and
+    the local non-overlap are preserved exactly.
     """
     delta = 0.0
     for task_id, ready in readiness:
@@ -196,7 +209,7 @@ def apply_dependency_delays(
                 f"{partial.cluster_id!r}"
             )
         shortfall = ready - placement.start
-        while placement.start + shortfall < ready:
+        if placement.start + shortfall < ready:
             shortfall = math.nextafter(shortfall, math.inf)
         delta = max(delta, shortfall)
     return partial.shifted(delta)

@@ -11,7 +11,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import logging
 import re
 import sys
 from collections.abc import Callable, Iterator
@@ -302,7 +301,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 import xml.etree.ElementTree as ET
 from collections.abc import Callable, Iterator
@@ -19,7 +18,6 @@ from typing import TextIO, TypeVar
 
 from .errors import StructuralError, ValidationError, XmlFormatError
 
-logger = logging.getLogger(__name__)
 _Item = TypeVar("_Item")
 
 
@@ -268,7 +266,12 @@ def _parse_children(
 
 
 def _warn_unknown(tag: str, where: str) -> None:
-    logger.warning("ignoring unknown element <%s> in %s", tag, where)
+    # imported here: a document without unknown elements never pays for it
+    import logging
+
+    logging.getLogger(__name__).warning(
+        "ignoring unknown element <%s> in %s", tag, where
+    )
 
 
 def _read_numbers(

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -169,6 +170,16 @@ def test_reserve_names_the_earliest_overlapped_slot(start, duration, named):
         tl.reserve("x", start, duration)
 
 
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_reserve_names_adjacent_reservations_as_one_stretch(order):
+    slots = {"a": (0.0, 1.0), "b": (1.0, 1.0)}  # b starts where a ends
+    tl = ResourceTimeline(resource("r1"))
+    for task_id in order:
+        tl.reserve(task_id, *slots[task_id])
+    with pytest.raises(StructuralError, match=re.escape("overlaps booked [0.0, 2.0)")):
+        tl.reserve("x", 1.0, 0.5)
+
+
 def test_reserve_rejects_a_start_in_no_gap():
     tl = ResourceTimeline(resource("r1"))
     with pytest.raises(StructuralError, match="fits no free gap on r1"):
@@ -203,6 +214,7 @@ durations = st.one_of(st.just(0.0), st.integers(1, 4000).map(lambda k: k / 1000)
 @example([(0.0, 1.0), (5.0, 1.0), (2.0, 3.0), (9.0, 2.0)])  # fills a gap; past the tail
 @example([(0.0, 2.0), (1.0, 0.0), (1.0, 0.0), (0, 1.5)])  # zero durations inside a slot
 @example([(0.0, 2.166), (6.169, 1.0), (0.0, 4.003)])  # 6.169 - 2.166 >= 4.003 > gap
+@example([(0.0, 1.0), (3.0, 1.0), (2.0, 1.0), (0.0, 1.5)])  # a slot ending a gap
 def test_fits_match_brute_force_and_reserve_accepts_them(steps):
     tl = ResourceTimeline(resource("r1"))
     reserved = []
@@ -407,6 +419,34 @@ def test_rigid_shift_meets_every_entry_with_one_least_delta(pairs):
         assert any(
             partial.placements[t].start + less < r for t, r in readiness
         )
+
+
+any_time = st.floats(min_value=0.0, max_value=sys.float_info.max)
+
+
+@st.composite
+def start_and_ready(draw):
+    # magnitudes drawn apart, or a ready time within a factor of four of start
+    start = draw(any_time)
+    near = st.floats(0.25, 4.0).map(lambda k: min(start * k, sys.float_info.max))
+    return start, draw(any_time | near)
+
+
+@settings(deadline=None, max_examples=500)
+@given(start_and_ready())
+@example((13.3, 47.76))
+@example((7.52189568548071e-309, 1.2937221538430822e-307))
+@example((1.1096546374014922e306, sys.float_info.max))
+def test_one_float_step_up_always_meets_a_readiness_entry(pair):
+    start, ready = pair
+    shortfall, steps = ready - start, 0
+    while start + shortfall < ready:
+        shortfall = math.nextafter(shortfall, math.inf)
+        steps += 1
+    assert steps <= 1
+    partial = PartialSchedule("C1", {"t": Placement("t", "r1", "a1", start, start)})
+    moved = apply_dependency_delays(partial, [("t", ready)])
+    assert moved == partial.shifted(max(0.0, shortfall))
 
 
 def test_actor_needs_a_spec_for_every_resource_it_lists():

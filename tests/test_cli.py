@@ -3,8 +3,11 @@
 import argparse
 import dataclasses
 import gc
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import coalloc
 from coalloc import cli, generate_workload
 from coalloc.model import (
     _FEED_CHARS,
@@ -510,6 +514,52 @@ def test_schedule_runs_are_byte_identical(demo_inputs, tmp_path):
     for name in ["schedule.csv", "metrics.csv", "tasks_per_agent.csv",
                  "protocol.log", "gantt.svg", "gantt.txt"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def run_python(*args):
+    """A fresh ``python -S`` with this process's ``coalloc`` on its path.
+
+    ``-S`` skips the site hooks, which may load modules of their own.
+    """
+    package_root = str(Path(coalloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_root)
+    return subprocess.run(
+        [sys.executable, "-S", *args], capture_output=True, text=True, env=env
+    )
+
+
+def cli_args(demo_inputs, out):
+    tasks, resources, agents = demo_inputs
+    return ["schedule", "--tasks", str(tasks), "--resources", str(resources),
+            "--agents", str(agents), "--out", str(out), "--emit-log", "--emit-gantt"]
+
+
+@pytest.mark.parametrize("run", ["import coalloc", "import coalloc.cli", "schedule"])
+def test_logging_is_loaded_only_by_a_warning(run, demo_inputs, tmp_path):
+    if run == "schedule":
+        run = "from coalloc.cli import main; assert main(sys.argv[1:]) == 0"
+    probe = f"import sys; {run}; print('logging' in sys.modules)"
+    proc = run_python("-c", probe, *cli_args(demo_inputs, tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_warns_in_document_order_before_a_syntax_error(demo_inputs, tmp_path):
+    tasks = demo_inputs[0]
+    text = tasks.read_text().replace("</tasks>", "")  # a syntax error at the end
+    text = text.replace("<processingTime>2.0", "<color/><processingTime>2.0", 1)
+    text = text.replace("<processingTime>3.0", "<shape/><processingTime>3.0", 1)
+    tasks.write_text(text)
+    proc = run_python("-m", "coalloc.cli", *cli_args(demo_inputs, tmp_path / "out"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[:2] == [
+        "ignoring unknown element <color> in task '1'",
+        "ignoring unknown element <shape> in task '2'",
+    ]
+    assert len(lines) == 3
+    assert lines[2].startswith("error: malformed XML at line ")
 
 
 # Value-level fuzz: generated inputs with 1-3 field texts replaced by hostile
