@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import InfeasibleTaskError, StructuralError, ValidationError
-from .graph import TaskDag, build_dag, ready_order, release, topological_sweep
+from .graph import TaskDag, build_dag, ready_order, release
 from .model import (
     AgentSpec,
     FinalSchedule,
@@ -116,8 +116,10 @@ def assemble_and_repair(
     pushes starts later, to the least times satisfying release by
     predecessors (communication time waived on the same resource) and
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
-    reported, not rejected; a task pushed to an infinite end raises
-    :class:`ValidationError`.
+    reported, not rejected. A task that still ends at infinity after the
+    repair, whether pushed there or handed in so, raises
+    :class:`ValidationError` naming the first such task in the schedule's
+    order (start, then task id).
 
     Only tasks downstream of a broken constraint are revisited. One check
     pass finds the tasks that the rule above would move against the merged
@@ -195,15 +197,8 @@ def assemble_and_repair(
     _by_start(order, merged)
     placements = tuple(merged[t] for t in order)
     makespan = max((p.end for p in placements), default=0.0)
-    if not math.isfinite(makespan):
-        waits_for = {
-            t: [dep.task_id for dep in spec.dependencies]
-            + ([before[t]] if t in before else [])
-            for t, spec in specs.items()
-        }
-        raise overflow_error(next(
-            t for t in topological_sweep(waits_for) if not math.isfinite(merged[t].end)
-        ))
+    if makespan == math.inf:
+        raise overflow_error(next(p.task_id for p in placements if p.end == math.inf))
     violations = tuple(
         sorted(
             t

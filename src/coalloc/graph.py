@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections import defaultdict
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NoReturn, TypeVar
 
@@ -22,19 +22,10 @@ class TaskDag:
     Node cost is the task's processing time. Edges live only in the specs:
     each spec's ``dependencies`` names the task's predecessors with their
     communication times, the one copy of every edge, and every phase visits
-    them in declaration order. ``preds`` reads the same edges as predecessor
-    ids, for the generic sweeps below.
+    them in declaration order.
     """
 
     tasks: dict[str, TaskSpec]
-
-    @property
-    def preds(self) -> Mapping[str, list[str]]:
-        """Each task's predecessor ids, in declaration order.
-
-        A read-only view: every lookup reads the spec, and nothing is kept.
-        """
-        return _PredIds(self.tasks)
 
     def restrict(self, subset: Iterable[str]) -> "TaskDag":
         """Sub-DAG over ``subset``: only tasks and edges inside the subset.
@@ -56,24 +47,6 @@ class TaskDag:
                 spec = dataclasses.replace(spec, dependencies=deps)
             tasks[t] = spec
         return TaskDag(tasks)
-
-
-class _PredIds(Mapping[str, list[str]]):
-    """``TaskDag.preds``: a fresh id list per lookup, over the specs."""
-
-    __slots__ = ("_tasks",)
-
-    def __init__(self, tasks: Mapping[str, TaskSpec]) -> None:
-        self._tasks = tasks
-
-    def __getitem__(self, task_id: str) -> list[str]:
-        return [d.task_id for d in self._tasks[task_id].dependencies]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tasks)
-
-    def __len__(self) -> int:
-        return len(self._tasks)
 
 
 def release(prior: Placement, comm_time: float, resource_id: str) -> float:
@@ -113,10 +86,13 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
             seen.add(dep.task_id)
             succs[dep.task_id].append(task.task_id)
     indegree = {t: len(spec.dependencies) for t, spec in by_id.items()}
-    dag = TaskDag(by_id)
     if len(ready_order(indegree, succs)) != len(by_id):
-        _raise_cycle({t for t, deg in indegree.items() if deg}, dag.preds)
-    return dag
+        leftover = {
+            t: [d.task_id for d in by_id[t].dependencies]
+            for t, deg in indegree.items() if deg
+        }
+        _raise_cycle(set(leftover), leftover)
+    return TaskDag(by_id)
 
 
 def ready_order(indegree: dict[T, int], succs: Mapping[T, Sequence[T]]) -> list[T]:

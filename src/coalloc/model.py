@@ -255,9 +255,12 @@ def _parse_children(
         parser.close()
         read_events()
     except ET.ParseError as exc:
+        # imported here: a well-formed document never pays for it
+        from xml.parsers.expat import ErrorString
+
         line, col = exc.position
         raise XmlFormatError(
-            f"malformed XML at line {line}, column {col}: {exc.msg}"
+            f"malformed XML at line {line}, column {col}: {ErrorString(exc.code)}"
         ) from None
     take(root[:])
     if failure is not None:

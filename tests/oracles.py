@@ -59,6 +59,15 @@ def edge_costs(dag) -> dict:
     }
 
 
+def pred_ids(dag) -> dict:
+    """Each task's predecessor ids, in declaration order, read from the task
+    specs: ``task_id -> [pred, ...]`` for every task."""
+    return {
+        t: [dep.task_id for dep in spec.dependencies]
+        for t, spec in dag.tasks.items()
+    }
+
+
 def closure_by_squaring(nodes: list, pairs: set) -> dict:
     """Transitive closure (paths of length >= 1) via repeated squaring."""
     index = {n: i for i, n in enumerate(nodes)}
@@ -287,10 +296,11 @@ def check_selection_rule(
     """
     inside = set(cluster_task_ids)
     costs = edge_costs(dag)
+    preds = pred_ids(dag)
     busy = {r.resource_id: list(initial_busy.get(r.resource_id, []))
             for r in resource_specs}
     violations: list[str] = []
-    for block in peel_blocks(inside, {t: list(dag.preds[t]) for t in inside}):
+    for block in peel_blocks(inside, {t: preds[t] for t in inside}):
         for task_id in block:
             spec = dag.tasks[task_id]
             chosen = placements[task_id]
@@ -300,7 +310,7 @@ def check_selection_rule(
                     continue
                 rid = resource.resource_id
                 ready = 0.0
-                for pred in dag.preds[task_id]:
+                for pred in preds[task_id]:
                     if pred not in inside:
                         continue
                     prior = placements[pred]
@@ -337,6 +347,7 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
     root's children, raising the same errors and logging the same warnings.
     """
     import xml.etree.ElementTree as ET
+    from xml.parsers.expat import ErrorString
 
     from coalloc import StructuralError, XmlFormatError
     from coalloc.model import _parse_node, _parse_task, _warn_unknown
@@ -346,7 +357,7 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
     except ET.ParseError as exc:
         line, col = exc.position
         raise XmlFormatError(
-            f"malformed XML at line {line}, column {col}: {exc.msg}"
+            f"malformed XML at line {line}, column {col}: {ErrorString(exc.code)}"
         ) from None
     parse = _parse_task if kind == "task" else _parse_node
     items: list = []

@@ -416,6 +416,37 @@ def test_repair_is_never_handed_a_nan_placement():
         assemble_and_repair(partials, dag, assignment_for(partials))
 
 
+def test_repair_rebuilds_an_infinite_end_from_the_start():
+    # the end is always start + processingTime, so a handed-in [0, inf) whose
+    # task takes 1.0 is no overflow: it ends at 1.0
+    dag = build_dag([task("a")])
+    partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, math.inf)})]
+    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    assert schedule.by_task()["a"].end == 1.0
+    assert schedule.makespan == 1.0
+
+
+def test_repair_rejects_a_handed_in_overflow():
+    # 1e308 + 1e308 overflows, so the repair keeps the end at infinity
+    dag = build_dag([task("a", 1e308)])
+    partials = [
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)})
+    ]
+    with pytest.raises(ValidationError, match="^task 'a' would end past"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+def test_repair_names_the_first_overflow_in_schedule_order():
+    # both ends overflow; b starts first, so it is named, not the least id a
+    dag = build_dag([task("a", 1e308), task("b", 9e307)])
+    partials = [
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)}),
+        PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 9e307, math.inf)}),
+    ]
+    with pytest.raises(ValidationError, match="^task 'b' would end past"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
 def test_repair_pushes_overlap_apart_and_recheck_dependencies():
     # two clusters of one agent collide on r1 after a rigid delay
     tasks = [task("x", 4.0), task("y", 2.0, [("x", 1.0)])]

@@ -17,7 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coalloc
-from coalloc import cli, generate_workload
+from coalloc import (
+    AgentSpec,
+    Dependency,
+    ResourceSpec,
+    TaskSpec,
+    cli,
+    generate_workload,
+)
 from coalloc.model import (
     _FEED_CHARS,
     SCHEDULE_FIELDS,
@@ -303,6 +310,28 @@ def test_overflowing_times_exit_1(processing, task_id, demo_inputs, tmp_path, ca
     assert run_schedule((tasks, resources, agents), out) == 1
     assert capsys.readouterr().err == (
         f"error: task {task_id!r} would end past the largest finite time; "
+        "its processing and communication times are too large\n"
+    )
+    assert not out.exists()
+
+
+def test_rigid_shift_overflow_exits_1(tmp_path, capsys):
+    # x and y each end at a finite time in phase 2, but y's shift behind x
+    # overflows, so the repair's final check reports it
+    tasks = [
+        TaskSpec("x", 1.5e308, 1.0, 1.0),
+        TaskSpec("y", 1e308, 1.0, 1.0, dependencies=(Dependency("x", 0.0),)),
+    ]
+    resources = [ResourceSpec(f"N{i}", cpu_power=4.0, memory=4.0) for i in (1, 2, 3)]
+    agents = [AgentSpec(f"a{i}", (f"N{i}",)) for i in (1, 2, 3)]
+    inputs = [tmp_path / name for name in ("tasks.xml", "resources.xml", "agents.txt")]
+    inputs[0].write_text(serialize_task_set(tasks))
+    inputs[1].write_text(serialize_resource_set(resources))
+    inputs[2].write_text(serialize_agent_map(agents))
+    out = tmp_path / "out"
+    assert run_schedule(inputs, out) == 1
+    assert capsys.readouterr().err == (
+        "error: task 'y' would end past the largest finite time; "
         "its processing and communication times are too large\n"
     )
     assert not out.exists()

@@ -27,6 +27,7 @@ from oracles import (
     closure_by_squaring,
     coloring_is_acyclic,
     edge_costs,
+    pred_ids,
     relaxed_levels,
 )
 
@@ -44,7 +45,6 @@ def test_build_two_task_dag():
     assert dag.tasks["1"].processing_time == 4.0
     assert dag.tasks["2"].processing_time == 6.0
     assert dag.tasks["2"].dependencies == (Dependency("1", 3.0),)
-    assert dag.preds["2"] == ["1"]
 
 
 def test_two_task_cycle_witness():
@@ -92,10 +92,12 @@ def test_eight_task_dag_against_closure_oracle():
     assert len(dag.tasks) == 8
 
     # ancestors by DFS on the built predecessor lists
+    preds = pred_ids(dag)
+
     def ancestors(start):
         seen, stack = set(), [start]
         while stack:
-            for nxt in dag.preds[stack.pop()]:
+            for nxt in preds[stack.pop()]:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -162,7 +164,7 @@ def test_level_decompose_chain():
     dag = build_dag(
         [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
     )
-    assert levelize({"a", "b", "c"}, dag.preds) == [["a"], ["b"], ["c"]]
+    assert levelize({"a", "b", "c"}, pred_ids(dag)) == [["a"], ["b"], ["c"]]
 
 
 def test_level_decompose_diamond():
@@ -174,7 +176,7 @@ def test_level_decompose_diamond():
             task("4", deps=[("2", 1.0), ("3", 1.0)]),
         ]
     )
-    assert levelize({"1", "2", "3", "4"}, dag.preds) == [["1"], ["2", "3"], ["4"]]
+    assert levelize({"1", "2", "3", "4"}, pred_ids(dag)) == [["1"], ["2", "3"], ["4"]]
 
 
 def test_level_decompose_subset_restriction():
@@ -182,7 +184,7 @@ def test_level_decompose_subset_restriction():
         [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
     )
     # without b, neither a nor c has an in-subset predecessor
-    assert levelize({"a", "c"}, dag.preds) == [["a", "c"]]
+    assert levelize({"a", "c"}, pred_ids(dag)) == [["a", "c"]]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -191,7 +193,8 @@ def test_level_decompose_properties(seed):
     tasks = generate_workload(seed, 30, rng.randint(2, 6), 0.25)
     dag = build_dag(tasks)
     subset = {t for t in dag.tasks if rng.random() < 0.7}
-    blocks = levelize(subset, dag.preds)
+    preds = pred_ids(dag)
+    blocks = levelize(subset, preds)
 
     flat = [t for block in blocks for t in block]
     assert sorted(flat) == sorted(subset)  # partition
@@ -201,7 +204,7 @@ def test_level_decompose_properties(seed):
         if p in subset and s in subset:
             assert position[p] < position[s]  # concatenation is a topo order
     for t in subset:
-        in_preds = [block_of[p] for p in dag.preds[t] if p in subset]
+        in_preds = [block_of[p] for p in preds[t] if p in subset]
         assert block_of[t] == 1 + max(in_preds, default=0)
     for block in blocks:
         members = set(block)

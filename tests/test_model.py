@@ -483,6 +483,16 @@ def test_streamed_reader_matches_the_whole_tree(document, caplog):
         assert warnings == expected_warnings
 
 
+def test_malformed_xml_states_its_position_once():
+    message = "malformed XML at line 1, column 13: no element found"
+    with pytest.raises(XmlFormatError) as err:
+        parse_task_file("<tasks><task>")
+    assert str(err.value) == message
+    with pytest.raises(XmlFormatError) as err:
+        whole_tree_items("<tasks><task>", "task")
+    assert str(err.value) == message
+
+
 def test_field_error_in_a_truncated_document_is_a_syntax_error():
     text = serialize_task_set(generate_workload(5, 200, 4, 0.05))
     bad = text.replace("<processingTime>", "<processingTime>x", 1)
