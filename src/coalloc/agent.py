@@ -98,14 +98,19 @@ class PartialSchedule:
     placements: dict[str, Placement]
 
     def shifted(self, delta: float) -> "PartialSchedule":
+        """These placements ``delta`` later; the first task, in decision
+        order, that would end past the largest float raises
+        :func:`overflow_error`."""
         if delta == 0:
             return self
-        moved = {
-            t: Placement(
-                p.task_id, p.resource_id, p.agent_id, p.start + delta, p.end + delta
+        moved = {}
+        for t, p in self.placements.items():
+            end = p.end + delta
+            if end == math.inf:
+                raise overflow_error(t)
+            moved[t] = Placement(
+                p.task_id, p.resource_id, p.agent_id, p.start + delta, end
             )
-            for t, p in self.placements.items()
-        }
         return PartialSchedule(self.cluster_id, moved)
 
 

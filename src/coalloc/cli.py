@@ -147,30 +147,30 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     except SchedulingError as exc:
         return _fail(str(exc))
 
+    # Keep only what the artifacts need: the parsed inputs and the task DAG
+    # are dropped before the writers allocate their buffers.
+    schedule, log, cluster_dag = result.schedule, result.log, result.cluster_dag
+    tasks_per_agent = result.assignment.tasks_per_agent
+    del tasks, resources, agents, result
+
     out = args.out
-    schedule = result.schedule
     try:
         _write(out / "schedule.csv", schedule_to_csv(schedule))
-        metrics = harness.compute_metrics(
-            schedule, result.assignment.tasks_per_agent
-        )
+        metrics = harness.compute_metrics(schedule, tasks_per_agent)
         _write_metrics_artifacts(out, metrics)
         if args.emit_gantt:
             _fill(out / "gantt.svg", lambda f: render.gantt_svg(schedule, f))
             _fill(out / "gantt.txt", lambda f: render.gantt_text(schedule, f))
         if args.emit_log:
-            _write(out / "protocol.log", result.log.to_text())
-            _write(
-                out / "clusters.txt",
-                clustering.assignment_dump(result.cluster_dag),
-            )
+            _write(out / "protocol.log", log.to_text())
+            _write(out / "clusters.txt", clustering.assignment_dump(cluster_dag))
     except SchedulingError as exc:
         return _fail(str(exc))
 
     counts = " ".join(f"{a}={c}" for a, c in metrics.series())
     print(
         f"scheduled {len(schedule.placements)} tasks in "
-        f"{len(result.cluster_dag.clusters)} clusters; "
+        f"{len(cluster_dag.clusters)} clusters; "
         f"makespan {format_number(schedule.makespan)}; {counts}"
     )
     if schedule.deadline_violations:

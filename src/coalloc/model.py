@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-import xml.etree.ElementTree as ET
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import TextIO, TypeVar
+from typing import NoReturn, TextIO
+from xml.parsers.expat import ErrorString, ExpatError, ParserCreate, errors
 
 from .errors import StructuralError, ValidationError, XmlFormatError
-
-_Item = TypeVar("_Item")
 
 
 def format_number(value: float) -> str:
@@ -38,17 +36,19 @@ def _decimal(text: str) -> float:
     return float(text)
 
 
-def _require_number(text: str | None, what: str) -> float:
-    if text is None or not text.strip():
-        raise ValidationError(f"{what}: missing numeric value")
+def _require_number(text: str, where: str, field: str) -> float:
+    """The number in ``text``, the ``field`` of the item named ``where``."""
+    text = text.strip()
+    if not text:
+        raise ValidationError(f"{where}: {field}: missing numeric value")
     try:
-        value = _decimal(text.strip())
+        value = _decimal(text)
     except ValueError:
-        raise ValidationError(f"{what}: not a number: {text.strip()!r}") from None
+        raise ValidationError(f"{where}: {field}: not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ValidationError(f"{what}: must be finite, got {text.strip()!r}")
+        raise ValidationError(f"{where}: {field}: must be finite, got {text!r}")
     if value < 0:
-        raise ValidationError(f"{what}: must be nonnegative, got {value}")
+        raise ValidationError(f"{where}: {field}: must be nonnegative, got {value}")
     return value
 
 
@@ -189,10 +189,21 @@ class FinalSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Task XML
+# XML reading
+#
+# Each reader fills its items from expat's callbacks as their elements end,
+# holding the open item's fields in its own variables: no element tree, and
+# no object per element or per item. An item is a root child named by the
+# format; it holds fields (text only) and blocks (which hold fields). Other
+# elements are skipped with a warning, in document order: at the root, in an
+# item or in a block; what a field or a skipped element holds is ignored. A
+# field's text is its character data before its first child. The first error
+# that an item raises ends the reading of items and warnings, but it is
+# raised only once the whole text is known to be well-formed, so a syntax
+# error anywhere wins.
 
 
-_FEED_CHARS = 16 * 1024  # text per parser feed; ET.iterparse reads as much
+_FEED_CHARS = 16 * 1024  # text per parser feed
 
 
 def _slices(source: str | TextIO) -> Iterator[str]:
@@ -208,147 +219,72 @@ def _slices(source: str | TextIO) -> Iterator[str]:
     return iter(lambda: source.read(_FEED_CHARS), "")
 
 
-def _parse_children(
-    source: str | TextIO, tag: str, parse: Callable[[ET.Element, int], _Item]
-) -> list[_Item]:
-    """``parse(child, index)`` for each root child named ``tag``, in file order.
+def _feed(
+    source: str | TextIO,
+    start: Callable[[str, dict[str, str]], None],
+    end: Callable[[str], None],
+    chunks: list[str],
+) -> None:
+    """Run ``source`` through expat, which calls ``start(name, attrs)`` and
+    ``end(name)`` for each element and appends character data to ``chunks``.
 
-    Other root children are skipped with a warning. The text goes to a pull
-    parser one slice at a time. After each slice, every root child but the
-    last is complete, since a sibling starts only after the one before it
-    ends: those are parsed and dropped, so the element tree never holds the
-    whole document. The first error that ``parse`` raises ends the parsing,
-    but it is raised only once the whole text is known to be well-formed, so
-    a syntax error anywhere wins, as it would over a whole tree.
+    A name comes as ``uri}local`` (see :func:`_universal`). Character data
+    includes CDATA and character and entity references, but not comments or
+    PIs, as ElementTree's ``text`` does. Syntax errors raise
+    :class:`XmlFormatError`, and so does an entity reference that expat
+    leaves unexpanded: an undefined one, which a DOCTYPE with an external
+    part keeps from being a syntax error, or an external one. ElementTree
+    reports both as undefined, at the reference.
     """
-    parser = ET.XMLPullParser(("start",))
-    root: ET.Element | None = None
-    items: list[_Item] = []
-    failure: ValidationError | None = None
+    parser = ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
 
-    def read_events() -> None:
-        nonlocal root
-        for _, elem in parser.read_events():  # raises a queued syntax error
-            if root is None:
-                root = elem
+    def default(data: str) -> None:
+        if data.startswith("&"):  # only an unexpanded reference gets here
+            _malformed(
+                parser.CurrentLineNumber,
+                parser.CurrentColumnNumber,
+                errors.XML_ERROR_UNDEFINED_ENTITY,
+            )
 
-    def take(children: list[ET.Element]) -> None:
-        nonlocal failure
-        if failure is not None:
-            return
-        try:
-            for child in children:
-                if child.tag == tag:
-                    items.append(parse(child, len(items)))
-                else:
-                    _warn_unknown(child.tag, f"<{root.tag}>")
-        except ValidationError as exc:
-            failure = exc
-
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = chunks.append
+    parser.DefaultHandlerExpand = default
     try:
         for piece in _slices(source):
-            parser.feed(piece)
-            read_events()
-            if root is not None and len(root) > 1:
-                take(root[:-1])
-                del root[:-1]
-        parser.close()
-        read_events()
-    except ET.ParseError as exc:
-        # imported here: a well-formed document never pays for it
-        from xml.parsers.expat import ErrorString
-
-        line, col = exc.position
-        raise XmlFormatError(
-            f"malformed XML at line {line}, column {col}: {ErrorString(exc.code)}"
-        ) from None
-    take(root[:])
-    if failure is not None:
-        raise failure
-    return items
+            parser.Parse(piece, False)
+        parser.Parse("", True)
+    except ExpatError as exc:
+        _malformed(exc.lineno, exc.offset, ErrorString(exc.code))
+    finally:
+        parser.DefaultHandlerExpand = None  # it holds the parser: no cycle
 
 
-def _warn_unknown(tag: str, where: str) -> None:
+def _universal(name: str) -> str:
+    """ElementTree's name of an element: expat gives ``uri}local``."""
+    return "{" + name if "}" in name else name
+
+
+def _malformed(line: int, column: int, reason: str) -> NoReturn:
+    raise XmlFormatError(f"malformed XML at line {line}, column {column}: {reason}")
+
+
+def _warn_unknown(name: str, where: str) -> None:
     # imported here: a document without unknown elements never pays for it
     import logging
 
     logging.getLogger(__name__).warning(
-        "ignoring unknown element <%s> in %s", tag, where
+        "ignoring unknown element <%s> in %s", _universal(name), where
     )
 
 
-def _read_numbers(
-    block: ET.Element, tags: tuple[str, ...], where: str
-) -> dict[str, float]:
-    """Children of ``block`` named in ``tags``, parsed as numbers by tag.
-
-    Unknown children are skipped with a warning; a repeated tag keeps its
-    last value.
-    """
-    values: dict[str, float] = {}
-    for child in block:
-        if child.tag in tags:
-            values[child.tag] = _require_number(child.text, f"{where}: {child.tag}")
-        else:
-            _warn_unknown(child.tag, f"{where}/{block.tag}")
-    return values
+# ---------------------------------------------------------------------------
+# Task XML
 
 
-def _parse_dependency(elem: ET.Element, where: str) -> Dependency:
-    dep_id: str | None = None
-    comm: float | None = None
-    for child in elem:
-        if child.tag == "taskId":
-            dep_id = (child.text or "").strip()
-        elif child.tag == "commTime":
-            comm = _require_number(child.text, f"{where}: depends/commTime")
-        else:
-            _warn_unknown(child.tag, f"{where}/depends")
-    if not dep_id:
-        raise ValidationError(f"{where}: depends element lacks a taskId")
-    if comm is None:
-        raise ValidationError(f"{where}: depends element lacks a commTime")
-    return Dependency(dep_id, comm)
-
-
-def _parse_task(elem: ET.Element, index: int) -> TaskSpec:
-    where = f"task #{index + 1}"
-    task_id: str | None = None
-    processing: float | None = None
-    requirements: dict[str, float] | None = None
-    deps: list[Dependency] = []
-    for child in elem:
-        if child.tag == "taskId":
-            task_id = (child.text or "").strip()
-            where = f"task {task_id!r}" if task_id else where
-        elif child.tag == "requirements":
-            requirements = (requirements or {}) | _read_numbers(
-                child, ("memory", "cpuPower", "deadlineTime"), where
-            )
-        elif child.tag == "processingTime":
-            processing = _require_number(child.text, f"{where}: processingTime")
-        elif child.tag == "depends":
-            deps.append(_parse_dependency(child, where))
-        else:
-            _warn_unknown(child.tag, where)
-    if not task_id:
-        raise ValidationError(f"{where}: missing taskId")
-    if processing is None:
-        raise ValidationError(f"{where}: missing processingTime")
-    if requirements is None:
-        raise ValidationError(f"{where}: missing requirements")
-    if "memory" not in requirements:
-        raise ValidationError(f"{where}: requirements lack memory")
-    if "cpuPower" not in requirements:
-        raise ValidationError(f"{where}: requirements lack cpuPower")
-    return TaskSpec(
-        task_id=task_id,
-        processing_time=processing,
-        memory=requirements["memory"],
-        cpu_power=requirements["cpuPower"],
-        deadline_time=requirements.get("deadlineTime"),
-        dependencies=tuple(deps),
-    )
+_REQUIREMENTS = frozenset(("memory", "cpuPower", "deadlineTime"))
+_DEPENDS = frozenset(("taskId", "commTime"))
 
 
 def parse_task_file(source: str | TextIO) -> list[TaskSpec]:
@@ -356,9 +292,123 @@ def parse_task_file(source: str | TextIO) -> list[TaskSpec]:
     reading, into a task set, preserving file order.
 
     Dependencies naming ids absent from the file are kept as-is; resolving
-    them is the DAG builder's job.
+    them is the DAG builder's job. A dependency holds the very ``str`` object
+    of the task id it names.
     """
-    tasks = _parse_children(source, "task", _parse_task)
+    names: dict[str, str] = {}  # one per file: equal ids are one object
+    tasks: list[TaskSpec] = []
+    chunks: list[str] = []  # character data since the last start of a field
+    failure: ValidationError | None = None
+    root: str | None = None  # the root element, as warnings name it
+    where: str | None = None  # the open task, as messages name it
+    block: str | None = None
+    fields = _DEPENDS  # of the open block
+    leaf: str | None = None
+    skipped = 0  # open elements from the outermost ignored one in
+    task_id = dep_id = ""
+    processing: float | None = None
+    comm: float | None = None
+    requirements: dict[str, float] | None = None
+    deps: list[Dependency] = []
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal root, where, block, fields, leaf, skipped
+        nonlocal task_id, processing, requirements, deps
+        if skipped:
+            skipped += 1
+            chunks.clear()  # a skipped element's text is never read
+        elif leaf is not None:  # the leaf's text ends at its first child
+            end(leaf)
+            skipped += 2  # the child and the leaf itself; inf stays inf
+        elif block is not None:
+            if name in fields:
+                leaf = name
+                chunks.clear()
+            else:
+                _warn_unknown(name, f"{where}/{block}")
+                skipped = 1
+        elif where is not None:
+            if name == "depends":
+                block, fields = name, _DEPENDS
+            elif name == "taskId" or name == "processingTime":
+                leaf = name
+                chunks.clear()
+            elif name == "requirements":
+                block, fields = name, _REQUIREMENTS
+                if requirements is None:
+                    requirements = {}
+            else:
+                _warn_unknown(name, where)
+                skipped = 1
+        elif root is None:
+            root = f"<{_universal(name)}>"
+        elif name == "task":
+            where = f"task #{len(tasks) + 1}"
+            task_id, processing, requirements, deps = "", None, None, []
+        else:
+            _warn_unknown(name, root)
+            skipped = 1
+
+    def end(name: str) -> None:
+        nonlocal where, block, leaf, skipped, failure
+        nonlocal task_id, dep_id, processing, comm
+        try:
+            if skipped:
+                skipped -= 1
+            elif leaf is not None:
+                text = "".join(chunks)
+                if block == "depends":
+                    if leaf == "taskId":
+                        dep_id = text.strip()
+                    else:
+                        comm = _require_number(text, where, "depends/commTime")
+                elif block is not None:
+                    requirements[leaf] = _require_number(text, where, leaf)
+                elif leaf == "taskId":
+                    task_id = text.strip()
+                    if task_id:
+                        where = f"task {task_id!r}"
+                else:
+                    processing = _require_number(text, where, "processingTime")
+                leaf = None
+            elif block == "depends":
+                if not dep_id:
+                    raise ValidationError(f"{where}: depends element lacks a taskId")
+                if comm is None:
+                    raise ValidationError(f"{where}: depends element lacks a commTime")
+                deps.append(Dependency(names.setdefault(dep_id, dep_id), comm))
+                block, dep_id, comm = None, "", None
+            elif block is not None:
+                block = None
+            elif where is not None:
+                if not task_id:
+                    raise ValidationError(f"{where}: missing taskId")
+                if processing is None:
+                    raise ValidationError(f"{where}: missing processingTime")
+                if requirements is None:
+                    raise ValidationError(f"{where}: missing requirements")
+                if "memory" not in requirements:
+                    raise ValidationError(f"{where}: requirements lack memory")
+                if "cpuPower" not in requirements:
+                    raise ValidationError(f"{where}: requirements lack cpuPower")
+                tasks.append(
+                    TaskSpec(
+                        task_id=names.setdefault(task_id, task_id),
+                        processing_time=processing,
+                        memory=requirements["memory"],
+                        cpu_power=requirements["cpuPower"],
+                        deadline_time=requirements.get("deadlineTime"),
+                        dependencies=tuple(deps),
+                    )
+                )
+                where = None
+        except ValidationError as exc:
+            failure = exc
+            skipped = math.inf  # the rest is only checked for well-formedness
+
+    _feed(source, start, end, chunks)
+    if failure is not None:
+        raise failure
     seen: set[str] = set()
     for task in tasks:
         if task.task_id in seen:
@@ -369,6 +419,9 @@ def parse_task_file(source: str | TextIO) -> list[TaskSpec]:
 
 def serialize_task_set(tasks: list[TaskSpec]) -> str:
     """Render a task set in the task XML format, deterministically."""
+    # imported here: the readers and the scheduler never pay for it
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("tasks")
     for task in tasks:
         el = ET.SubElement(root, "task")
@@ -396,45 +449,104 @@ def serialize_task_set(tasks: list[TaskSpec]) -> str:
 # Resource XML
 
 
-_NODE_PARAMETERS = ("CPUPower", "Memory", "CPU_idle")
-
-
-def _parse_node(elem: ET.Element, index: int) -> ResourceSpec:
-    where = f"Node #{index + 1}"
-    resource_id: str | None = None
-    names = {"nodeName": "", "ClusterName": "", "FarmName": ""}
-    params: dict[str, float] = {}
-    for child in elem:
-        if child.tag == "Id":
-            resource_id = (child.text or "").strip()
-            where = f"Node {resource_id!r}" if resource_id else where
-        elif child.tag in names:
-            names[child.tag] = (child.text or "").strip()
-        elif child.tag == "Parameters":
-            params |= _read_numbers(child, _NODE_PARAMETERS, where)
-        else:
-            _warn_unknown(child.tag, where)
-    if not resource_id:
-        raise ValidationError(f"{where}: missing Id")
-    if len(params) < len(_NODE_PARAMETERS):
-        raise ValidationError(
-            f"{where}: Parameters must contain CPUPower, Memory and CPU_idle"
-        )
-    return ResourceSpec(
-        resource_id=resource_id,
-        node_name=names["nodeName"],
-        cluster_name=names["ClusterName"],
-        farm_name=names["FarmName"],
-        cpu_power=params["CPUPower"],
-        memory=params["Memory"],
-        cpu_idle=params["CPU_idle"],
-    )
+_PARAMETERS = frozenset(("CPUPower", "Memory", "CPU_idle"))
+_NAMING = ("nodeName", "ClusterName", "FarmName")
 
 
 def parse_resource_file(source: str | TextIO) -> list[ResourceSpec]:
     """Parse a resource XML document, given as text or as a text file open
     for reading, into a resource set, in file order."""
-    resources = _parse_children(source, "Node", _parse_node)
+    resources: list[ResourceSpec] = []
+    chunks: list[str] = []  # character data since the last start of a field
+    failure: ValidationError | None = None
+    root: str | None = None  # the root element, as warnings name it
+    where: str | None = None  # the open Node, as messages name it
+    in_parameters = False
+    leaf: str | None = None
+    skipped = 0  # open elements from the outermost ignored one in
+    resource_id = ""
+    naming: dict[str, str] = {}
+    params: dict[str, float] = {}
+
+    def start(name: str, attrs: dict[str, str]) -> None:
+        nonlocal root, where, in_parameters, leaf, skipped
+        nonlocal resource_id, naming, params
+        if skipped:
+            skipped += 1
+            chunks.clear()  # a skipped element's text is never read
+        elif leaf is not None:  # the leaf's text ends at its first child
+            end(leaf)
+            skipped += 2  # the child and the leaf itself; inf stays inf
+        elif in_parameters:
+            if name in _PARAMETERS:
+                leaf = name
+                chunks.clear()
+            else:
+                _warn_unknown(name, f"{where}/Parameters")
+                skipped = 1
+        elif where is not None:
+            if name == "Id" or name in naming:
+                leaf = name
+                chunks.clear()
+            elif name == "Parameters":
+                in_parameters = True
+            else:
+                _warn_unknown(name, where)
+                skipped = 1
+        elif root is None:
+            root = f"<{_universal(name)}>"
+        elif name == "Node":
+            where = f"Node #{len(resources) + 1}"
+            resource_id, naming, params = "", dict.fromkeys(_NAMING, ""), {}
+        else:
+            _warn_unknown(name, root)
+            skipped = 1
+
+    def end(name: str) -> None:
+        nonlocal where, in_parameters, leaf, skipped, failure
+        nonlocal resource_id
+        try:
+            if skipped:
+                skipped -= 1
+            elif leaf is not None:
+                text = "".join(chunks)
+                if in_parameters:
+                    params[leaf] = _require_number(text, where, leaf)
+                elif leaf == "Id":
+                    resource_id = text.strip()
+                    if resource_id:
+                        where = f"Node {resource_id!r}"
+                else:
+                    naming[leaf] = text.strip()
+                leaf = None
+            elif in_parameters:
+                in_parameters = False
+            elif where is not None:
+                if not resource_id:
+                    raise ValidationError(f"{where}: missing Id")
+                if len(params) < len(_PARAMETERS):
+                    raise ValidationError(
+                        f"{where}: Parameters must contain CPUPower, Memory and CPU_idle"
+                    )
+                resources.append(
+                    ResourceSpec(
+                        resource_id=resource_id,
+                        node_name=naming["nodeName"],
+                        cluster_name=naming["ClusterName"],
+                        farm_name=naming["FarmName"],
+                        cpu_power=params["CPUPower"],
+                        memory=params["Memory"],
+                        cpu_idle=params["CPU_idle"],
+                    )
+                )
+                where = None
+        except ValidationError as exc:
+            failure = exc
+            skipped = math.inf  # the rest is only checked for well-formedness
+
+    _feed(source, start, end, chunks)
+    if failure is not None:
+        raise failure
     seen: set[str] = set()
     for res in resources:
         if res.resource_id in seen:
@@ -445,6 +557,9 @@ def parse_resource_file(source: str | TextIO) -> list[ResourceSpec]:
 
 def serialize_resource_set(resources: list[ResourceSpec]) -> str:
     """Render a resource set in the resource XML format, deterministically."""
+    # imported here: the readers and the scheduler never pay for it
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("resources")
     for res in resources:
         el = ET.SubElement(root, "Node")

@@ -8,8 +8,8 @@ phase-1 clustering by a greedy that runs one DFS per merge candidate, the
 descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, dependency
 levels by relaxing along that order, resource overlaps by a full
-pairwise scan, the XML readers by building the whole element tree
-before walking it (only the per-element parsers are shared), phase 3 by
+pairwise scan, the XML readers by building the whole element tree with
+ElementTree and walking it with the package's former walkers, phase 3 by
 shifting clusters from the logged phase-2 placements, the repair pass by
 iterating the release rule to a fixpoint, and the float contract by
 exact rational arithmetic.
@@ -345,12 +345,12 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
     """``parse_task_file`` (kind ``"task"``) or ``parse_resource_file``
     (kind ``"Node"``) as one ``ET.fromstring`` followed by a walk over the
     root's children, raising the same errors and logging the same warnings.
+    The walkers below share no code with the package's streaming reader.
     """
     import xml.etree.ElementTree as ET
     from xml.parsers.expat import ErrorString
 
     from coalloc import StructuralError, XmlFormatError
-    from coalloc.model import _parse_node, _parse_task, _warn_unknown
 
     try:
         root = ET.fromstring(xml_text)
@@ -372,6 +372,141 @@ def whole_tree_items(xml_text: str, kind: str) -> list:
             what = "taskId" if kind == "task" else "resource Id"
             raise StructuralError(f"duplicate {what} {item_id!r}")
     return items
+
+
+def _warn_unknown(tag: str, where: str) -> None:
+    import logging
+
+    logging.getLogger("coalloc.model").warning(
+        "ignoring unknown element <%s> in %s", tag, where
+    )
+
+
+def _require_number(text, what: str) -> float:
+    from coalloc import ValidationError
+
+    if text is None or not text.strip():
+        raise ValidationError(f"{what}: missing numeric value")
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValidationError(f"{what}: not a number: {text!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"{what}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{what}: must be finite, got {text!r}")
+    if value < 0:
+        raise ValidationError(f"{what}: must be nonnegative, got {value}")
+    return value
+
+
+def _read_numbers(block, tags: tuple, where: str) -> dict:
+    values: dict = {}
+    for child in block:
+        if child.tag in tags:
+            values[child.tag] = _require_number(child.text, f"{where}: {child.tag}")
+        else:
+            _warn_unknown(child.tag, f"{where}/{block.tag}")
+    return values
+
+
+def _parse_dependency(elem, where: str):
+    from coalloc import Dependency, ValidationError
+
+    dep_id = None
+    comm = None
+    for child in elem:
+        if child.tag == "taskId":
+            dep_id = (child.text or "").strip()
+        elif child.tag == "commTime":
+            comm = _require_number(child.text, f"{where}: depends/commTime")
+        else:
+            _warn_unknown(child.tag, f"{where}/depends")
+    if not dep_id:
+        raise ValidationError(f"{where}: depends element lacks a taskId")
+    if comm is None:
+        raise ValidationError(f"{where}: depends element lacks a commTime")
+    return Dependency(dep_id, comm)
+
+
+def _parse_task(elem, index: int):
+    from coalloc import TaskSpec, ValidationError
+
+    where = f"task #{index + 1}"
+    task_id = None
+    processing = None
+    requirements = None
+    deps: list = []
+    for child in elem:
+        if child.tag == "taskId":
+            task_id = (child.text or "").strip()
+            where = f"task {task_id!r}" if task_id else where
+        elif child.tag == "requirements":
+            requirements = (requirements or {}) | _read_numbers(
+                child, ("memory", "cpuPower", "deadlineTime"), where
+            )
+        elif child.tag == "processingTime":
+            processing = _require_number(child.text, f"{where}: processingTime")
+        elif child.tag == "depends":
+            deps.append(_parse_dependency(child, where))
+        else:
+            _warn_unknown(child.tag, where)
+    if not task_id:
+        raise ValidationError(f"{where}: missing taskId")
+    if processing is None:
+        raise ValidationError(f"{where}: missing processingTime")
+    if requirements is None:
+        raise ValidationError(f"{where}: missing requirements")
+    if "memory" not in requirements:
+        raise ValidationError(f"{where}: requirements lack memory")
+    if "cpuPower" not in requirements:
+        raise ValidationError(f"{where}: requirements lack cpuPower")
+    return TaskSpec(
+        task_id=task_id,
+        processing_time=processing,
+        memory=requirements["memory"],
+        cpu_power=requirements["cpuPower"],
+        deadline_time=requirements.get("deadlineTime"),
+        dependencies=tuple(deps),
+    )
+
+
+_NODE_PARAMETERS = ("CPUPower", "Memory", "CPU_idle")
+
+
+def _parse_node(elem, index: int):
+    from coalloc import ResourceSpec, ValidationError
+
+    where = f"Node #{index + 1}"
+    resource_id = None
+    names = {"nodeName": "", "ClusterName": "", "FarmName": ""}
+    params: dict = {}
+    for child in elem:
+        if child.tag == "Id":
+            resource_id = (child.text or "").strip()
+            where = f"Node {resource_id!r}" if resource_id else where
+        elif child.tag in names:
+            names[child.tag] = (child.text or "").strip()
+        elif child.tag == "Parameters":
+            params |= _read_numbers(child, _NODE_PARAMETERS, where)
+        else:
+            _warn_unknown(child.tag, where)
+    if not resource_id:
+        raise ValidationError(f"{where}: missing Id")
+    if len(params) < len(_NODE_PARAMETERS):
+        raise ValidationError(
+            f"{where}: Parameters must contain CPUPower, Memory and CPU_idle"
+        )
+    return ResourceSpec(
+        resource_id=resource_id,
+        node_name=names["nodeName"],
+        cluster_name=names["ClusterName"],
+        farm_name=names["FarmName"],
+        cpu_power=params["CPUPower"],
+        memory=params["Memory"],
+        cpu_idle=params["CPU_idle"],
+    )
 
 
 def reference_phase3_and_repair(result):

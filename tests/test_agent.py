@@ -22,6 +22,7 @@ from coalloc import (
     ResourceTimeline,
     StructuralError,
     TaskSpec,
+    ValidationError,
     apply_dependency_delays,
     build_dag,
     eligible_resources,
@@ -379,6 +380,33 @@ def test_delay_steps_past_a_one_ulp_shortfall():
     assert moved.placements["t"].start >= 47.76
 
 
+def test_rigid_shift_past_the_largest_float_names_the_first_task_in_decision_order():
+    # the shortfall falls one float short of the entry, and the step up
+    # makes start + shortfall overflow; so does a's, but t comes first
+    start = 1.1096546374014922e306
+    partial = PartialSchedule(
+        "C1",
+        {
+            "b": Placement("b", "r1", "a1", 0.0, 1.0),
+            "t": Placement("t", "r1", "a1", start, start + 1.0),
+            "a": Placement("a", "r2", "a1", start, start + 1.0),
+        },
+    )
+    shortfall = sys.float_info.max - start
+    assert start + shortfall < sys.float_info.max
+    assert start + math.nextafter(shortfall, math.inf) == math.inf
+    with pytest.raises(ValidationError) as err:
+        apply_dependency_delays(partial, [("t", sys.float_info.max)])
+    assert str(err.value) == (
+        "task 't' would end past the largest finite time; "
+        "its processing and communication times are too large"
+    )
+    # a shifted start can stay finite while the end overflows
+    long = PartialSchedule("C2", {"u": Placement("u", "r1", "a1", 0.0, 1.5e308)})
+    with pytest.raises(ValidationError, match="^task 'u' would end past"):
+        apply_dependency_delays(long, [("u", 1e308)])
+
+
 def shift_of(partial, moved, readiness):
     """The one float ``d`` with ``moved == partial.shifted(d)``, searched
     upwards from the largest raw shortfall."""
@@ -445,6 +473,10 @@ def test_one_float_step_up_always_meets_a_readiness_entry(pair):
         steps += 1
     assert steps <= 1
     partial = PartialSchedule("C1", {"t": Placement("t", "r1", "a1", start, start)})
+    if start + shortfall == math.inf:  # the step up overflows, as in the last example
+        with pytest.raises(ValidationError, match="^task 't' would end past"):
+            apply_dependency_delays(partial, [("t", ready)])
+        return
     moved = apply_dependency_delays(partial, [("t", ready)])
     assert moved == partial.shifted(max(0.0, shortfall))
 

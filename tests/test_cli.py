@@ -573,6 +573,23 @@ def test_logging_is_loaded_only_by_a_warning(run, demo_inputs, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize(
+    "run, loaded",
+    [("import coalloc", False), ("import coalloc.cli", False), ("schedule", False),
+     ("generate", True)],
+)
+def test_element_tree_is_loaded_only_to_write_xml(run, loaded, demo_inputs, tmp_path):
+    argv = cli_args(demo_inputs, tmp_path / "out")
+    if run == "generate":
+        argv = ["generate", "--out", str(tmp_path / "gen"), "--num-tasks", "5"]
+    if run in ("schedule", "generate"):
+        run = "from coalloc.cli import main; assert main(sys.argv[1:]) == 0"
+    probe = f"import sys; {run}; print('xml.etree.ElementTree' in sys.modules)"
+    proc = run_python("-c", probe, *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
 def test_cli_warns_in_document_order_before_a_syntax_error(demo_inputs, tmp_path):
     tasks = demo_inputs[0]
     text = tasks.read_text().replace("</tasks>", "")  # a syntax error at the end

@@ -409,14 +409,37 @@ def test_schedule_csv_rejects_a_short_row():
 
 
 # Differential test of the streamed XML readers against a parse of the whole
-# tree: generated documents with unknown elements at root, task and node level,
-# a <task> nested in an unknown root child, field errors and duplicate ids,
-# padded to at least three feed slices and sometimes truncated.
+# tree: generated documents with unknown elements at root, task, node and
+# block level (one in a default namespace, one prefixed), a <task> nested in
+# an unknown root child, repeated fields, attributes, field texts made of
+# CDATA, character and entity references, comments, processing instructions
+# or mixed content, sometimes under a DOCTYPE that declares an entity or
+# names an external one, field errors and duplicate ids, padded to at least
+# three feed slices and sometimes truncated.
 ROOT_EXTRAS = [
     "<note>\u00fcber</note>",
     "<extra><task><taskId>z</taskId></task></extra>",
     "<!-- remark -->",
+    "<?note remark?>",
     "<color>blue</color>",
+    '<color xmlns="urn:c">blue</color>',
+    '<n:color xmlns:n="urn:n"><memory>1</memory></n:color>',
+    "<processingTime>7.5</processingTime>",
+    "<memory>3.0</memory>",
+    '<taskId kind="x">t001</taskId>',
+    "<Id>N01</Id>",
+    "<CPUPower>1.0</CPUPower>",
+]
+FIELD_TOKENS = [
+    "x", "-1", "1_0", "<![CDATA[2.5]]>", "&#48;", "1&amp;2", "&e;", "&undefined;",
+    "1<!-- c -->0", "3<?pi x?>.5", "4<b>5</b>6", "4<b/>5<c/>6",
+    "x<b/>1", "<![CDATA[a]]>b",
+]
+PROLOGS = [
+    "",
+    '<!DOCTYPE root [<!ENTITY e "4.0">]>\n',
+    '<!DOCTYPE root SYSTEM "root.dtd">\n',
+    '<!DOCTYPE root [<!ENTITY e SYSTEM "e.xml">]>\n',
 ]
 FIELD_TEXT = re.compile(r">([^<>\s][^<>]*)<")
 
@@ -435,8 +458,12 @@ def xml_documents(draw):
     originals = sorted({text[a:b] for a, b in fields})
     picks = draw(st.lists(st.sampled_from(fields), max_size=2, unique=True))
     for a, b in sorted(picks, reverse=True):  # from the back: spans stay put
-        token = draw(st.sampled_from(["x", "-1", "1_0"]) | st.sampled_from(originals))
+        token = draw(st.sampled_from(FIELD_TOKENS) | st.sampled_from(originals))
         text = text[:a] + token + text[b:]
+    tags = st.sampled_from(["task", "Node", "depends", "Parameters"])
+    for tag in draw(st.lists(tags)):
+        text = text.replace(f"<{tag}>", f'<{tag} note="a&amp;b">', 1)
+    text = text.replace("?>\n", "?>\n" + draw(st.sampled_from(PROLOGS)), 1)
     # between the root's start and end tags every line holds whole elements
     lines = text.splitlines(keepends=True)
     for _ in range(draw(st.integers(0, 5))):
@@ -481,6 +508,153 @@ def test_streamed_reader_matches_the_whole_tree(document, caplog):
     # on a malformed document, elements read before the syntax error have warned
     if not (isinstance(expected, tuple) and expected[0] == "XmlFormatError"):
         assert warnings == expected_warnings
+
+
+def task_document(head="<taskId>a</taskId>", attrs="", prolog=""):
+    """One task whose fields start with ``head``, in a ``<tasks>`` root."""
+    return (
+        f"{prolog}<tasks{attrs}><task>{head}<requirements><memory>1</memory>"
+        "<cpuPower>1</cpuPower></requirements><processingTime>2</processingTime>"
+        "</task></tasks>"
+    )
+
+
+# Markup that the whole-tree reference leaves to ElementTree: each
+# document's outcome, and its warnings, must match the reference.
+MARKUP_DOCUMENTS = {
+    "cdata and references": (
+        "task",
+        "<tasks><task><taskId><![CDATA[a<]]>&#48;&amp;</taskId><requirements>"
+        "<memory>&#49;</memory><cpuPower><![CDATA[2]]></cpuPower></requirements>"
+        "<processingTime>1&#46;5</processingTime></task></tasks>",
+    ),
+    "comment and pi in fields": (
+        "task",
+        task_document("<taskId>a<!-- c -->b<?pi x?>c</taskId>")
+        .replace("<processingTime>2", "<processingTime>1<!-- c -->2"),
+    ),
+    "default namespace": ("task", task_document(attrs=' xmlns="urn:t"')),
+    "prefixed element": (
+        "task",
+        task_document('<taskId>a</taskId><p:color xmlns:p="urn:p">red</p:color>'),
+    ),
+    "attributes": (
+        "task",
+        task_document('<taskId kind="k">a</taskId>', attrs=' v="1"')
+        .replace("<task>", '<task id="x">'),
+    ),
+    "doctype with an internal entity": (
+        "task",
+        task_document(
+            "<taskId>&id;</taskId>", prolog='<!DOCTYPE tasks [<!ENTITY id "t&#49;">]>'
+        ),
+    ),
+    "undefined entity": ("task", task_document("<taskId>&foo;</taskId>")),
+    "undefined entity under a doctype": (
+        "task",
+        task_document(
+            "<taskId>&foo;</taskId>", prolog='<!DOCTYPE tasks SYSTEM "x.dtd">'
+        ),
+    ),
+    "external entity": (
+        "task",
+        task_document(
+            "<taskId>&ext;</taskId>",
+            prolog='<!DOCTYPE tasks [<!ENTITY ext SYSTEM "e.xml">]>',
+        ),
+    ),
+    "mixed content in a leaf": ("task", task_document("<taskId>a<b>x</b>c</taskId>")),
+    "leaf with two children": (
+        "task",
+        task_document("<taskId>a<b/>c<d>e</d>f</taskId>")
+        .replace("<processingTime>2", "<processingTime>1<x/>2<y/>3"),
+    ),
+    "bad number before a child": (
+        "task",
+        task_document().replace("<processingTime>2", "<processingTime>x<b/>2"),
+    ),
+    "node bad number before a child": (
+        "Node",
+        "<resources><Node><Id>N</Id><Parameters><CPUPower>1</CPUPower>"
+        "<Memory>x<b/>2</Memory><CPU_idle>0</CPU_idle></Parameters></Node>"
+        "<Node><Color/></Node></resources>",
+    ),
+    "repeated leaves": (
+        "task",
+        task_document("<taskId>a</taskId><taskId>b</taskId>")
+        .replace("</task>", "<processingTime>3</processingTime></task>"),
+    ),
+    "task in an unknown root child": (
+        "task",
+        "<tasks><extra><task><taskId>z</taskId></task></extra>"
+        + task_document("<taskId>a</taskId>")[len("<tasks>"):],
+    ),
+    "node markup": (
+        "Node",
+        '<resources xmlns:p="urn:p"><Node kind="n"><Id><![CDATA[N]]>&#49;</Id>'
+        "<Id>N2</Id><nodeName>a<!-- c -->b<x/>c<y/>d</nodeName><p:Id>z</p:Id>"
+        "<Parameters><CPUPower>1</CPUPower><Memory>&#50;</Memory>"
+        "<CPU_idle>0</CPU_idle><Memory>3</Memory></Parameters></Node></resources>",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MARKUP_DOCUMENTS)
+def test_reader_matches_the_whole_tree_on_markup(name, caplog):
+    kind, text = MARKUP_DOCUMENTS[name]
+    read = parse_task_file if kind == "task" else parse_resource_file
+    with caplog.at_level(logging.WARNING, logger="coalloc.model"):
+        outcome = read_outcome(read, text, caplog)
+        assert outcome == read_outcome(
+            lambda t: whole_tree_items(t, kind), text, caplog
+        )
+
+
+def test_markup_outcomes():
+    def read(name):
+        kind, text = MARKUP_DOCUMENTS[name]
+        try:
+            return (parse_task_file if kind == "task" else parse_resource_file)(text)
+        except XmlFormatError as exc:
+            return str(exc)
+
+    assert read("cdata and references")[0].task_id == "a<0&"
+    assert read("cdata and references")[0].processing_time == 1.5
+    assert read("comment and pi in fields")[0].task_id == "abc"
+    assert read("comment and pi in fields")[0].processing_time == 12.0
+    assert read("default namespace") == []
+    assert read("doctype with an internal entity")[0].task_id == "t1"
+    assert read("mixed content in a leaf")[0].task_id == "a"
+    assert read("leaf with two children")[0].task_id == "a"
+    assert read("leaf with two children")[0].processing_time == 1.0
+    with pytest.raises(ValidationError, match="^task 'a': processingTime: not a"):
+        read("bad number before a child")
+    with pytest.raises(ValidationError, match="^Node 'N': Memory: not a number"):
+        read("node bad number before a child")
+    assert read("repeated leaves")[0].task_id == "b"
+    assert read("repeated leaves")[0].processing_time == 3.0
+    assert [t.task_id for t in read("task in an unknown root child")] == ["a"]
+    node = read("node markup")[0]
+    assert (node.resource_id, node.node_name, node.memory) == ("N2", "ab", 3.0)
+    undefined = "malformed XML at line 1, column {}: undefined entity"
+    assert read("undefined entity") == undefined.format(21)
+    assert read("undefined entity under a doctype") == undefined.format(52)
+    assert read("external entity") == undefined.format(68)
+
+
+def test_dependencies_hold_their_tasks_own_id_objects():
+    text = serialize_task_set(generate_workload(4, 60, 5, 0.2))
+    # a dependency that names a task further down the file
+    text = text.replace(
+        "</task>",
+        "<depends><taskId>t60</taskId><commTime>1.0</commTime></depends></task>",
+        1,
+    )
+    tasks = parse_task_file(text)
+    own = {task.task_id: task.task_id for task in tasks}
+    deps = [dep for task in tasks for dep in task.dependencies]
+    assert len(deps) > 60
+    assert all(dep.task_id is own[dep.task_id] for dep in deps)
 
 
 def test_malformed_xml_states_its_position_once():
