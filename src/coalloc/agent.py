@@ -11,12 +11,11 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 from .clustering import Cluster
 from .errors import InfeasibleTaskError, ProtocolError, StructuralError, ValidationError
 from .graph import TaskDag, levelize, release
-from .model import AgentSpec, Placement, ResourceSpec, TaskSpec
+from .model import AgentSpec, Placement, Record, ResourceSpec, TaskSpec, _set
 from . import protocol
 
 
@@ -90,12 +89,14 @@ class ResourceTimeline:
                 del starts[i], ends[i]
 
 
-@dataclass(frozen=True)
-class PartialSchedule:
+class PartialSchedule(Record):
     """One cluster's placements, keyed by task id in decision order."""
 
-    cluster_id: str
-    placements: dict[str, Placement]
+    __slots__ = ("cluster_id", "placements")
+
+    def __init__(self, cluster_id: str, placements: dict[str, Placement]) -> None:
+        _set(self, "cluster_id", cluster_id)
+        _set(self, "placements", placements)
 
     def shifted(self, delta: float) -> "PartialSchedule":
         """These placements ``delta`` later; the first task, in decision

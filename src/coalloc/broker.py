@@ -11,7 +11,6 @@ import math
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
@@ -21,8 +20,10 @@ from .model import (
     AgentSpec,
     FinalSchedule,
     Placement,
+    Record,
     ResourceSpec,
     TaskSpec,
+    _set,
     validate_agent_map,
 )
 from .protocol import BROKER, USER, Message, MessageKind, MessageLog, ReadinessReport
@@ -37,13 +38,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """Cluster-to-agent mapping plus the greedy per-agent task counts."""
 
-    cluster_to_agent: dict[str, str]
-    tasks_per_agent: dict[str, int]
-    order: tuple[str, ...]  # dispatch order: quotient topological order
+    __slots__ = ("cluster_to_agent", "tasks_per_agent", "order")
+
+    def __init__(
+        self,
+        cluster_to_agent: dict[str, str],
+        tasks_per_agent: dict[str, int],
+        order: tuple[str, ...],  # dispatch order: quotient topological order
+    ) -> None:
+        _set(self, "cluster_to_agent", cluster_to_agent)
+        _set(self, "tasks_per_agent", tasks_per_agent)
+        _set(self, "order", order)
 
 
 def distribute(
@@ -252,15 +260,22 @@ def _repair_order(
     return order
 
 
-@dataclass
 class OrchestrationResult:
     """Everything one run produces: schedule, assignment, graphs, message log."""
 
-    schedule: FinalSchedule
-    assignment: Assignment
-    cluster_dag: ClusterDag
-    dag: TaskDag
-    log: MessageLog
+    def __init__(
+        self,
+        schedule: FinalSchedule,
+        assignment: Assignment,
+        cluster_dag: ClusterDag,
+        dag: TaskDag,
+        log: MessageLog,
+    ) -> None:
+        self.schedule = schedule
+        self.assignment = assignment
+        self.cluster_dag = cluster_dag
+        self.dag = dag
+        self.log = log
 
 
 class Broker:

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-
 from .errors import StructuralError, ValidationError
 from .graph import TaskDag, levelize, topological_sweep
+from .model import Record, _set
 
 # A part's neighbour slots: the list it was built with until its first merge,
 # a set from then on.
@@ -29,39 +28,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Record):
     """A named, nonempty set of tasks, stored in ascending task-id order."""
 
-    cluster_id: str
-    tasks: tuple[str, ...]
+    __slots__ = ("cluster_id", "tasks")
 
-    def __post_init__(self) -> None:
-        if not self.tasks:
-            raise StructuralError(f"cluster {self.cluster_id!r} is empty")
+    def __init__(self, cluster_id: str, tasks: tuple[str, ...]) -> None:
+        if not tasks:
+            raise StructuralError(f"cluster {cluster_id!r} is empty")
+        _set(self, "cluster_id", cluster_id)
+        _set(self, "tasks", tasks)
 
     @property
     def min_task(self) -> str:
         return self.tasks[0]
 
 
-@dataclass
 class ClusterDag:
     """Quotient DAG: clusters as nodes, summed crossing costs as edge weights."""
 
-    clusters: list[Cluster]
-    edges: dict[tuple[str, str], float]
-    by_id: dict[str, Cluster] = field(init=False, compare=False, repr=False)
-    cluster_of: dict[str, str] = field(init=False, compare=False, repr=False)
-    preds: dict[str, list[str]] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.by_id = {c.cluster_id: c for c in self.clusters}
-        self.cluster_of = {
+    def __init__(
+        self, clusters: list[Cluster], edges: dict[tuple[str, str], float]
+    ) -> None:
+        self.clusters = clusters
+        self.edges = edges
+        self.by_id: dict[str, Cluster] = {c.cluster_id: c for c in self.clusters}
+        self.cluster_of: dict[str, str] = {
             t: c.cluster_id for c in self.clusters for t in c.tasks
         }
         # In edge order: the sweep and ``levelize`` cannot observe the order.
-        self.preds = {c.cluster_id: [] for c in self.clusters}
+        self.preds: dict[str, list[str]] = {c.cluster_id: [] for c in self.clusters}
         for a, b in self.edges:
             self.preds[b].append(a)
 

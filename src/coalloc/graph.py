@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from collections import defaultdict
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from typing import NoReturn, TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
@@ -15,7 +13,6 @@ from .model import Placement, TaskSpec
 T = TypeVar("T")
 
 
-@dataclass
 class TaskDag:
     """Directed acyclic graph over tasks.
 
@@ -25,7 +22,8 @@ class TaskDag:
     them in declaration order.
     """
 
-    tasks: dict[str, TaskSpec]
+    def __init__(self, tasks: dict[str, TaskSpec]) -> None:
+        self.tasks = tasks
 
     def restrict(self, subset: Iterable[str]) -> "TaskDag":
         """Sub-DAG over ``subset``: only tasks and edges inside the subset.
@@ -44,7 +42,7 @@ class TaskDag:
                 continue
             deps = tuple(d for d in spec.dependencies if d.task_id in keep)
             if len(deps) != len(spec.dependencies):
-                spec = dataclasses.replace(spec, dependencies=deps)
+                spec = spec._replace(dependencies=deps)
             tasks[t] = spec
         return TaskDag(tasks)
 

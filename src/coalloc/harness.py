@@ -10,7 +10,6 @@ import bisect
 import math
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .graph import TaskDag
@@ -18,8 +17,10 @@ from .model import (
     AgentSpec,
     Dependency,
     FinalSchedule,
+    Record,
     ResourceSpec,
     TaskSpec,
+    _set,
 )
 
 # Generated times sit on a quarter-second grid: every value and every sum of
@@ -28,26 +29,44 @@ from .model import (
 TIME_GRID = 0.25
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(Record):
     """Everything wrong with a schedule; empty means valid.
 
     ``duration_mismatches`` flags rows whose end is not start + processing
     time, and ``non_finite`` rows whose start or end is infinite (a
     ``Placement`` is never NaN) — both impossible for engine output,
-    possible in hand-made placements.
+    possible in hand-made placements. A list left out starts as a new empty
+    list of the report's own.
     """
 
-    overlaps: list[tuple[str, str, str]] = field(default_factory=list)
-    precedence_violations: list[tuple[str, str, float, float]] = field(
-        default_factory=list
+    __slots__ = (
+        "overlaps",
+        "precedence_violations",
+        "eligibility_violations",
+        "deadline_misses",
+        "duration_mismatches",
+        "non_finite",
     )
-    eligibility_violations: list[tuple[str, str]] = field(default_factory=list)
-    deadline_misses: list[tuple[str, float, float]] = field(default_factory=list)
-    duration_mismatches: list[tuple[str, float, float]] = field(
-        default_factory=list
-    )
-    non_finite: list[tuple[str, float, float]] = field(default_factory=list)
+
+    def __init__(
+        self,
+        overlaps: list[tuple[str, str, str]] | None = None,
+        precedence_violations: list[tuple[str, str, float, float]] | None = None,
+        eligibility_violations: list[tuple[str, str]] | None = None,
+        deadline_misses: list[tuple[str, float, float]] | None = None,
+        duration_mismatches: list[tuple[str, float, float]] | None = None,
+        non_finite: list[tuple[str, float, float]] | None = None,
+    ) -> None:
+        lists = (
+            overlaps,
+            precedence_violations,
+            eligibility_violations,
+            deadline_misses,
+            duration_mismatches,
+            non_finite,
+        )
+        for name, value in zip(self.__slots__, lists):
+            _set(self, name, [] if value is None else value)
 
     def is_empty(self) -> bool:
         return not (
@@ -81,14 +100,22 @@ class ViolationReport:
         return out
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Record):
     """Load-balance and utilization summary of a schedule."""
 
-    tasks_per_agent: dict[str, int]
-    makespan: float
-    per_resource_busy: dict[str, float]
-    balance_spread: int
+    __slots__ = ("tasks_per_agent", "makespan", "per_resource_busy", "balance_spread")
+
+    def __init__(
+        self,
+        tasks_per_agent: dict[str, int],
+        makespan: float,
+        per_resource_busy: dict[str, float],
+        balance_spread: int,
+    ) -> None:
+        _set(self, "tasks_per_agent", tasks_per_agent)
+        _set(self, "makespan", makespan)
+        _set(self, "per_resource_busy", per_resource_busy)
+        _set(self, "balance_spread", balance_spread)
 
     def series(self) -> list[tuple[str, int]]:
         """Chart-ready (agentId, count) pairs, ascending agent id."""

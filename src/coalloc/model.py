@@ -56,99 +56,180 @@ def _require_number(text: str, where: str, field: str) -> float:
 # Core types
 
 
-@dataclass(frozen=True)
-class Dependency:
+_set = object.__setattr__  # how a record's ``__init__`` sets its fields
+
+
+class Record:
+    """Base of the frozen records: each lists its fields, in order, as
+    ``__slots__``.
+
+    A record's ``__init__`` checks its arguments and sets each field once,
+    with ``object.__setattr__``. Records of one class with equal fields are
+    equal and hash alike, and a record prints as ``Name(field=value, ...)``.
+    Assigning or deleting a field raises ``AttributeError``. ``_replace``,
+    copying and pickling build a new record through ``__init__``, so they
+    rerun its checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _replace(self, **changes):
+        """This record with the named fields changed, checked anew."""
+        for name in self.__slots__:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return type(self)(**changes)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dependency(Record):
     """One dependency edge as declared by the consuming task."""
 
-    task_id: str
-    comm_time: float
+    __slots__ = ("task_id", "comm_time")
 
-    def __post_init__(self) -> None:
-        if not self.task_id:
+    def __init__(self, task_id: str, comm_time: float) -> None:
+        if not task_id:
             raise ValidationError("dependency taskId must be nonempty")
-        if not self.comm_time >= 0:  # NaN fails too
-            raise ValidationError(
-                f"commTime must be nonnegative, got {self.comm_time}"
-            )
+        if not comm_time >= 0:  # NaN fails too
+            raise ValidationError(f"commTime must be nonnegative, got {comm_time}")
+        _set(self, "task_id", task_id)
+        _set(self, "comm_time", comm_time)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Record):
     """One task: identity, duration, requirements, optional deadline, dependencies.
 
     ``deadline_time`` is an absolute time measured from the schedule origin 0;
     ``None`` means the task carries no deadline.
     """
 
-    task_id: str
-    processing_time: float
-    memory: float = 0.0
-    cpu_power: float = 0.0
-    deadline_time: float | None = None
-    dependencies: tuple[Dependency, ...] = ()
+    __slots__ = (
+        "task_id",
+        "processing_time",
+        "memory",
+        "cpu_power",
+        "deadline_time",
+        "dependencies",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.task_id:
+    def __init__(
+        self,
+        task_id: str,
+        processing_time: float,
+        memory: float = 0.0,
+        cpu_power: float = 0.0,
+        deadline_time: float | None = None,
+        dependencies: tuple[Dependency, ...] = (),
+    ) -> None:
+        if not task_id:
             raise ValidationError("taskId must be nonempty")
-        for name in ("processing_time", "memory", "cpu_power"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(
-                    f"task {self.task_id!r}: {name} must be nonnegative"
-                )
-        if self.deadline_time is not None and not self.deadline_time >= 0:
-            raise ValidationError(
-                f"task {self.task_id!r}: deadlineTime must be nonnegative"
-            )
-        for dep in self.dependencies:
-            if dep.task_id == self.task_id:
-                raise ValidationError(
-                    f"task {self.task_id!r} must not depend on itself"
-                )
+        for name, value in (
+            ("processing_time", processing_time),
+            ("memory", memory),
+            ("cpu_power", cpu_power),
+        ):
+            if not value >= 0:
+                raise ValidationError(f"task {task_id!r}: {name} must be nonnegative")
+        if deadline_time is not None and not deadline_time >= 0:
+            raise ValidationError(f"task {task_id!r}: deadlineTime must be nonnegative")
+        for dep in dependencies:
+            if dep.task_id == task_id:
+                raise ValidationError(f"task {task_id!r} must not depend on itself")
+        _set(self, "task_id", task_id)
+        _set(self, "processing_time", processing_time)
+        _set(self, "memory", memory)
+        _set(self, "cpu_power", cpu_power)
+        _set(self, "deadline_time", deadline_time)
+        _set(self, "dependencies", dependencies)
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
+class ResourceSpec(Record):
     """One resource (node): identity, naming, and capacity parameters.
 
     ``cpu_idle`` is parsed and reported but never drives scheduling decisions.
     """
 
-    resource_id: str
-    node_name: str = ""
-    cluster_name: str = ""
-    farm_name: str = ""
-    cpu_power: float = 0.0
-    memory: float = 0.0
-    cpu_idle: float = 0.0
+    __slots__ = (
+        "resource_id",
+        "node_name",
+        "cluster_name",
+        "farm_name",
+        "cpu_power",
+        "memory",
+        "cpu_idle",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.resource_id:
+    def __init__(
+        self,
+        resource_id: str,
+        node_name: str = "",
+        cluster_name: str = "",
+        farm_name: str = "",
+        cpu_power: float = 0.0,
+        memory: float = 0.0,
+        cpu_idle: float = 0.0,
+    ) -> None:
+        if not resource_id:
             raise ValidationError("resource Id must be nonempty")
-        for name in ("cpu_power", "memory", "cpu_idle"):
-            if not getattr(self, name) >= 0:
+        for name, value in (
+            ("cpu_power", cpu_power),
+            ("memory", memory),
+            ("cpu_idle", cpu_idle),
+        ):
+            if not value >= 0:
                 raise ValidationError(
-                    f"resource {self.resource_id!r}: {name} must be nonnegative"
+                    f"resource {resource_id!r}: {name} must be nonnegative"
                 )
+        _set(self, "resource_id", resource_id)
+        _set(self, "node_name", node_name)
+        _set(self, "cluster_name", cluster_name)
+        _set(self, "farm_name", farm_name)
+        _set(self, "cpu_power", cpu_power)
+        _set(self, "memory", memory)
+        _set(self, "cpu_idle", cpu_idle)
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Record):
     """One agent and the resource ids it manages (a disjoint, exhaustive slice)."""
 
-    agent_id: str
-    resources: tuple[str, ...]
+    __slots__ = ("agent_id", "resources")
 
-    def __post_init__(self) -> None:
-        if not self.agent_id:
+    def __init__(self, agent_id: str, resources: tuple[str, ...]) -> None:
+        if not agent_id:
             raise ValidationError("agentId must be nonempty")
-        if not self.resources:
+        if not resources:
             raise ValidationError(
-                f"agent {self.agent_id!r} must manage at least one resource"
+                f"agent {agent_id!r} must manage at least one resource"
             )
-        if len(set(self.resources)) != len(self.resources):
-            raise StructuralError(
-                f"agent {self.agent_id!r} lists a resource twice"
-            )
+        if len(set(resources)) != len(resources):
+            raise StructuralError(f"agent {agent_id!r} lists a resource twice")
+        _set(self, "agent_id", agent_id)
+        _set(self, "resources", resources)
 
 
 @dataclass(frozen=True)
@@ -176,13 +257,20 @@ class Placement:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class FinalSchedule:
+class FinalSchedule(Record):
     """Complete schedule: one placement per task, sorted by (start, taskId)."""
 
-    placements: tuple[Placement, ...]
-    makespan: float
-    deadline_violations: tuple[str, ...] = ()
+    __slots__ = ("placements", "makespan", "deadline_violations")
+
+    def __init__(
+        self,
+        placements: tuple[Placement, ...],
+        makespan: float,
+        deadline_violations: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "placements", placements)
+        _set(self, "makespan", makespan)
+        _set(self, "deadline_violations", deadline_violations)
 
     def by_task(self) -> dict[str, Placement]:
         return {p.task_id: p for p in self.placements}

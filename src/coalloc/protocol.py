@@ -10,8 +10,9 @@ from __future__ import annotations
 import enum
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from typing import Any
+
+from .model import Record, _set
 
 USER = "user"
 BROKER = "broker"
@@ -26,8 +27,7 @@ class MessageKind(enum.Enum):
     ADJUSTED_SCHEDULE = "AdjustedSchedule"
 
 
-@dataclass(frozen=True)
-class ReadinessReport:
+class ReadinessReport(Record):
     """The (taskId, readyTime) entries of one DependencyInfo message.
 
     The entries are stored as two columns: the task ids, which are the
@@ -37,8 +37,11 @@ class ReadinessReport:
     the floats stored.
     """
 
-    task_ids: tuple[str, ...]
-    ready_times: array  # array("d"), one time per task id
+    __slots__ = ("task_ids", "ready_times")
+
+    def __init__(self, task_ids: tuple[str, ...], ready_times: array) -> None:
+        _set(self, "task_ids", task_ids)
+        _set(self, "ready_times", ready_times)  # array("d"), one per task id
 
     def __len__(self) -> int:
         return len(self.task_ids)
@@ -47,18 +50,27 @@ class ReadinessReport:
         return zip(self.task_ids, self.ready_times)
 
 
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    sender: str
-    receiver: str
-    # Only what the receiver lacks: SubmitTasks carries the task count,
-    # AssignCluster the Cluster, ClusterScheduled and AdjustedSchedule a
-    # PartialSchedule, DependencyInfo a ReadinessReport and ScheduleResult
-    # the FinalSchedule. Agents hold the job DAG.
-    payload: Any
-    # The cluster a broker-agent message is about; None for user messages.
-    cluster_id: str | None = None
+class Message(Record):
+    __slots__ = ("kind", "sender", "receiver", "payload", "cluster_id")
+
+    def __init__(
+        self,
+        kind: MessageKind,
+        sender: str,
+        receiver: str,
+        # Only what the receiver lacks: SubmitTasks carries the task count,
+        # AssignCluster the Cluster, ClusterScheduled and AdjustedSchedule a
+        # PartialSchedule, DependencyInfo a ReadinessReport and ScheduleResult
+        # the FinalSchedule. Agents hold the job DAG.
+        payload: Any,
+        # The cluster a broker-agent message is about; None for user messages.
+        cluster_id: str | None = None,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "sender", sender)
+        _set(self, "receiver", receiver)
+        _set(self, "payload", payload)
+        _set(self, "cluster_id", cluster_id)
 
     def summary(self) -> str:
         """Short payload description for the exported log."""
@@ -79,11 +91,11 @@ class Message:
         return f"cluster={self.cluster_id} {count}"
 
 
-@dataclass
 class MessageLog:
     """Ordered record of every message sent during one orchestration."""
 
-    entries: list[Message] = field(default_factory=list)
+    def __init__(self, entries: list[Message] | None = None) -> None:
+        self.entries: list[Message] = [] if entries is None else entries
 
     def record(self, message: Message) -> None:
         self.entries.append(message)
@@ -93,9 +105,6 @@ class MessageLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def for_cluster(self, cluster_id: str) -> list[Message]:
-        return [m for m in self.entries if m.cluster_id == cluster_id]
 
     def to_text(self) -> str:
         return "".join(

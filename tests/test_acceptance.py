@@ -78,7 +78,7 @@ def protocol_deviations(result) -> list[str]:
     short = [MessageKind.ASSIGN_CLUSTER, MessageKind.CLUSTER_SCHEDULED]
     long = short + [MessageKind.DEPENDENCY_INFO, MessageKind.ADJUSTED_SCHEDULE]
     for cluster in result.cluster_dag.clusters:
-        kinds = [e.kind for e in result.log.for_cluster(cluster.cluster_id)]
+        kinds = [e.kind for e in result.log if e.cluster_id == cluster.cluster_id]
         expected = short if level_of[cluster.cluster_id] == 1 else long
         if kinds != expected:
             issues.append(f"{cluster.cluster_id}: sequence {kinds}")

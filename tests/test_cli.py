@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: artifacts, exit codes, determinism."""
 
 import argparse
-import dataclasses
 import gc
 import os
 import random
@@ -465,7 +464,7 @@ def test_validate_exits_3_when_only_deadlines_are_missed(
     capsys.readouterr()
     # the same schedule, checked against a deadline that task 8 misses
     late = [
-        dataclasses.replace(t, deadline_time=1.0) if t.task_id == "8" else t
+        t._replace(deadline_time=1.0) if t.task_id == "8" else t
         for t in make_engineered().tasks
     ]
     tasks.write_text(serialize_task_set(late))
@@ -588,6 +587,23 @@ def test_element_tree_is_loaded_only_to_write_xml(run, loaded, demo_inputs, tmp_
     proc = run_python("-c", probe, *argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+def test_model_compiles_before_dataclasses_is_imported():
+    # Compiling coalloc.model is the import's memory peak; dataclasses, which
+    # only Placement needs, is imported while model runs, not before.
+    probe = (
+        "import sys\n"
+        "found = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        found.append(name)\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "import coalloc.cli\n"
+        "print(found.index('coalloc.model') < found.index('dataclasses'))\n"
+    )
+    proc = run_python("-c", probe)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True\n")
 
 
 def test_cli_warns_in_document_order_before_a_syntax_error(demo_inputs, tmp_path):

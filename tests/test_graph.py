@@ -1,6 +1,5 @@
 """DAG construction, cycle detection, and level decomposition."""
 
-import dataclasses
 import gc
 import random
 import time
@@ -268,7 +267,7 @@ def test_restrict_matches_filtering_in_order(seed):
     assert edge_costs(fragment) == {e: costs[e] for e in expected_edges}
     for t, spec in fragment.tasks.items():
         kept = [d for d in dag.tasks[t].dependencies if d.task_id in subset]
-        assert spec == dataclasses.replace(dag.tasks[t], dependencies=tuple(kept))
+        assert spec == dag.tasks[t]._replace(dependencies=tuple(kept))
 
 
 def test_restrict_rejects_unknown_tasks():

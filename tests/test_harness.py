@@ -16,6 +16,7 @@ from coalloc import (
     ResourceSpec,
     TaskSpec,
     ValidationError,
+    ViolationReport,
     build_dag,
     compute_metrics,
     generate_workload,
@@ -224,6 +225,15 @@ def test_duration_mismatch_detected():
     schedule = FinalSchedule((place("t", "r1", 0.0, 5.0),), 5.0)
     report = validate_schedule(schedule, dag, resources, agents)
     assert report.duration_mismatches == [("t", 2.0, 5.0)]
+
+
+def test_each_violation_report_gets_its_own_lists():
+    first, second = ViolationReport(), ViolationReport()
+    lists = [getattr(r, name) for r in (first, second) for name in r.__slots__]
+    assert len(lists) == 12
+    assert len({id(v) for v in lists}) == 12
+    first.overlaps.append(("r1", "a", "b"))
+    assert second.is_empty()
 
 
 @pytest.mark.parametrize("start,end", [(float("inf"), float("inf"))])

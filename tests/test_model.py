@@ -1,25 +1,39 @@
 """Parsing, serialization, and round-trip behavior of the on-disk formats."""
 
+import copy
+import dataclasses
 import gc
+import importlib
 import logging
 import math
+import pickle
+import pkgutil
 import random
 import re
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import coalloc
 from coalloc import (
     AgentSpec,
+    Assignment,
+    Cluster,
     Dependency,
     FinalSchedule,
+    Message,
+    MessageKind,
+    Metrics,
+    PartialSchedule,
     Placement,
     ResourceSpec,
     StructuralError,
     TaskSpec,
     ValidationError,
+    ViolationReport,
     XmlFormatError,
     generate_workload,
     parse_agent_map,
@@ -33,7 +47,8 @@ from coalloc import (
     validate_agent_map,
 )
 from coalloc.errors import SchedulingError
-from coalloc.model import _FEED_CHARS
+from coalloc.model import _FEED_CHARS, Record
+from coalloc.protocol import ReadinessReport
 from conftest import make_pool
 from oracles import whole_tree_items
 
@@ -689,3 +704,98 @@ def test_reading_holds_far_less_than_the_element_tree():
     assert len(tasks) == 3000
     # a whole element tree takes about 9.5x the text
     assert peak - held < 0.5 * len(text)
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+def _placement():
+    return Placement("a", "r", "x", 0.0, 1.0)
+
+
+RECORDS = [
+    Dependency("b", 1.0),
+    TaskSpec("a", 2.0, 1.0, 1.0, 5.0, (Dependency("b", 1.0),)),
+    ResourceSpec("r", "n", "c", "f", 4.0, 4.0, 0.5),
+    AgentSpec("x", ("r",)),
+    FinalSchedule((_placement(),), 1.0, ("a",)),
+    Cluster("C1", ("a", "b")),
+    PartialSchedule("C1", {"a": _placement()}),
+    ReadinessReport(("a",), array("d", [1.5])),
+    Message(MessageKind.SUBMIT_TASKS, "user", "broker", 3),
+    Assignment({"C1": "x"}, {"x": 2}, ("C1",)),
+    ViolationReport(overlaps=[("r", "a", "b")]),
+    Metrics({"x": 2}, 1.0, {"r": 1.0}, 0),
+]
+
+
+def test_every_record_type_is_covered():
+    assert {type(r) for r in RECORDS} == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_copy_and_pickle_to_an_equal_record(record):
+    for twin in (
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+        record._replace(),
+    ):
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == repr(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_frozen_and_hold_only_their_fields(record):
+    first = record.__slots__[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{first}'$"):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{first}'$"):
+        delattr(record, first)
+    assert repr(record).startswith(f"{type(record).__name__}({first}=")
+    assert record != tuple(getattr(record, name) for name in record.__slots__)
+
+
+def test_records_compare_and_hash_by_class_and_fields():
+    assert Dependency("b", 1.0) == Dependency("b", 1.0)
+    assert Dependency("b", 1.0) != Dependency("b", 2.0)
+    assert len({Cluster("C1", ("a",)), Cluster("C1", ("a",))}) == 1
+    assert Cluster("a", ("r",)) != AgentSpec("a", ("r",))
+    assert repr(Dependency("b", 1.0)) == "Dependency(task_id='b', comm_time=1.0)"
+
+
+@pytest.mark.parametrize(
+    "record,changes,error,match",
+    [
+        (AgentSpec("a", ("r",)), {"resources": ()}, ValidationError,
+         "^agent 'a' must manage at least one resource$"),
+        (Dependency("b", 1.0), {"comm_time": -1.0}, ValidationError,
+         "^commTime must be nonnegative, got -1.0$"),
+        (TaskSpec("a", 1.0), {"dependencies": (Dependency("a", 0.0),)},
+         ValidationError, "^task 'a' must not depend on itself$"),
+        (ResourceSpec("r"), {"memory": math.nan}, ValidationError,
+         "^resource 'r': memory must be nonnegative$"),
+        (Cluster("C1", ("a",)), {"tasks": ()}, StructuralError,
+         "^cluster 'C1' is empty$"),
+        (Dependency("b", 1.0), {"cost": 1.0}, TypeError, "cost"),
+    ],
+)
+def test_replace_reruns_the_constructor_checks(record, changes, error, match):
+    with pytest.raises(error, match=match):
+        record._replace(**changes)
+
+
+def test_placement_is_the_only_dataclass():
+    dataclass_types = [
+        value
+        for info in pkgutil.iter_modules(coalloc.__path__)
+        for module in [importlib.import_module(f"coalloc.{info.name}")]
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and dataclasses.is_dataclass(value)
+    ]
+    assert dataclass_types == [Placement]
