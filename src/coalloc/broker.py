@@ -124,22 +124,28 @@ def assemble_and_repair(
     pushes starts later, to the least times satisfying release by
     predecessors (communication time waived on the same resource) and
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
-    reported, not rejected. A task that still ends at infinity after the
-    repair, whether pushed there or handed in so, raises
-    :class:`ValidationError` naming the first such task in the schedule's
-    order (start, then task id).
+    reported, not rejected. A push whose task's own processing or
+    communication time carries its end to infinity raises
+    :class:`ValidationError` naming that task, as phases 2 and 3 do. Any
+    other end at infinity, of a task handed in so or of one waiting for
+    such a task, raises it after the repair, naming the first such task in
+    the schedule's order (start, then task id).
 
     Only tasks downstream of a broken constraint are revisited. One check
     pass finds the tasks that the rule above would move against the merged
-    placements; the repair then sweeps just those and what they reach along
-    DAG and resource-chain edges, predecessors first. The constraint graph
-    is acyclic, so its least fixpoint is unique and any topological order
-    reaches it. A task outside that region already meets its constraints
-    and none of its predecessors moves, so it keeps its placement, as a
-    sweep over the whole job would leave it. A cycle among the constraints
-    must break one of them, since a chained task of positive length
-    strictly raises the start of the next, so a cycle always lies inside
-    the region and is reported there.
+    placements. It reads each task's DAG edges from its spec and walks each
+    resource chain in order, so it builds no set or map keyed by every task;
+    the map of chain predecessors is built only when some task moves. The
+    repair then sweeps those tasks, taken in the order the partial
+    schedules list them, and what they reach along DAG and resource-chain
+    edges, predecessors first. The constraint graph is acyclic, so its
+    least fixpoint is unique and any topological order reaches it. A task
+    outside that region already meets its constraints and none of its
+    predecessors moves, so it keeps its placement, as a sweep over the
+    whole job would leave it. A cycle among the constraints must break one
+    of them, since a chained task of positive length strictly raises the
+    start of the next, so a cycle always lies inside the region and is
+    reported there.
     """
     merged: dict[str, Placement] = {}
     for partial in partials:
@@ -153,10 +159,11 @@ def assemble_and_repair(
                     f"{placement.agent_id!r}, assigned to {agent_id!r}"
                 )
             merged[task_id] = placement
-    missing = sorted(set(dag.tasks) - set(merged))
+    specs = dag.tasks
+    missing = sorted(t for t in specs if t not in merged)
     if missing:
         raise StructuralError("no placement for tasks: " + ", ".join(missing))
-    extra = sorted(set(merged) - set(dag.tasks))
+    extra = sorted(t for t in merged if t not in specs)
     if extra:
         raise StructuralError("placements for unknown tasks: " + ", ".join(extra))
 
@@ -167,13 +174,14 @@ def assemble_and_repair(
     for task_id, placement in merged.items():
         if placement.duration > 0:
             by_resource[placement.resource_id].append(task_id)
-    before: dict[str, str] = {}
+    late: set[str] = set()  # tasks starting before their chain predecessor ends
     for chain in by_resource.values():
         _by_start(chain, merged)
-        before.update(zip(chain[1:], chain))
-    del by_resource  # free the chains before the repair
-
-    specs = dag.tasks
+        late.update(
+            t for prior, t in zip(chain, chain[1:])
+            if merged[prior].end > merged[t].start
+        )
+    before: dict[str, str] = {}
 
     def pushed(task_id: str) -> Placement | None:
         """``task_id`` at the least start its constraints allow against
@@ -193,12 +201,28 @@ def assemble_and_repair(
             return None
         return Placement(task_id, placement.resource_id, placement.agent_id, start, end)
 
-    seeds = [t for t in merged if pushed(t) is not None]
+    def waits_for_infinity(task_id: str) -> bool:
+        """Whether a task ``task_id`` waits for already ends at infinity."""
+        prior = before.get(task_id)
+        return (prior is not None and merged[prior].end == math.inf) or any(
+            merged[dep.task_id].end == math.inf for dep in specs[task_id].dependencies
+        )
+
+    # With ``before`` still empty, ``pushed`` checks only the DAG edges and
+    # the end; ``late`` holds the tasks a chain edge moves.
+    seeds = [t for t in merged if t in late or pushed(t) is not None]
+    del late
+    if seeds:
+        for chain in by_resource.values():
+            before.update(zip(chain[1:], chain))
+    del by_resource  # free the chains before the repair
     # Every predecessor is repaired before its successors, so ``merged`` is
     # rewritten in place and each ``merged[pred]`` read is already final.
     for task_id in _repair_order(seeds, specs, before):
         moved = pushed(task_id)
         if moved is not None:
+            if moved.end == math.inf and not waits_for_infinity(task_id):
+                raise overflow_error(task_id)
             merged[task_id] = moved
 
     order = list(merged)

@@ -14,9 +14,9 @@ from .errors import StructuralError, ValidationError
 from .graph import TaskDag, levelize, topological_sweep
 from .model import Record, _set
 
-# A part's neighbour slots: the list it was built with until its first merge,
-# a set from then on.
-Adjacency = list[int] | set[int]
+# A part's neighbour slots: the list it was built with (the shared empty
+# tuple when it has none) until its first merge, a set from then on.
+Adjacency = list[int] | tuple[()] | set[int]
 
 __all__ = [
     "Cluster",
@@ -173,37 +173,47 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     of predecessor and successor slots it is built with until it first
     merges; only a merged part holds them as sets, and a part merged away
     holds neither. So at most one slot per cluster holds sets, and every
-    other slot a list, which costs a fraction of a set. The task-to-slot map
-    is dropped once the lists are built, and the lists are dropped before
-    the cluster DAG is built from the member lists.
+    other slot a list, which costs a fraction of a set; a task with no
+    predecessors or no successors shares the empty tuple instead. Each slot
+    keeps its size and its least task id, and only a merged part keeps a
+    member list: an unmerged slot holds just its own task, its least id.
+    The slot numbers are the int objects of the task-to-slot map, shared by
+    every list that names a slot; the map itself is dropped once the lists
+    are built, and the lists before the cluster DAG is built.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
-    task_ids = list(dag.tasks)
-    if not task_ids:
+    low: list[str] = list(dag.tasks)  # least task id per part
+    if not low:
         return ClusterDag([], {})
-    limit = max_cluster_size(len(task_ids), num_agents)
+    limit = max_cluster_size(len(low), num_agents)
 
-    members: list[list[str]] = [[t] for t in task_ids]
-    low: list[str] = list(task_ids)  # smallest task id per part
-    index_of = {t: i for i, t in enumerate(task_ids)}
+    index_of = {t: i for i, t in enumerate(low)}
     preds: list[Adjacency] = [
-        [index_of[d.task_id] for d in spec.dependencies]
+        [index_of[d.task_id] for d in spec.dependencies] or ()
         for spec in dag.tasks.values()
     ]
+    slots = list(index_of.values())
     del index_of
-    succs: list[Adjacency] = [[] for _ in task_ids]
-    for i, ps in enumerate(preds):
+    succs: list[Adjacency] = [()] * len(slots)
+    for i, ps in zip(slots, preds):
         for p in ps:
-            succs[p].append(i)
+            if succs[p]:
+                succs[p].append(i)
+            else:
+                succs[p] = [i]
+    # By task id, before any merge changes ``low``.
+    slots.sort(key=low.__getitem__)
+    size = [1] * len(slots)
+    members: dict[int, list[str]] = {}  # of the parts that have merged
 
     # Only the current part merges, so an unfinished part has never merged:
     # it is still the singleton {task i} in slot i, and every task before i
     # in sorted order sits in a finished part, so it is the unfinished part
     # with the least ``low``. A finished part in a slot the pass has yet to
     # reach absorbed at least one other part, so it holds two or more tasks.
-    for first in sorted(range(len(task_ids)), key=task_ids.__getitem__):
-        if len(members[first]) != 1:
+    for first in slots:
+        if size[first] != 1:
             continue
         current = first
         below = _descendants(current, succs)
@@ -225,8 +235,10 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
                     heapq.heappush(ready, (low[d], d))
                     queued.add(d)
             if chosen != current:
-                current = _merge_parts(current, chosen, members, low, succs, preds)
-            chosen = _next_candidate(current, members, ready, limit)
+                current = _merge_parts(
+                    current, chosen, members, size, low, succs, preds
+                )
+            chosen = _next_candidate(current, size, ready, limit)
             if chosen is None:
                 break
             # The merged part may keep ``chosen``'s slot; either way that
@@ -234,7 +246,9 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
             below.discard(chosen)
 
     del preds, succs
-    return _collapse(dag, filter(None, members))
+    return _collapse(dag, (
+        members.get(i) or (low[i],) for i, n in enumerate(size) if n
+    ))
 
 
 def _descendants(source: int, succs: list[Adjacency]) -> set[int]:
@@ -249,7 +263,7 @@ def _descendants(source: int, succs: list[Adjacency]) -> set[int]:
 
 def _next_candidate(
     current: int,
-    members: list[list[str]],
+    size: list[int],
     ready: list[tuple[str, int]],
     limit: int,
 ) -> int | None:
@@ -257,10 +271,10 @@ def _next_candidate(
 
     A popped child that does not fit is dropped: the room left only shrinks.
     """
-    room = limit - len(members[current])
+    room = limit - size[current]
     while ready:
         d = heapq.heappop(ready)[1]
-        if len(members[d]) <= room:
+        if size[d] <= room:
             return d
     return None
 
@@ -268,7 +282,8 @@ def _next_candidate(
 def _merge_parts(
     current: int,
     other: int,
-    members: list[list[str]],
+    members: dict[int, list[str]],
+    size: list[int],
     low: list[str],
     succs: list[Adjacency],
     preds: list[Adjacency],
@@ -277,22 +292,25 @@ def _merge_parts(
 
     The part with more adjacency entries keeps its index, so only the other
     part's neighbours are relinked, and the smaller member list is appended
-    to the larger one. The merged part holds sets from then on; a neighbour
-    that never merged keeps its list, where ``keep`` takes ``gone``'s place
-    or, if already listed, ``gone`` is dropped.
+    to the larger one; a part that never merged lists just its least id.
+    The merged part holds sets from then on; a neighbour that never merged
+    keeps its list, where ``keep`` takes ``gone``'s place or, if already
+    listed, ``gone`` is dropped.
     """
     keep, gone = current, other
     if len(succs[gone]) + len(preds[gone]) > len(succs[keep]) + len(preds[keep]):
         keep, gone = gone, keep
-    big, small = members[keep], members[gone]
+    big = members.pop(keep, None) or [low[keep]]
+    small = members.pop(gone, None) or [low[gone]]
     if len(big) < len(small):
         big, small = small, big
     big += small
     members[keep] = big
-    members[gone] = []
+    size[keep] = len(big)
+    size[gone] = 0
     if low[gone] < low[keep]:
         low[keep] = low[gone]
-    if type(succs[keep]) is list:
+    if type(succs[keep]) is not set:
         succs[keep] = set(succs[keep])
         preds[keep] = set(preds[keep])
     out, into = succs[keep], preds[keep]

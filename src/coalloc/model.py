@@ -232,7 +232,7 @@ class AgentSpec(Record):
         _set(self, "resources", resources)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """Where and when one task runs."""
 

@@ -420,19 +420,30 @@ def test_repair_is_never_handed_a_nan_placement():
 
 def test_repair_rebuilds_an_infinite_end_from_the_start():
     # the end is always start + processingTime, so a handed-in [0, inf) whose
-    # task takes 1.0 is no overflow: it ends at 1.0
-    dag = build_dag([task("a")])
-    partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, math.inf)})]
+    # task takes 1.0 is no overflow: it ends at 1.0, and b, waiting for it,
+    # is placed from that end, not from the infinity a was handed in with
+    dag = build_dag([task("a"), task("b", 2.0, [("a", 0.5)])])
+    partials = [
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, math.inf)}),
+        PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 0.0, 2.0)}),
+    ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
     assert schedule.by_task()["a"].end == 1.0
-    assert schedule.makespan == 1.0
+    assert (schedule.by_task()["b"].start, schedule.by_task()["b"].end) == (1.5, 3.5)
+    assert schedule.makespan == 3.5
 
 
 def test_repair_rejects_a_handed_in_overflow():
-    # 1e308 + 1e308 overflows, so the repair keeps the end at infinity
-    dag = build_dag([task("a", 1e308)])
+    # 1e308 + 1e308 overflows, so the repair keeps a's end at infinity. b,
+    # after a by a DAG edge, and c, behind a on r1, reach infinity only by
+    # waiting for a, so a is named, not them
+    dag = build_dag([task("a", 1e308), task("b", 1e307, [("a", 0.0)]), task("c", 1e307)])
     partials = [
-        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)})
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)}),
+        PartialSchedule("C2", {
+            "b": Placement("b", "r2", "a1", 0.0, 1e307),
+            "c": Placement("c", "r1", "a1", 1.5e308, 1.6e308),
+        }),
     ]
     with pytest.raises(ValidationError, match="^task 'a' would end past"):
         assemble_and_repair(partials, dag, assignment_for(partials))
@@ -444,6 +455,28 @@ def test_repair_names_the_first_overflow_in_schedule_order():
     partials = [
         PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)}),
         PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 9e307, math.inf)}),
+    ]
+    with pytest.raises(ValidationError, match="^task 'b' would end past"):
+        assemble_and_repair(partials, dag, assignment_for(partials))
+
+
+@pytest.mark.parametrize("chained", [False, True], ids=["dag-edge", "chain-edge"])
+def test_repair_names_the_task_its_push_overflows(chained):
+    # b must start when a ends at 1e308, after a DAG edge or behind a on
+    # their shared resource, and would then end at infinity, so the repair
+    # names b. c was handed in ending at infinity and starts before b would,
+    # so the final check alone would name c.
+    dag = build_dag([
+        task("a", 1e308), task("b", 1e308, [] if chained else [("a", 0.0)]),
+        task("c", 1.5e308),
+    ])
+    b_start, b_resource = (1.0, "r1") if chained else (0.0, "r2")
+    partials = [
+        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 1e308)}),
+        PartialSchedule(
+            "C2", {"b": Placement("b", b_resource, "a1", b_start, 1e308)}
+        ),
+        PartialSchedule("C3", {"c": Placement("c", "r3", "a1", 5e307, math.inf)}),
     ]
     with pytest.raises(ValidationError, match="^task 'b' would end past"):
         assemble_and_repair(partials, dag, assignment_for(partials))
@@ -561,6 +594,17 @@ def test_run_peak_memory_on_a_dense_layered_job():
     tasks = generate_workload(5, 500, 25, 0.04)
     pool = make_pool(random.Random(7), 10, 30)
     assert peak_above_live(orchestrate, tasks, *pool) <= 0.65e6
+
+
+def test_run_peak_memory_on_a_long_timelines_job():
+    # Clustering keeps a member list only for a part that has merged,
+    # ``Placement`` is slotted, and the repair's checks build no set or map
+    # keyed by every task. This run peaked at 1.955 MB above the live set
+    # in the repair, and at 1.66 MB in clustering; now at about 1.534 MB,
+    # still in the repair, with clustering at 1.13 MB and phase 2 at 1.18.
+    tasks = generate_workload(5, 4000, 4, 0.002)
+    pool = make_pool(random.Random(7), 2, 4)
+    assert peak_above_live(orchestrate, tasks, *pool) <= 1.64e6
 
 
 def check_repair_against_reference(rng, kind):

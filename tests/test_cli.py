@@ -316,7 +316,7 @@ def test_overflowing_times_exit_1(processing, task_id, demo_inputs, tmp_path, ca
 
 def test_rigid_shift_overflow_exits_1(tmp_path, capsys):
     # x and y each end at a finite time in phase 2, but y's shift behind x
-    # overflows, so the repair's final check reports it
+    # overflows, so phase 3 reports it when it shifts y
     tasks = [
         TaskSpec("x", 1.5e308, 1.0, 1.0),
         TaskSpec("y", 1e308, 1.0, 1.0, dependencies=(Dependency("x", 0.0),)),

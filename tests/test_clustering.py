@@ -95,29 +95,47 @@ def test_cycle_closing_merge_is_skipped():
     assert coloring_is_acyclic(successor_lists(cdag.edges))
 
 
+def track_parts(mp, dag):
+    """Spy on the merges of ``cluster_tasks(dag, ...)``.
+
+    Returns the ``(current, other, kept)`` slot triple of every merge and
+    the member list of every slot, kept up to date from those triples: slot
+    ``i`` starts as the ``i``-th task of ``dag.tasks``, and a part merged
+    away is empty.
+    """
+    merge = clustering._merge_parts
+    members = [[t] for t in dag.tasks]
+    merges = []
+
+    def merge_spy(current, other, *rest):
+        kept = merge(current, other, *rest)
+        merges.append((current, other, kept))
+        members[kept] = members[current] + members[other]
+        members[other if kept == current else current] = []
+        return kept
+
+    mp.setattr(clustering, "_merge_parts", merge_spy)
+    return merges, members
+
+
 def traced_clustering(monkeypatch, tasks, num_agents):
     """Cluster ``tasks``, recording each merge and each finished search.
 
     Returns the cluster DAG, the ``(current, other, kept)`` slot triple of
     every merge, and the member tuples of every search that found nothing.
     """
-    pick, merge = clustering._next_candidate, clustering._merge_parts
-    merges, finished = [], []
+    dag = build_dag(tasks)
+    pick = clustering._next_candidate
+    merges, members = track_parts(monkeypatch, dag)
+    finished = []
 
-    def pick_spy(current, members, *rest):
-        chosen = pick(current, members, *rest)
+    def pick_spy(current, *rest):
+        chosen = pick(current, *rest)
         if chosen is None:
             finished.append(tuple(sorted(members[current])))
         return chosen
 
-    def merge_spy(current, other, *rest):
-        kept = merge(current, other, *rest)
-        merges.append((current, other, kept))
-        return kept
-
     monkeypatch.setattr(clustering, "_next_candidate", pick_spy)
-    monkeypatch.setattr(clustering, "_merge_parts", merge_spy)
-    dag = build_dag(tasks)
     cdag = cluster_tasks(dag, num_agents)
     assert ([c.tasks for c in cdag.clusters], cdag.edges) == greedy_clustering(
         dag, num_agents
@@ -370,12 +388,13 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
         searched.append(below)  # the live set the loop goes on to shrink
         return below
 
-    def pick_spy(current, members, ready, limit_):
+    def pick_spy(current, size, ready, limit_):
         assert limit_ == limit
+        assert size == [len(part) for part in members]
         below = part_descendants(edge_costs(dag), members, current)
         assert searched[-1] == below
         expected = fresh_candidate(dag, members, current, below, limit)
-        chosen = pick(current, members, ready, limit_)
+        chosen = pick(current, size, ready, limit_)
         assert chosen == expected
         picks.append(current)
         if chosen is None:
@@ -383,6 +402,7 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
         return chosen
 
     with pytest.MonkeyPatch.context() as mp:
+        _, members = track_parts(mp, dag)
         mp.setattr(clustering, "_descendants", search_spy)
         mp.setattr(clustering, "_next_candidate", pick_spy)
         cluster_tasks(dag, num_agents)

@@ -799,3 +799,56 @@ def test_placement_is_the_only_dataclass():
         and dataclasses.is_dataclass(value)
     ]
     assert dataclass_types == [Placement]
+
+
+def test_placement_is_slotted_and_frozen():
+    # Phase 2, the rigid shifts and the repair each hold one placement per
+    # task, and slots bring one from 113 to 72 bytes on Python 3.11.
+    placement = _placement()
+    assert not hasattr(placement, "__dict__")
+    assert Placement.__slots__ == (
+        "task_id", "resource_id", "agent_id", "start", "end"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        placement.start = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del placement.end
+    # No other name can be set either. Python 3.11 raises TypeError there:
+    # the frozen ``__setattr__`` calls ``super()`` on the class that
+    # ``slots=True`` replaced.
+    with pytest.raises((AttributeError, TypeError)):
+        placement.color = "blue"
+
+
+def test_placement_copies_and_pickles_to_an_equal_placement():
+    placement = _placement()
+    twins = [
+        copy.copy(placement),
+        copy.deepcopy(placement),
+        dataclasses.replace(placement),
+        *(
+            pickle.loads(pickle.dumps(placement, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ),
+    ]
+    for twin in twins:
+        assert type(twin) is Placement
+        assert twin == placement
+        assert hash(twin) == hash(placement)
+        assert repr(twin) == repr(placement)
+    assert dataclasses.replace(placement, end=3.0) == Placement(
+        "a", "r", "x", 0.0, 3.0
+    )
+
+
+@pytest.mark.parametrize(
+    "changes,match",
+    [
+        ({"start": math.nan}, "^placement of 'a': start must be nonnegative$"),
+        ({"end": math.nan}, "^placement of 'a': end precedes start$"),
+        ({"start": 2.0}, "^placement of 'a': end precedes start$"),
+    ],
+)
+def test_placement_replace_reruns_the_checks(changes, match):
+    with pytest.raises(ValidationError, match=match):
+        dataclasses.replace(_placement(), **changes)
