@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .clustering import Cluster
 from .errors import InfeasibleTaskError, ProtocolError, StructuralError, ValidationError
-from .graph import TaskDag, levelize, release
+from .graph import TaskDag, level_sweep
 from .model import AgentSpec, Placement, Record, ResourceSpec, TaskSpec, _set
 from . import protocol
 
@@ -147,22 +147,36 @@ def schedule_cluster(
     tasks count.
 
     Tasks are taken block by block (level decomposition over intra-cluster
-    edges), ascending task id within a block. Each task goes to the eligible
-    resource offering the minimum earliest start; ties fall to the ascending
-    resource id. A predecessor on the same resource is ready at its end
-    time; on another resource the communication time is added. Reservations
-    may fill gaps and persist on the timelines. A task that would not end at
-    a finite time raises :class:`ValidationError`.
+    edges, read from the specs in one pass), ascending task id within a
+    block; a cycle raises :class:`CycleError` before anything is reserved.
+    Each task goes to the eligible resource offering the minimum earliest
+    start; ties fall to the ascending resource id. A predecessor on the same
+    resource is ready at its end time; on another resource the communication
+    time is added. Each placed predecessor is priced once per task, not once
+    per resource. Reservations may fill gaps and persist on the timelines. A
+    task that would not end at a finite time raises :class:`ValidationError`.
     """
-    specs = [tl.resource for _, tl in sorted(timelines.items())]
-    preds = {
-        t: [d.task_id for d in dag.tasks[t].dependencies] for t in cluster.tasks
-    }
+    specs = dag.tasks
+    indegree = dict.fromkeys(cluster.tasks, 0)
+    succs: dict[str, list[str]] = {}
+    for task_id in indegree:
+        for dep in specs[task_id].dependencies:
+            if dep.task_id in indegree:
+                indegree[task_id] += 1
+                succs.setdefault(dep.task_id, []).append(task_id)
+    blocks = level_sweep(
+        indegree, succs, lambda t: [d.task_id for d in specs[t].dependencies]
+    )
+    # Sorted once per cluster, so each task filters them in resource-id order.
+    hosts = [(rid, tl.resource, tl) for rid, tl in sorted(timelines.items())]
     placed: dict[str, Placement] = {}
-    for block in levelize(cluster.tasks, preds):
+    for block in blocks:
         for task_id in block:
-            task = dag.tasks[task_id]
-            options = eligible_resources(task, specs)
+            task = specs[task_id]
+            options = [  # the rule of ``eligible_resources``
+                (rid, tl) for rid, r, tl in hosts
+                if r.memory >= task.memory and r.cpu_power >= task.cpu_power
+            ]
             if not options:
                 raise InfeasibleTaskError(
                     task_id,
@@ -170,24 +184,29 @@ def schedule_cluster(
                     f"{task.memory} and cpuPower >= {task.cpu_power}",
                 )
             # In-cluster predecessors sit in earlier blocks, so they are
-            # exactly the predecessors already placed.
+            # exactly the predecessors already placed: each is priced once,
+            # as its resource, its end and its end plus commTime.
             priors = [
-                (placed[d.task_id], d.comm_time)
-                for d in task.dependencies
-                if d.task_id in placed
+                (prior.resource_id, prior.end, prior.end + dep.comm_time)
+                for dep in task.dependencies
+                if (prior := placed.get(dep.task_id)) is not None
             ]
-            start, rid = math.inf, options[0]
-            for candidate in options:
+            duration = task.processing_time
+            start, (rid, timeline) = math.inf, options[0]
+            for candidate, tl in options:
                 ready = 0.0
-                for prior, comm_time in priors:
-                    ready = max(ready, release(prior, comm_time, candidate))
-                fit = timelines[candidate].earliest_fit(ready, task.processing_time)
+                for where, end, shipped in priors:
+                    if where != candidate:
+                        end = shipped
+                    if end > ready:  # ``max`` without a call per edge
+                        ready = end
+                fit = tl.earliest_fit(ready, duration)
                 if fit < start:
-                    start, rid = fit, candidate
-            end = start + task.processing_time
+                    start, rid, timeline = fit, candidate, tl
+            end = start + duration
             if not math.isfinite(end):
                 raise overflow_error(task_id)
-            timelines[rid].reserve(task_id, start, task.processing_time)
+            timeline.reserve(task_id, start, duration)
             placed[task_id] = Placement(task_id, rid, agent_id, start, end)
     return PartialSchedule(cluster.cluster_id, placed)
 

@@ -11,6 +11,7 @@ import math
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
+from operator import attrgetter
 
 from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
@@ -134,8 +135,9 @@ def assemble_and_repair(
     Only tasks downstream of a broken constraint are revisited. One check
     pass finds the tasks that the rule above would move against the merged
     placements. It reads each task's DAG edges from its spec and walks each
-    resource chain in order, so it builds no set or map keyed by every task;
-    the map of chain predecessors is built only when some task moves. The
+    resource chain, a list of placements sorted by ``_by_start``, so it
+    builds no set or map keyed by every task; the map of chain predecessors
+    is built only when some task moves. The
     repair then sweeps those tasks, taken in the order the partial
     schedules list them, and what they reach along DAG and resource-chain
     edges, predecessors first. The constraint graph is acyclic, so its
@@ -170,26 +172,26 @@ def assemble_and_repair(
     # Fixed per-resource succession over positive-duration placements only;
     # zero-length slots occupy nothing and constrain nobody. A task waits for
     # its DAG predecessors and for the task ``before`` it on its resource.
-    by_resource: dict[str, list[str]] = defaultdict(list)
-    for task_id, placement in merged.items():
+    by_resource: dict[str, list[Placement]] = defaultdict(list)
+    for placement in merged.values():
         if placement.duration > 0:
-            by_resource[placement.resource_id].append(task_id)
+            by_resource[placement.resource_id].append(placement)
     late: set[str] = set()  # tasks starting before their chain predecessor ends
     for chain in by_resource.values():
-        _by_start(chain, merged)
-        late.update(
-            t for prior, t in zip(chain, chain[1:])
-            if merged[prior].end > merged[t].start
-        )
+        _by_start(chain)
+        late.update(b.task_id for a, b in zip(chain, chain[1:]) if a.end > b.start)
     before: dict[str, str] = {}
 
     def pushed(task_id: str) -> Placement | None:
         """``task_id`` at the least start its constraints allow against
         ``merged``, or None when that leaves its start and end as they are."""
         placement = merged[task_id]
-        start = placement.start
+        start, resource_id = placement.start, placement.resource_id
         for dep in specs[task_id].dependencies:
-            ready = release(merged[dep.task_id], dep.comm_time, placement.resource_id)
+            prior = merged[dep.task_id]  # ``graph.release`` without the call
+            ready = prior.end
+            if prior.resource_id != resource_id:
+                ready += dep.comm_time
             if ready > start:  # ``max`` without a call per edge
                 start = ready
         if task_id in before:
@@ -199,7 +201,7 @@ def assemble_and_repair(
         end = start + specs[task_id].processing_time
         if start == placement.start and end == placement.end:
             return None
-        return Placement(task_id, placement.resource_id, placement.agent_id, start, end)
+        return Placement(task_id, resource_id, placement.agent_id, start, end)
 
     def waits_for_infinity(task_id: str) -> bool:
         """Whether a task ``task_id`` waits for already ends at infinity."""
@@ -214,7 +216,7 @@ def assemble_and_repair(
     del late
     if seeds:
         for chain in by_resource.values():
-            before.update(zip(chain[1:], chain))
+            before.update((b.task_id, a.task_id) for a, b in zip(chain, chain[1:]))
     del by_resource  # free the chains before the repair
     # Every predecessor is repaired before its successors, so ``merged`` is
     # rewritten in place and each ``merged[pred]`` read is already final.
@@ -225,30 +227,29 @@ def assemble_and_repair(
                 raise overflow_error(task_id)
             merged[task_id] = moved
 
-    order = list(merged)
-    _by_start(order, merged)
-    placements = tuple(merged[t] for t in order)
+    placements = list(merged.values())
+    merged.clear()  # free the map before the sort's key list
+    _by_start(placements)
     makespan = max((p.end for p in placements), default=0.0)
     if makespan == math.inf:
         raise overflow_error(next(p.task_id for p in placements if p.end == math.inf))
-    violations = tuple(
-        sorted(
-            t
-            for t, p in merged.items()
-            if specs[t].deadline_time is not None and p.end > specs[t].deadline_time
-        )
+    violations = sorted(
+        p.task_id
+        for p in placements
+        if specs[p.task_id].deadline_time is not None
+        and p.end > specs[p.task_id].deadline_time
     )
-    return FinalSchedule(placements, makespan, violations)
+    return FinalSchedule(tuple(placements), makespan, tuple(violations))
 
 
-def _by_start(task_ids: list[str], merged: dict[str, Placement]) -> None:
-    """Sort ``task_ids`` in place by start, ties by task id.
+def _by_start(placements: list[Placement]) -> None:
+    """Sort ``placements`` in place by start, ties by task id.
 
-    Two stable sorts give that order without a key tuple per task. Starts
-    are never NaN, so they compare totally.
+    Two stable sorts give that order without a key tuple per placement.
+    Starts are never NaN, so they compare totally.
     """
-    task_ids.sort()
-    task_ids.sort(key=lambda t: merged[t].start)
+    placements.sort(key=attrgetter("task_id"))
+    placements.sort(key=attrgetter("start"))
 
 
 def _repair_order(

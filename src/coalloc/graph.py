@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from typing import NoReturn, TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
@@ -89,7 +89,7 @@ def build_dag(tasks: Sequence[TaskSpec]) -> TaskDag:
             t: [d.task_id for d in by_id[t].dependencies]
             for t, deg in indegree.items() if deg
         }
-        _raise_cycle(set(leftover), leftover)
+        _raise_cycle(set(leftover), leftover.__getitem__)
     return TaskDag(by_id)
 
 
@@ -139,7 +139,9 @@ def topological_sweep(preds: Mapping[T, Collection[T]]) -> list[T]:
     return order
 
 
-def _raise_cycle(leftover: set[T], preds: Mapping[T, Iterable[T]]) -> NoReturn:
+def _raise_cycle(
+    leftover: set[T], preds_of: Callable[[T], Iterable[T]]
+) -> NoReturn:
     """Raise :class:`CycleError` with a cycle among the ``leftover`` nodes.
 
     ``leftover`` is what a Kahn sweep leaves over: the nodes on or behind a
@@ -155,32 +157,24 @@ def _raise_cycle(leftover: set[T], preds: Mapping[T, Iterable[T]]) -> NoReturn:
     while node not in position:
         position[node] = len(path)
         path.append(node)
-        node = min(p for p in preds[node] if p in leftover)
+        node = min(p for p in preds_of(node) if p in leftover)
     raise CycleError([node, *reversed(path[position[node] + 1:])])
 
 
-def levelize(
-    nodes: Iterable[T],
-    preds: Mapping[T, Iterable[T]],
-    *,
+def level_sweep(
+    indegree: dict[T, int],
+    succs: Mapping[T, Sequence[T]],
+    preds_of: Callable[[T], Iterable[T]],
     key=None,
 ) -> list[list[T]]:
-    """Group nodes into dependency levels: level(n) = 1 + max level of preds.
+    """Dependency levels by a level-synchronous Kahn sweep.
 
-    Only predecessors inside ``nodes`` count. Each level is sorted by
-    ``key`` (by the node itself when omitted). A cycle among ``nodes``
-    raises :class:`CycleError` with a witness.
+    ``indegree`` counts each node's predecessors among its keys and is used
+    up; ``succs`` lists successors once per edge. Each ready frontier is one
+    level, sorted by ``key``; the first follows the order of ``indegree``. A
+    cycle raises :class:`CycleError` with a witness read from ``preds_of``,
+    which is called only then.
     """
-    # Level-synchronous Kahn: the ready frontier is one level, and releasing
-    # its successors builds the next. A predecessor listed twice is released
-    # twice. The first frontier follows the order of ``nodes``, not a set's.
-    indegree = dict.fromkeys(nodes, 0)
-    succs: dict[T, list[T]] = {}
-    for node in indegree:
-        for p in preds.get(node, ()):
-            if p in indegree:
-                indegree[node] += 1
-                succs.setdefault(p, []).append(node)
     blocks: list[list[T]] = []
     frontier = [n for n, deg in indegree.items() if deg == 0]
     while frontier:
@@ -194,5 +188,28 @@ def levelize(
                     released.append(s)
         frontier = released
     if sum(map(len, blocks)) != len(indegree):
-        _raise_cycle({n for n, deg in indegree.items() if deg}, preds)
+        _raise_cycle({n for n, deg in indegree.items() if deg}, preds_of)
     return blocks
+
+
+def levelize(
+    nodes: Iterable[T],
+    preds: Mapping[T, Iterable[T]],
+    *,
+    key=None,
+) -> list[list[T]]:
+    """Group nodes into dependency levels: level(n) = 1 + max level of preds.
+
+    Only predecessors inside ``nodes`` count, and one listed twice counts
+    twice. Each level is sorted by ``key`` (by the node itself when
+    omitted). A cycle among ``nodes`` raises :class:`CycleError` with a
+    witness. The sweep is :func:`level_sweep`, which phase 2 shares.
+    """
+    indegree = dict.fromkeys(nodes, 0)
+    succs: dict[T, list[T]] = {}
+    for node in indegree:
+        for p in preds.get(node, ()):
+            if p in indegree:
+                indegree[node] += 1
+                succs.setdefault(p, []).append(node)
+    return level_sweep(indegree, succs, preds.__getitem__, key)

@@ -228,6 +228,57 @@ def repair_instance(rng: random.Random, kind: str):
     return partials, build_dag(tasks)
 
 
+def phase2_instance(rng: random.Random):
+    """Random input for phase 2: ``(tasks, clusters, pool, bookings)``.
+
+    1-14 tasks with 3-decimal times, one in six of zero length, ids shuffled
+    against the dependency order, split into 1-4 clusters (ascending task
+    tuples, taken in a random order) that one agent schedules on the same
+    timelines. The pool holds 1-4 resources ``R0``-``R3``, listed in a
+    random order, of memory and cpuPower 2-4 against task requirements of
+    0-3, so a task is often hosted by some resources only and now and then
+    by none. ``bookings`` are ``(resource_id, start, duration)`` slots
+    reserved before the first cluster, some of them touching.
+    """
+    def thousandths(hi: int) -> float:
+        return rng.randint(0, hi) / 1000
+
+    n = rng.randint(1, 14)
+    names = [f"t{k:02d}" for k in rng.sample(range(n), n)]
+    tasks = []
+    for i, name in enumerate(names):
+        deps = tuple(
+            Dependency(names[p], thousandths(3000))
+            for p in range(i) if rng.random() < 0.3
+        )
+        processing = 0.0 if rng.random() < 1 / 6 else thousandths(5000) or 0.001
+        memory, cpu = float(rng.randint(0, 3)), float(rng.randint(0, 3))
+        tasks.append(TaskSpec(name, processing, memory, cpu, None, deps))
+    num_clusters = rng.randint(1, min(n, 4))
+    owner = [rng.randrange(num_clusters) for _ in names]
+    order = rng.sample(range(num_clusters), num_clusters)
+    clusters = [
+        (f"C{c + 1}", tuple(sorted(t for t, o in zip(names, owner) if o == c)))
+        for c in order
+        if c in owner
+    ]
+    pool = [
+        ResourceSpec(
+            f"R{k}", cpu_power=float(rng.randint(2, 4)), memory=float(rng.randint(2, 4))
+        )
+        for k in rng.sample(range(4), rng.randint(1, 4))
+    ]
+    bookings = []
+    for r in pool:
+        at = thousandths(3000)
+        for _ in range(rng.randint(0, 3)):
+            duration = thousandths(2000) or 0.001
+            bookings.append((r.resource_id, at, duration))
+            at += duration + (0.0 if rng.random() < 0.3 else thousandths(3000))
+    rng.shuffle(tasks)
+    return tasks, clusters, pool, bookings
+
+
 def peak_above_live(fn, *args) -> int:
     """Bytes ``fn(*args)`` holds at its peak above what was live before the
     call, traced by ``tracemalloc`` with the cyclic collector off."""

@@ -4,6 +4,7 @@ Nothing here calls into the scheduler's own algorithms: acyclicity is
 re-decided by recursive DFS coloring, reachability by boolean matrix
 squaring, earliest fits by brute-force candidate enumeration, the
 selection rule by replaying every decision against a rebuilt timeline model,
+phase 2 itself by that rule with brute-force fits and peeled blocks,
 phase-1 clustering by a greedy that runs one DFS per merge candidate, the
 descendants of a part by a DFS over a quotient rebuilt from the task edges,
 topological order by rescanning for the least ready node, dependency
@@ -339,6 +340,71 @@ def check_selection_rule(
             if spec.processing_time > 0:
                 busy[chosen.resource_id].append((chosen.start, chosen.end))
     return violations
+
+
+def reference_schedule_cluster(
+    task_ids, dag, resource_specs: list, busy: dict, agent_id: str
+) -> dict:
+    """Phase 2 of one cluster, by its rule written plainly.
+
+    Blocks come from ``peel_blocks`` over the edges inside ``task_ids``,
+    ascending id within a block. Each task may go to a resource whose memory
+    and cpuPower are at least its own; its ready time there is the latest
+    end of its placed in-cluster predecessors, plus the edge's commTime when
+    the predecessor ran elsewhere, and its start is ``brute_force_earliest``
+    over that resource's ``busy`` intervals. The least start wins, ties to
+    the least resource id. ``busy`` maps every resource id to its booked
+    intervals and gains each positive-length placement. Returns the
+    placements in decision order; a task that no resource hosts raises
+    ``InfeasibleTaskError`` naming it, after the tasks before it are booked.
+    """
+    from coalloc import InfeasibleTaskError, Placement
+
+    inside = set(task_ids)
+    preds = pred_ids(dag)
+    placed: dict = {}
+    for block in peel_blocks(inside, {t: preds[t] for t in inside}):
+        for task_id in block:
+            spec = dag.tasks[task_id]
+            starts: dict = {}
+            for resource in resource_specs:
+                if resource.memory < spec.memory or resource.cpu_power < spec.cpu_power:
+                    continue
+                rid = resource.resource_id
+                ready = 0.0
+                for dep in spec.dependencies:
+                    if dep.task_id in inside:
+                        prior = placed[dep.task_id]
+                        need = prior.end
+                        if prior.resource_id != rid:
+                            need += dep.comm_time
+                        ready = max(ready, need)
+                starts[rid] = brute_force_earliest(
+                    busy[rid], ready, spec.processing_time
+                )
+            if not starts:
+                raise InfeasibleTaskError(task_id)
+            rid = min(starts, key=lambda r: (starts[r], r))
+            start, end = starts[rid], starts[rid] + spec.processing_time
+            placed[task_id] = Placement(task_id, rid, agent_id, start, end)
+            if end > start:
+                busy[rid].append((start, end))
+    return placed
+
+
+def free_gaps(busy: list[tuple[float, float]]) -> tuple[list, list]:
+    """The free stretches around the positive-length ``busy`` intervals, as
+    parallel lists of starts and ends from ``-inf`` to ``inf``; touching
+    intervals book one stretch, so no two stretches touch."""
+    starts, ends = [-math.inf], []
+    for s, e in sorted((s, e) for s, e in busy if e > s):
+        if s > starts[-1]:
+            ends.append(s)
+            starts.append(e)
+        else:  # touches the stretch booked so far
+            starts[-1] = max(starts[-1], e)
+    ends.append(math.inf)
+    return starts, ends
 
 
 def whole_tree_items(xml_text: str, kind: str) -> list:

@@ -13,6 +13,7 @@ from coalloc import (
     AgentActor,
     AgentSpec,
     Cluster,
+    CycleError,
     Dependency,
     InfeasibleTaskError,
     PartialSchedule,
@@ -21,6 +22,7 @@ from coalloc import (
     ResourceSpec,
     ResourceTimeline,
     StructuralError,
+    TaskDag,
     TaskSpec,
     ValidationError,
     apply_dependency_delays,
@@ -30,8 +32,14 @@ from coalloc import (
     schedule_cluster,
 )
 from coalloc.protocol import BROKER, Message, MessageKind
-from conftest import make_pool
-from oracles import brute_force_earliest, check_selection_rule, edge_costs
+from conftest import make_pool, phase2_instance
+from oracles import (
+    brute_force_earliest,
+    check_selection_rule,
+    edge_costs,
+    free_gaps,
+    reference_schedule_cluster,
+)
 
 
 def resource(rid, memory=8.0, cpu=8.0):
@@ -126,6 +134,35 @@ def test_infeasible_task_is_named():
     with pytest.raises(InfeasibleTaskError) as err:
         schedule_cluster(Cluster("C1", ("heavy",)), dag, tls, "a1")
     assert err.value.task_id == "heavy"
+
+
+def test_infeasible_task_late_in_decision_order_is_named_with_its_needs():
+    # blocks [a, c] then [b]: b is decided third, after a and c are placed
+    dag = build_dag([
+        task("a"), task("b", memory=8.0, cpu=2.0, deps=[("a", 0.5)]), task("c"),
+    ])
+    tls = timelines(resource("r1", memory=4.0))
+    with pytest.raises(InfeasibleTaskError) as err:
+        schedule_cluster(Cluster("C1", ("a", "b", "c")), dag, tls, "a1")
+    assert str(err.value) == (
+        "task 'b' has no eligible resource: agent a1 has no resource with "
+        "memory >= 8.0 and cpuPower >= 2.0"
+    )
+
+
+def test_cycle_in_a_cluster_raises_its_witness_before_any_reservation():
+    # a TaskDag built by hand, since build_dag refuses the cycle
+    dag = TaskDag({
+        "a": task("a", deps=[("b", 1.0)]),
+        "b": task("b", deps=[("a", 1.0)]),
+        "c": task("c"),
+    })
+    tls = timelines(resource("r1"), resource("r2"))
+    with pytest.raises(CycleError) as err:
+        schedule_cluster(Cluster("C1", ("a", "b", "c")), dag, tls, "a1")
+    assert str(err.value) == "dependency cycle: a -> b -> a"
+    for tl in tls.values():
+        assert (tl._gap_starts, tl._gap_ends) == ([-math.inf], [math.inf])
 
 
 def test_timelines_persist_across_clusters():
@@ -303,6 +340,39 @@ def test_job_dag_and_restricted_fragments_schedule_alike(case):
     for rid, tl in whole.items():
         assert tl._gap_starts == fragments[rid]._gap_starts
         assert tl._gap_ends == fragments[rid]._gap_ends
+
+
+def check_phase2_against_reference(rng):
+    """``schedule_cluster`` on ``phase2_instance(rng)`` gives the placements
+    of ``reference_schedule_cluster`` in the same decision order, cluster by
+    cluster on one set of timelines, and leaves the same free gaps; where
+    the reference finds a task no resource hosts, it names the same task."""
+    tasks, clusters, pool, bookings = phase2_instance(rng)
+    dag = build_dag(tasks)
+    tls = {r.resource_id: ResourceTimeline(r) for r in pool}  # not in id order
+    busy = {r.resource_id: [] for r in pool}
+    for rid, start, duration in bookings:
+        tls[rid].reserve("booked", start, duration)
+        busy[rid].append((start, start + duration))
+    for cluster_id, members in clusters:
+        cluster = Cluster(cluster_id, members)
+        try:
+            expected = reference_schedule_cluster(members, dag, pool, busy, "A1")
+        except InfeasibleTaskError as exc:
+            with pytest.raises(InfeasibleTaskError) as err:
+                schedule_cluster(cluster, dag, tls, "A1")
+            assert err.value.task_id == exc.task_id
+            break
+        got = schedule_cluster(cluster, dag, tls, "A1")
+        assert list(got.placements.items()) == list(expected.items())
+    for rid, tl in tls.items():
+        assert (tl._gap_starts, tl._gap_ends) == free_gaps(busy[rid])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.randoms(use_true_random=False))
+def test_phase2_matches_the_reference(rng):
+    check_phase2_against_reference(rng)
 
 
 def shifted_gaps(partial):
