@@ -10,6 +10,7 @@ import bisect
 import math
 import random
 from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 from .errors import ValidationError
 from .graph import TaskDag
@@ -27,6 +28,9 @@ from .model import (
 # values is exactly representable in binary floating point, so schedule
 # arithmetic and comparisons stay exact end to end.
 TIME_GRID = 0.25
+
+_task_id = attrgetter("task_id")
+_start = attrgetter("start")
 
 
 class ViolationReport(Record):
@@ -136,15 +140,22 @@ def validate_schedule(
     that every start and end is finite. Each check is the float expression
     the engine computes: ``fl(end + commTime) <= start`` for an edge across
     resources and ``fl(start + processingTime) == end`` for a row.
+
+    Each check makes one pass, and only what it reports is sorted.
+    Overlaps come by resource id, then by (start, taskId) of each row;
+    precedence violations by the DAG's task order, then by declared
+    dependency; the other four lists by task id.
     """
-    by_task = {p.task_id: p for p in schedule.placements}
-    if len(by_task) != len(schedule.placements):
+    placements = schedule.placements
+    by_task = {p.task_id: p for p in placements}
+    if len(by_task) != len(placements):
         raise ValidationError("schedule places some task twice")
-    missing = sorted(set(dag.tasks) - set(by_task))
-    if missing:
-        raise ValidationError("schedule misses tasks: " + ", ".join(missing))
-    extra = sorted(set(by_task) - set(dag.tasks))
-    if extra:
+    tasks = dag.tasks
+    if by_task.keys() != tasks.keys():
+        missing = sorted(tasks.keys() - by_task.keys())
+        if missing:
+            raise ValidationError("schedule misses tasks: " + ", ".join(missing))
+        extra = sorted(by_task.keys() - tasks.keys())
         raise ValidationError("schedule has unknown tasks: " + ", ".join(extra))
 
     report = ViolationReport()
@@ -154,52 +165,60 @@ def validate_schedule(
         for rid in agent.resources:
             owner[rid] = agent.agent_id
 
+    # zero-length rows are empty closed-open intervals: they never overlap
     rows: dict[str, list] = {}
-    for p in schedule.placements:
-        rows.setdefault(p.resource_id, []).append(p)
+    for p in placements:
+        if p.end > p.start:
+            rows.setdefault(p.resource_id, []).append(p)
     for rid in sorted(rows):
-        # zero-length rows are empty closed-open intervals: they never overlap;
-        # task ids are unique and no start is NaN, so the key orders the
-        # group totally, whatever the order of the placements
-        group = sorted(
-            (p for p in rows[rid] if p.end > p.start),
-            key=lambda p: (p.start, p.task_id),
-        )
-        for i, a in enumerate(group):
-            for j in range(i + 1, len(group)):
-                b = group[j]
-                if b.start >= a.end:  # so does every later b: starts ascend
-                    break
-                report.overlaps.append((rid, a.task_id, b.task_id))
+        # two stable sorts order the group by (start, taskId): totally, as
+        # task ids are unique and no start is NaN
+        group = rows[rid]
+        group.sort(key=_task_id)
+        group.sort(key=_start)
+        for i in range(1, len(group)):
+            a = group[i - 1]
+            end = a.end
+            if group[i].start < end:  # else no later row overlaps a either
+                for j in range(i, len(group)):
+                    b = group[j]
+                    if b.start >= end:  # so does every later b: starts ascend
+                        break
+                    report.overlaps.append((rid, a.task_id, b.task_id))
 
-    for succ, spec in dag.tasks.items():
-        s = by_task[succ]
-        for dep in spec.dependencies:
-            p = by_task[dep.task_id]
-            required = p.end if p.resource_id == s.resource_id else p.end + dep.comm_time
-            if s.start < required:
-                report.precedence_violations.append((p.task_id, succ, required, s.start))
-
-    for task_id in sorted(by_task):
+    for task_id, spec in tasks.items():
         placement = by_task[task_id]
-        spec = dag.tasks[task_id]
-        resource = resource_by_id.get(placement.resource_id)
+        rid, start, end = placement.resource_id, placement.start, placement.end
+        if spec.dependencies:
+            for dep in spec.dependencies:
+                p = by_task[dep.task_id]
+                required = p.end if p.resource_id == rid else p.end + dep.comm_time
+                if start < required:
+                    report.precedence_violations.append(
+                        (p.task_id, task_id, required, start)
+                    )
+        resource = resource_by_id.get(rid)
         if (
             resource is None
             or resource.memory < spec.memory
             or resource.cpu_power < spec.cpu_power
-            or owner.get(placement.resource_id) != placement.agent_id
+            or owner.get(rid) != placement.agent_id
         ):
-            report.eligibility_violations.append((task_id, placement.resource_id))
-        if spec.deadline_time is not None and placement.end > spec.deadline_time:
-            report.deadline_misses.append(
-                (task_id, placement.end, spec.deadline_time)
-            )
-        if not (math.isfinite(placement.start) and math.isfinite(placement.end)):
-            report.non_finite.append((task_id, placement.start, placement.end))
-        expected_end = placement.start + spec.processing_time
-        if placement.end != expected_end:
-            report.duration_mismatches.append((task_id, expected_end, placement.end))
+            report.eligibility_violations.append((task_id, rid))
+        if spec.deadline_time is not None and end > spec.deadline_time:
+            report.deadline_misses.append((task_id, end, spec.deadline_time))
+        if not (math.isfinite(start) and math.isfinite(end)):
+            report.non_finite.append((task_id, start, end))
+        expected_end = start + spec.processing_time
+        if end != expected_end:
+            report.duration_mismatches.append((task_id, expected_end, end))
+    for found in (
+        report.eligibility_violations,
+        report.deadline_misses,
+        report.duration_mismatches,
+        report.non_finite,
+    ):
+        found.sort()  # by task id: each task appears once in a list
     return report
 
 

@@ -232,9 +232,18 @@ class AgentSpec(Record):
         _set(self, "resources", resources)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Placement:
-    """Where and when one task runs."""
+    """Where and when one task runs.
+
+    The slots are declared here, not by ``slots=True``, which would rebuild
+    the class behind the generated ``__setattr__`` and make setting any
+    other name raise ``TypeError``. Setting or deleting any name raises
+    ``FrozenInstanceError``. Copying and pickling build a new placement
+    through ``__init__``, so they rerun its checks.
+    """
+
+    __slots__ = ("task_id", "resource_id", "agent_id", "start", "end")
 
     task_id: str
     resource_id: str
@@ -251,6 +260,11 @@ class Placement:
             raise ValidationError(
                 f"placement of {self.task_id!r}: end precedes start"
             )
+
+    def __reduce__(self):
+        return type(self), (
+            self.task_id, self.resource_id, self.agent_id, self.start, self.end
+        )
 
     @property
     def duration(self) -> float:

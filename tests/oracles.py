@@ -12,8 +12,9 @@ levels by relaxing along that order, resource overlaps by a full
 pairwise scan, the XML readers by building the whole element tree with
 ElementTree and walking it with the package's former walkers, phase 3 by
 shifting clusters from the logged phase-2 placements, the repair pass by
-iterating the release rule to a fixpoint, and the float contract by
-exact rational arithmetic.
+iterating the release rule to a fixpoint, the float contract by
+exact rational arithmetic, and the validator by its former implementation,
+which sorted every task id and every row.
 None of it imports ``coalloc.clustering``.
 """
 
@@ -722,3 +723,78 @@ def exact_shortfalls(schedule, dag) -> list:
         if miss > Fraction(math.ulp(s.start + spec.processing_time)):
             out.append((succ, succ, miss))
     return out
+
+
+def reference_validate(schedule, dag, resources, agents):
+    """The validator as it stood before its checks made one pass each:
+    whole-job sets for coverage, every task id sorted for the per-task
+    checks, and a ``(start, taskId)`` key tuple per row for the overlap
+    scan. It must report exactly what ``validate_schedule`` reports and
+    raise the same errors. It imports only the error and the report record.
+    """
+    from coalloc import ValidationError, ViolationReport
+
+    by_task = {p.task_id: p for p in schedule.placements}
+    if len(by_task) != len(schedule.placements):
+        raise ValidationError("schedule places some task twice")
+    missing = sorted(set(dag.tasks) - set(by_task))
+    if missing:
+        raise ValidationError("schedule misses tasks: " + ", ".join(missing))
+    extra = sorted(set(by_task) - set(dag.tasks))
+    if extra:
+        raise ValidationError("schedule has unknown tasks: " + ", ".join(extra))
+
+    report = ViolationReport()
+    resource_by_id = {r.resource_id: r for r in resources}
+    owner: dict[str, str] = {}
+    for agent in agents:
+        for rid in agent.resources:
+            owner[rid] = agent.agent_id
+
+    rows: dict[str, list] = {}
+    for p in schedule.placements:
+        rows.setdefault(p.resource_id, []).append(p)
+    for rid in sorted(rows):
+        # zero-length rows are empty closed-open intervals: they never overlap;
+        # task ids are unique and no start is NaN, so the key orders the
+        # group totally, whatever the order of the placements
+        group = sorted(
+            (p for p in rows[rid] if p.end > p.start),
+            key=lambda p: (p.start, p.task_id),
+        )
+        for i, a in enumerate(group):
+            for j in range(i + 1, len(group)):
+                b = group[j]
+                if b.start >= a.end:  # so does every later b: starts ascend
+                    break
+                report.overlaps.append((rid, a.task_id, b.task_id))
+
+    for succ, spec in dag.tasks.items():
+        s = by_task[succ]
+        for dep in spec.dependencies:
+            p = by_task[dep.task_id]
+            required = p.end if p.resource_id == s.resource_id else p.end + dep.comm_time
+            if s.start < required:
+                report.precedence_violations.append((p.task_id, succ, required, s.start))
+
+    for task_id in sorted(by_task):
+        placement = by_task[task_id]
+        spec = dag.tasks[task_id]
+        resource = resource_by_id.get(placement.resource_id)
+        if (
+            resource is None
+            or resource.memory < spec.memory
+            or resource.cpu_power < spec.cpu_power
+            or owner.get(placement.resource_id) != placement.agent_id
+        ):
+            report.eligibility_violations.append((task_id, placement.resource_id))
+        if spec.deadline_time is not None and placement.end > spec.deadline_time:
+            report.deadline_misses.append(
+                (task_id, placement.end, spec.deadline_time)
+            )
+        if not (math.isfinite(placement.start) and math.isfinite(placement.end)):
+            report.non_finite.append((task_id, placement.start, placement.end))
+        expected_end = placement.start + spec.processing_time
+        if placement.end != expected_end:
+            report.duration_mismatches.append((task_id, expected_end, placement.end))
+    return report

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,8 +26,8 @@ from coalloc import (
     validate_schedule,
 )
 from coalloc.harness import TIME_GRID
-from conftest import off_grid_instance
-from oracles import all_pairs_overlaps, exact_shortfalls
+from conftest import corpus_instance, off_grid_instance
+from oracles import all_pairs_overlaps, exact_shortfalls, reference_validate
 
 
 def simple_world(tasks):
@@ -211,6 +212,17 @@ def test_wrong_agent_counts_as_eligibility_violation():
     assert report.eligibility_violations == [("t", "r2")]
 
 
+@pytest.mark.parametrize("need", ["memory", "cpu_power"])
+def test_task_fits_a_resource_of_exactly_its_need(need):
+    dag, resources, agents = simple_world([TaskSpec("t", 1.0, **{need: 4.0})])
+    schedule = FinalSchedule((place("t", "r1", 0.0, 1.0),), 1.0)
+    assert validate_schedule(schedule, dag, resources, agents).is_empty()
+    more = {need: math.nextafter(4.0, math.inf)}
+    dag = build_dag([TaskSpec("t", 1.0, **more)])
+    report = validate_schedule(schedule, dag, resources, agents)
+    assert report.eligibility_violations == [("t", "r1")]
+
+
 def test_deadline_miss_detected():
     tasks = [TaskSpec("late", 5.0, 0.0, 0.0, deadline_time=4.0)]
     dag, resources, agents = simple_world(tasks)
@@ -314,6 +326,134 @@ def test_validator_rejects_unknown_tasks():
     )
     with pytest.raises(ValidationError, match="unknown tasks: ghost"):
         validate_schedule(schedule, dag, resources, agents)
+
+
+def corrupted_schedule(rng: random.Random, scenario):
+    """The engine's schedule of ``scenario``, corrupted at random:
+    ``(schedule, dag, resources, agents)`` for the validator.
+
+    Each corruption applies with probability 0.3: starts shifted (rows kept
+    whole or cut at their end), tasks moved to another resource or agent
+    (unknown ones too), ends moved one ulp, deadlines that some tasks meet
+    exactly and others miss, memory and cpuPower needs raised to their
+    resource's capacity or one float past it, zero-length rows, rows made
+    to share a start on one resource, infinite ends, and the DAG's task
+    order shuffled. The
+    placements tuple is shuffled half of the time. One case in eight drops,
+    adds or duplicates a placement, which the validator must refuse.
+    """
+    result = orchestrate(scenario.tasks, scenario.resources, scenario.agents)
+    rows = {p.task_id: p for p in result.schedule.placements}
+    specs = dict(result.dag.tasks)
+    ids = list(rows)
+    rids = [r.resource_id for r in scenario.resources] + ["R?"]
+    agent_ids = [a.agent_id for a in scenario.agents] + ["A?"]
+
+    def some() -> list[str]:
+        return rng.sample(ids, min(len(ids), rng.randint(1, 4)))
+
+    def put(task_id: str, **changes) -> None:
+        p = rows[task_id]
+        fields = dict(
+            resource_id=p.resource_id, agent_id=p.agent_id, start=p.start, end=p.end
+        )
+        fields.update(changes)
+        rows[task_id] = Placement(task_id, **fields)
+
+    if rng.random() < 0.3:
+        for t in some():
+            p = rows[t]
+            start = max(0.0, p.start + rng.randint(-4000, 4000) / 1000)
+            end = start + p.duration if rng.random() < 0.5 else max(p.end, start)
+            put(t, start=start, end=end)
+    if rng.random() < 0.3:
+        for t in some():
+            if rng.random() < 0.5:
+                put(t, resource_id=rng.choice(rids))
+            else:
+                put(t, agent_id=rng.choice(agent_ids))
+    if rng.random() < 0.3:
+        for t in some():
+            p = rows[t]
+            down = math.nextafter(p.end, -math.inf)
+            up = math.nextafter(p.end, math.inf)
+            put(t, end=down if down >= p.start and rng.random() < 0.5 else up)
+    if rng.random() < 0.3:
+        for t in some():
+            end = rows[t].end
+            deadline = rng.choice(
+                [end, math.nextafter(end, -math.inf), end - 1.0, end + 1.0]
+            )
+            specs[t] = specs[t]._replace(deadline_time=max(0.0, deadline))
+    if rng.random() < 0.3:
+        capacity = {r.resource_id: r for r in scenario.resources}
+        for t in some():
+            host = capacity.get(rows[t].resource_id)
+            if host is not None:
+                specs[t] = specs[t]._replace(**{
+                    need: rng.choice([have, math.nextafter(have, math.inf)])
+                    for need, have in (
+                        ("memory", host.memory), ("cpu_power", host.cpu_power)
+                    )
+                })
+    if rng.random() < 0.3:
+        for t in some():
+            put(t, end=rows[t].start)
+    if rng.random() < 0.3:
+        rid = rng.choice(rids)
+        at = rows[rng.choice(ids)].start
+        for t in some():
+            put(t, resource_id=rid, start=at, end=at + rng.choice([0.0, 0.5, 1.0, 2.5]))
+    if rng.random() < 0.3:
+        for t in some():
+            put(t, end=math.inf)
+    order = list(specs.values())
+    if rng.random() < 0.3:
+        rng.shuffle(order)
+    placements = list(rows.values())
+    if rng.random() < 0.5:
+        rng.shuffle(placements)
+    if rng.random() < 1 / 8:
+        fault = rng.choice(["missing", "extra", "twice"])
+        if fault == "missing":
+            placements.remove(rng.choice(placements))
+        elif fault == "extra":
+            placements.append(Placement("ghost", rids[0], agent_ids[0], 0.0, 1.0))
+        else:
+            placements.insert(rng.randrange(len(placements) + 1), rng.choice(placements))
+    makespan = max((p.end for p in placements), default=0.0)
+    schedule = FinalSchedule(tuple(placements), makespan)
+    return schedule, build_dag(order), scenario.resources, scenario.agents
+
+
+def validator_outcome(validate, args):
+    """What ``validate(*args)`` reports: its six lists and ``lines()``, or
+    the message of the ``ValidationError`` it raises."""
+    try:
+        report = validate(*args)
+    except ValidationError as error:
+        return f"ValidationError: {error}"
+    return [getattr(report, name) for name in report.__slots__], report.lines()
+
+
+def check_validator_against_reference(rng: random.Random, scenario) -> None:
+    """``validate_schedule`` reports exactly what ``reference_validate``
+    reports on a corrupted engine schedule of ``scenario``, or raises the
+    same error."""
+    args = corrupted_schedule(rng, scenario)
+    assert validator_outcome(validate_schedule, args) == validator_outcome(
+        reference_validate, args
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_validator_matches_its_reference_on_corrupted_schedules(rng, off_grid):
+    if off_grid:
+        scenario = off_grid_instance(rng)
+    else:
+        scenario = corpus_instance(rng.randrange(10_000))
+    check_validator_against_reference(rng, scenario)
 
 
 def test_generate_empty_and_edgeless():
