@@ -29,7 +29,6 @@ from .clustering import (
     assignment_dump,
     cluster_tasks,
     max_cluster_size,
-    quotient,
 )
 from .errors import (
     CycleError,
@@ -41,7 +40,7 @@ from .errors import (
     ValidationError,
     XmlFormatError,
 )
-from .graph import TaskDag, build_dag, levelize
+from .graph import TaskDag, build_dag
 from .harness import (
     Metrics,
     ViolationReport,

@@ -42,17 +42,16 @@ __all__ = [
 class Assignment(Record):
     """Cluster-to-agent mapping plus the greedy per-agent task counts."""
 
-    __slots__ = ("cluster_to_agent", "tasks_per_agent", "order")
+    __slots__ = ("cluster_to_agent", "tasks_per_agent")
 
     def __init__(
         self,
+        # in dispatch order: the quotient's topological order
         cluster_to_agent: dict[str, str],
         tasks_per_agent: dict[str, int],
-        order: tuple[str, ...],  # dispatch order: quotient topological order
     ) -> None:
         _set(self, "cluster_to_agent", cluster_to_agent)
         _set(self, "tasks_per_agent", tasks_per_agent)
-        _set(self, "order", order)
 
 
 def distribute(
@@ -76,7 +75,6 @@ def distribute(
     counts = {a.agent_id: 0 for a in sorted(agents, key=lambda a: a.agent_id)}
     narrow = _narrow_agents(agents, dag, resources)
     mapping: dict[str, str] = {}
-    order: list[str] = []
     for cluster in cluster_dag.topological_order():
         able = [
             a for a in counts
@@ -86,8 +84,7 @@ def distribute(
         agent_id = min(able or counts, key=lambda a: (counts[a], a))
         mapping[cluster.cluster_id] = agent_id
         counts[agent_id] += len(cluster.tasks)
-        order.append(cluster.cluster_id)
-    return Assignment(mapping, counts, tuple(order))
+    return Assignment(mapping, counts)
 
 
 def _narrow_agents(
@@ -327,7 +324,7 @@ class Broker:
         # finds a task infeasible only in a cluster no agent can host.
         try:
             partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
-                cid: cluster_dag.by_id[cid] for cid in assignment.order
+                cid: cluster_dag.by_id[cid] for cid in assignment.cluster_to_agent
             })
         except InfeasibleTaskError as exc:
             raise InfeasibleTaskError(
@@ -349,7 +346,7 @@ class Broker:
 
         del actors  # free the agents' timelines before the repair pass's peak
         schedule = assemble_and_repair(
-            [partials[cid] for cid in assignment.order], dag, assignment
+            [partials[cid] for cid in assignment.cluster_to_agent], dag, assignment
         )
         log.record(Message(MessageKind.SCHEDULE_RESULT, BROKER, USER, schedule))
         return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 from .errors import StructuralError, ValidationError
-from .graph import TaskDag, levelize, topological_sweep
+from .graph import TaskDag, level_sweep, topological_sweep
 from .model import Record, _set
 
 # A part's neighbour slots: the list it was built with (the shared empty
@@ -23,7 +23,6 @@ __all__ = [
     "ClusterDag",
     "max_cluster_size",
     "cluster_tasks",
-    "quotient",
     "assignment_dump",
 ]
 
@@ -56,15 +55,20 @@ class ClusterDag:
         self.cluster_of: dict[str, str] = {
             t: c.cluster_id for c in self.clusters for t in c.tasks
         }
-        # In edge order: the sweep and ``levelize`` cannot observe the order.
+        # In edge order, which neither ``levels`` nor ``topological_order`` observes.
         self.preds: dict[str, list[str]] = {c.cluster_id: [] for c in self.clusters}
         for a, b in self.edges:
             self.preds[b].append(a)
 
     def levels(self) -> list[list[Cluster]]:
         """Dependency levels of the quotient graph, each sorted by min task id."""
-        blocks = levelize(
-            self.by_id, self.preds, key=lambda cid: self.by_id[cid].min_task
+        indegree = {cid: len(ps) for cid, ps in self.preds.items()}
+        succs: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            succs.setdefault(a, []).append(b)
+        blocks = level_sweep(
+            indegree, succs, self.preds.__getitem__,
+            key=lambda cid: self.by_id[cid].min_task,
         )
         return [[self.by_id[cid] for cid in block] for block in blocks]
 
@@ -95,42 +99,13 @@ def assignment_dump(cluster_dag: ClusterDag) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def quotient(dag: TaskDag, partition: list[set[str]]) -> ClusterDag:
-    """Collapse a task partition into a cluster DAG.
+def _collapse(dag: TaskDag, parts: Iterable[Iterable[str]]) -> ClusterDag:
+    """Collapse parts that partition the tasks into a cluster DAG.
 
     Crossing edge costs are summed per ordered cluster pair; self-edges are
     never emitted. Clusters are named C1, C2, ... in ascending order of their
-    smallest task id.
+    smallest task id. The parts are not checked.
     """
-    known = set(dag.tasks)
-    seen: set[str] = set()
-    groups: list[set[str]] = []
-    for group in partition:
-        g = set(group)
-        if not g:
-            raise StructuralError("partition contains an empty cluster")
-        overlap = g & seen
-        if overlap:
-            raise StructuralError(
-                "partition overlaps on tasks: " + ", ".join(sorted(overlap))
-            )
-        unknown = g - known
-        if unknown:
-            raise StructuralError(
-                "partition names unknown tasks: " + ", ".join(sorted(unknown))
-            )
-        seen |= g
-        groups.append(g)
-    uncovered = known - seen
-    if uncovered:
-        raise StructuralError(
-            "partition misses tasks: " + ", ".join(sorted(uncovered))
-        )
-    return _collapse(dag, groups)
-
-
-def _collapse(dag: TaskDag, parts: Iterable[Iterable[str]]) -> ClusterDag:
-    """``quotient`` over parts known to partition the tasks, unchecked."""
     clusters = [
         Cluster(f"C{i}", tasks)
         for i, tasks in enumerate(sorted(tuple(sorted(p)) for p in parts), start=1)

@@ -191,25 +191,3 @@ def level_sweep(
         _raise_cycle({n for n, deg in indegree.items() if deg}, preds_of)
     return blocks
 
-
-def levelize(
-    nodes: Iterable[T],
-    preds: Mapping[T, Iterable[T]],
-    *,
-    key=None,
-) -> list[list[T]]:
-    """Group nodes into dependency levels: level(n) = 1 + max level of preds.
-
-    Only predecessors inside ``nodes`` count, and one listed twice counts
-    twice. Each level is sorted by ``key`` (by the node itself when
-    omitted). A cycle among ``nodes`` raises :class:`CycleError` with a
-    witness. The sweep is :func:`level_sweep`, which phase 2 shares.
-    """
-    indegree = dict.fromkeys(nodes, 0)
-    succs: dict[T, list[T]] = {}
-    for node in indegree:
-        for p in preds.get(node, ()):
-            if p in indegree:
-                indegree[node] += 1
-                succs.setdefault(p, []).append(node)
-    return level_sweep(indegree, succs, preds.__getitem__, key)

@@ -281,14 +281,16 @@ def generate_workload(
         raise ValidationError("deadline_probability must be in [0, 1]")
     if num_tasks < 0:
         raise ValidationError("num_tasks must be nonnegative")
+    if num_layers < 1:
+        raise ValidationError(f"num_layers must be >= 1, got {num_layers}")
+    if not 0.0 <= edge_density <= 1.0:  # NaN fails too
+        raise ValidationError("edge_density must be in [0, 1]")
     if num_tasks == 0:
         return []
-    if not 1 <= num_layers <= num_tasks:
+    if num_layers > num_tasks:
         raise ValidationError(
             f"num_layers must be in [1, {num_tasks}], got {num_layers}"
         )
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValidationError("edge_density must be in [0, 1]")
     rng = random.Random(seed)
 
     layer_of = list(range(num_layers))  # one pin per layer keeps all nonempty

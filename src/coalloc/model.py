@@ -272,7 +272,8 @@ class Placement:
 
 
 class FinalSchedule(Record):
-    """Complete schedule: one placement per task, sorted by (start, taskId)."""
+    """Complete schedule: one placement per task, by (start, taskId) as the
+    engine builds it, or in row order as read from a schedule CSV."""
 
     __slots__ = ("placements", "makespan", "deadline_violations")
 
@@ -285,9 +286,6 @@ class FinalSchedule(Record):
         _set(self, "placements", placements)
         _set(self, "makespan", makespan)
         _set(self, "deadline_violations", deadline_violations)
-
-    def by_task(self) -> dict[str, Placement]:
-        return {p.task_id: p for p in self.placements}
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ class Message(Record):
 class MessageLog:
     """Ordered record of every message sent during one orchestration."""
 
-    def __init__(self, entries: list[Message] | None = None) -> None:
-        self.entries: list[Message] = [] if entries is None else entries
+    def __init__(self) -> None:
+        self.entries: list[Message] = []
 
     def record(self, message: Message) -> None:
         self.entries.append(message)

@@ -15,7 +15,8 @@ shifting clusters from the logged phase-2 placements, the repair pass by
 iterating the release rule to a fixpoint, the float contract by
 exact rational arithmetic, and the validator by its former implementation,
 which sorted every task id and every row.
-None of it imports ``coalloc.clustering``.
+Only ``quotient``, which checks a hand-written partition before the
+engine collapses it, imports ``coalloc.clustering``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,37 @@ def pred_ids(dag) -> dict:
         t: [dep.task_id for dep in spec.dependencies]
         for t, spec in dag.tasks.items()
     }
+
+
+def quotient(dag, partition: list[set[str]]):
+    """The engine's cluster DAG over ``partition``, once it is checked to
+    partition the tasks of ``dag``: no empty, overlapping or unknown part,
+    and no task left out, each raising ``StructuralError``."""
+    from coalloc import StructuralError
+    from coalloc.clustering import _collapse
+
+    known = set(dag.tasks)
+    seen: set[str] = set()
+    for group in partition:
+        if not group:
+            raise StructuralError("partition contains an empty cluster")
+        overlap = group & seen
+        if overlap:
+            raise StructuralError(
+                "partition overlaps on tasks: " + ", ".join(sorted(overlap))
+            )
+        unknown = group - known
+        if unknown:
+            raise StructuralError(
+                "partition names unknown tasks: " + ", ".join(sorted(unknown))
+            )
+        seen |= group
+    uncovered = known - seen
+    if uncovered:
+        raise StructuralError(
+            "partition misses tasks: " + ", ".join(sorted(uncovered))
+        )
+    return _collapse(dag, partition)
 
 
 def closure_by_squaring(nodes: list, pairs: set) -> dict:

@@ -51,6 +51,10 @@ from oracles import (
 )
 
 
+def by_task(schedule):
+    return {p.task_id: p for p in schedule.placements}
+
+
 def task(task_id, processing=1.0, deps=()):
     return TaskSpec(
         task_id, processing, 1.0, 1.0, None,
@@ -122,7 +126,7 @@ def test_distribute_greedy_matches_step_simulation():
     cdag = cluster_dag([2, 2, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C4")])
     resources, agents = pool(2)
     assignment = distribute(cdag, agents, dag_of(cdag), resources)
-    assert assignment.order == ("C1", "C2", "C3", "C4")
+    assert list(assignment.cluster_to_agent) == ["C1", "C2", "C3", "C4"]  # dispatch order
     assert assignment.cluster_to_agent == {
         "C1": "agent1",
         "C2": "agent2",
@@ -232,7 +236,7 @@ def test_single_cluster_protocol_and_passthrough():
         MessageKind.SCHEDULE_RESULT,
     ]
     scheduled = result.log.entries[2].payload
-    assert result.schedule.by_task() == scheduled.placements
+    assert by_task(result.schedule) == scheduled.placements
 
 
 def test_chained_clusters_get_readiness_and_respect_it():
@@ -246,9 +250,9 @@ def test_chained_clusters_get_readiness_and_respect_it():
     ]
     info = [e for e in result.log if e.kind is MessageKind.DEPENDENCY_INFO]
     assert len(info) == 1
-    end_t3 = result.schedule.by_task()["t3"].end
+    end_t3 = by_task(result.schedule)["t3"].end
     assert tuple(info[0].payload) == (("t4", end_t3 + 2.0),)
-    assert result.schedule.by_task()["t4"].start >= end_t3 + 2.0
+    assert by_task(result.schedule)["t4"].start >= end_t3 + 2.0
     # four-step sequence for the delayed cluster
     kinds = [e.kind for e in result.log if e.cluster_id == "C2"]
     assert kinds == [
@@ -384,7 +388,7 @@ def test_readiness_waives_comm_on_same_resource():
 def assignment_for(partials, agent_id="a1"):
     mapping = {p.cluster_id: agent_id for p in partials}
     counts = {agent_id: sum(len(p.placements) for p in partials)}
-    return Assignment(mapping, counts, tuple(sorted(mapping)))
+    return Assignment(mapping, counts)
 
 
 def test_repair_keeps_consistent_schedules_unchanged():
@@ -396,8 +400,8 @@ def test_repair_keeps_consistent_schedules_unchanged():
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
     # unmoved placements are kept as they are, not rebuilt
-    assert schedule.by_task()["a"] is partials[0].placements["a"]
-    assert schedule.by_task()["b"] is partials[1].placements["b"]
+    assert by_task(schedule)["a"] is partials[0].placements["a"]
+    assert by_task(schedule)["b"] is partials[1].placements["b"]
     assert schedule.makespan == 5.0
 
 
@@ -428,8 +432,9 @@ def test_repair_rebuilds_an_infinite_end_from_the_start():
         PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 0.0, 2.0)}),
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    assert schedule.by_task()["a"].end == 1.0
-    assert (schedule.by_task()["b"].start, schedule.by_task()["b"].end) == (1.5, 3.5)
+    assert by_task(schedule)["a"].end == 1.0
+    b = by_task(schedule)["b"]
+    assert (b.start, b.end) == (1.5, 3.5)
     assert schedule.makespan == 3.5
 
 
@@ -491,7 +496,7 @@ def test_repair_pushes_overlap_apart_and_recheck_dependencies():
         PartialSchedule("C2", {"y": Placement("y", "r1", "a1", 2.0, 4.0)}),
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    x, y = schedule.by_task()["x"], schedule.by_task()["y"]
+    x, y = by_task(schedule)["x"], by_task(schedule)["y"]
     assert x.start == 0.0 and x.end == 4.0
     assert y.start == 4.0 and y.end == 6.0  # pushed behind x, comm waived on r1
     resources = [ResourceSpec("r1", "r1", "c", "f", 8.0, 8.0, 90.0)]
@@ -521,7 +526,7 @@ def test_repair_order_is_not_the_sorted_placements():
     assert [p.task_id for p in by_sort] == ["w", "x", "a", "b"]
 
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    spans = {t: (p.start, p.end) for t, p in schedule.by_task().items()}
+    spans = {t: (p.start, p.end) for t, p in by_task(schedule).items()}
     assert spans == {
         "w": (0.0, 2.0), "x": (2.0, 4.0), "b": (4.0, 4.0), "a": (4.0, 4.0)
     }
@@ -544,7 +549,7 @@ def test_repair_releases_a_chain_predecessor_that_is_also_a_dag_predecessor():
         }),
     ]
     schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    spans = {t: (p.start, p.end) for t, p in schedule.by_task().items()}
+    spans = {t: (p.start, p.end) for t, p in by_task(schedule).items()}
     assert spans == {"w": (0.0, 2.0), "a": (2.0, 4.0), "b": (4.0, 5.0)}
     resources = [ResourceSpec("r1", "r1", "c", "f", 8.0, 8.0, 90.0)]
     agents = [AgentSpec("a1", ("r1",))]
@@ -627,7 +632,7 @@ def check_repair_against_reference(rng, kind):
     assert schedule_to_csv(schedule) == schedule_to_csv(expected)
     assert schedule.deadline_violations == expected.deadline_violations
     given = {t: p for partial in partials for t, p in partial.placements.items()}
-    repaired = schedule.by_task()
+    repaired = by_task(schedule)
     for p in expected.placements:
         q = given[p.task_id]
         if (p.start, p.end) == (q.start, q.end):
@@ -804,17 +809,33 @@ def artifacts(tasks, resources, agents) -> tuple[str, str, str]:
     )
 
 
+def drawn_instance(rng, off_grid):
+    if off_grid:
+        return off_grid_instance(rng)
+    return corpus_instance(rng.randrange(10**6))
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_declaration_order_never_reaches_an_artifact(rng, off_grid):
     # Every phase visits a task's edges in the order its spec declares them.
-    instance = (
-        off_grid_instance(rng) if off_grid else corpus_instance(rng.randrange(10**6))
-    )
+    instance = drawn_instance(rng, off_grid)
     shuffled = []
     for spec in instance.tasks:
         deps = list(spec.dependencies)
         rng.shuffle(deps)
         shuffled.append(spec._replace(dependencies=tuple(deps)))
+    pool = (instance.resources, instance.agents)
+    assert artifacts(shuffled, *pool) == artifacts(instance.tasks, *pool)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_task_order_never_reaches_an_artifact(rng, off_grid):
+    # Clusters are dispatched in the quotient's topological order, which
+    # only the insertion order of ``cluster_to_agent`` keeps.
+    instance = drawn_instance(rng, off_grid)
+    shuffled = list(instance.tasks)
+    rng.shuffle(shuffled)
     pool = (instance.resources, instance.agents)
     assert artifacts(shuffled, *pool) == artifacts(instance.tasks, *pool)

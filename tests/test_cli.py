@@ -404,6 +404,14 @@ def test_generate_rejects_a_deadline_probability_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "g").exists()
 
 
+def test_generate_checks_its_parameters_when_asked_for_no_tasks(tmp_path, capsys):
+    code = cli.main(["generate", "--out", str(tmp_path / "g"), "--num-tasks", "0",
+                     "--density", "7", "--layers", "-3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: num_layers must be >= 1, got -3\n"
+    assert not (tmp_path / "g").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

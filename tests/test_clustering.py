@@ -14,7 +14,6 @@ from coalloc import (
     clustering,
     generate_workload,
     max_cluster_size,
-    quotient,
 )
 from conftest import corpus_instance, peak_above_live
 from oracles import (
@@ -22,6 +21,7 @@ from oracles import (
     edge_costs,
     greedy_clustering,
     part_descendants,
+    quotient,
     successor_lists,
 )
 

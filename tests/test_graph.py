@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalloc import (
+    Cluster,
+    ClusterDag,
     CycleError,
     Dependency,
     Placement,
@@ -18,7 +20,6 @@ from coalloc import (
     ValidationError,
     build_dag,
     generate_workload,
-    levelize,
 )
 from coalloc.graph import release
 from conftest import make_engineered
@@ -36,6 +37,21 @@ def task(task_id, processing=1.0, deps=()):
         task_id, processing, 0.0, 0.0, None,
         tuple(Dependency(p, c) for p, c in deps),
     )
+
+
+def clusters_over(preds, min_task=None):
+    """A cluster DAG with one cluster per key of ``preds``, named by it and
+    holding the one task ``min_task[node]`` (the node itself by default),
+    and an edge from each of its predecessors, in the order given."""
+    min_task = min_task or {n: n for n in preds}
+    return ClusterDag(
+        [Cluster(n, (min_task[n],)) for n in preds],
+        {(p, n): 1.0 for n, ps in preds.items() for p in ps},
+    )
+
+
+def level_ids(cdag):
+    return [[c.cluster_id for c in level] for level in cdag.levels()]
 
 
 def test_build_two_task_dag():
@@ -116,9 +132,9 @@ def assert_is_cycle(witness, adjacency):
 
 
 def test_is_acyclic_trivial_cases():
-    assert levelize([], {}) == []
+    assert level_ids(clusters_over({})) == []
     with pytest.raises(CycleError) as err:
-        levelize({"x"}, {"x": ["x"]})
+        level_ids(clusters_over({"x": ["x"]}))
     assert err.value.cycle == ["x"]
 
 
@@ -135,7 +151,7 @@ def test_is_acyclic_against_coloring_oracle():
         tasks = [task(n, deps=[(p, 1.0) for p in preds[n]]) for n in nodes]
         acyclic = coloring_is_acyclic(adjacency)
         witnesses = []
-        for check in (lambda: build_dag(tasks), lambda: levelize(nodes, preds)):
+        for check in (lambda: build_dag(tasks), lambda: level_ids(clusters_over(preds))):
             try:
                 check()
             except CycleError as err:
@@ -163,7 +179,7 @@ def test_level_decompose_chain():
     dag = build_dag(
         [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
     )
-    assert levelize({"a", "b", "c"}, pred_ids(dag)) == [["a"], ["b"], ["c"]]
+    assert level_ids(clusters_over(pred_ids(dag))) == [["a"], ["b"], ["c"]]
 
 
 def test_level_decompose_diamond():
@@ -175,15 +191,7 @@ def test_level_decompose_diamond():
             task("4", deps=[("2", 1.0), ("3", 1.0)]),
         ]
     )
-    assert levelize({"1", "2", "3", "4"}, pred_ids(dag)) == [["1"], ["2", "3"], ["4"]]
-
-
-def test_level_decompose_subset_restriction():
-    dag = build_dag(
-        [task("a"), task("b", deps=[("a", 1.0)]), task("c", deps=[("b", 1.0)])]
-    )
-    # without b, neither a nor c has an in-subset predecessor
-    assert levelize({"a", "c"}, pred_ids(dag)) == [["a", "c"]]
+    assert level_ids(clusters_over(pred_ids(dag))) == [["1"], ["2", "3"], ["4"]]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -191,20 +199,17 @@ def test_level_decompose_properties(seed):
     rng = random.Random(seed)
     tasks = generate_workload(seed, 30, rng.randint(2, 6), 0.25)
     dag = build_dag(tasks)
-    subset = {t for t in dag.tasks if rng.random() < 0.7}
     preds = pred_ids(dag)
-    blocks = levelize(subset, preds)
+    blocks = level_ids(clusters_over(preds))
 
     flat = [t for block in blocks for t in block]
-    assert sorted(flat) == sorted(subset)  # partition
+    assert sorted(flat) == sorted(dag.tasks)  # partition
     position = {t: i for i, t in enumerate(flat)}
     block_of = {t: k for k, block in enumerate(blocks, start=1) for t in block}
     for (p, s) in edge_costs(dag):
-        if p in subset and s in subset:
-            assert position[p] < position[s]  # concatenation is a topo order
-    for t in subset:
-        in_preds = [block_of[p] for p in preds[t] if p in subset]
-        assert block_of[t] == 1 + max(in_preds, default=0)
+        assert position[p] < position[s]  # concatenation is a topo order
+    for t in dag.tasks:
+        assert block_of[t] == 1 + max((block_of[p] for p in preds[t]), default=0)
     for block in blocks:
         members = set(block)
         for (p, s) in edge_costs(dag):
@@ -213,42 +218,49 @@ def test_level_decompose_properties(seed):
 
 
 @st.composite
-def levelize_cases(draw):
-    """A node list in two orders, with predecessor lists that may name nodes
-    outside it, repeat a predecessor, or (when not drawn acyclic) close a
-    cycle, and an optional injective sort key."""
+def cluster_graphs(draw):
+    """Predecessor lists over up to 12 clusters, acyclic or free to close a
+    cycle, the same lists with clusters and predecessors in another order,
+    and a least task per cluster that orders the clusters otherwise than
+    their ids do."""
     n = draw(st.integers(0, 12))
-    universe = [f"n{i}" for i in range(n + 3)]  # the last three stay outside
+    nodes = [f"C{i:02d}" for i in range(n)]
     acyclic = draw(st.booleans())
     preds = {}
-    for i, node in enumerate(universe):
-        pool = universe[:i] if acyclic else universe
-        preds[node] = draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
-    nodes = draw(st.lists(st.sampled_from(universe[:n]), max_size=n)) if n else []
-    shuffled = draw(st.permutations(nodes))
-    key = draw(st.sampled_from([None, lambda v: -int(v[1:])]))
-    return nodes, shuffled, preds, key
+    for i, node in enumerate(nodes):
+        pool = nodes[:i] if acyclic else nodes
+        drawn = draw(st.sets(st.sampled_from(pool), max_size=4)) if pool else ()
+        preds[node] = sorted(drawn)
+    reordered = {
+        node: draw(st.permutations(preds[node]))
+        for node in draw(st.permutations(nodes))
+    }
+    tasks = draw(st.permutations([f"t{i:02d}" for i in range(n)]))
+    return preds, reordered, dict(zip(nodes, tasks))
 
 
-def levels_or_cycle(nodes, preds, key, levels):
+def levels_or_cycle(levels):
     try:
-        return levels(nodes, preds, key=key)
+        return levels()
     except CycleError as err:
         return ("cycle", err.cycle)
 
 
-@settings(deadline=None, max_examples=200)
-@given(levelize_cases())
-@example((["a", "b"], ["b", "a"], {"b": ["a", "a", "zz"]}, None))  # twice, outside
-@example((["x"], ["x"], {"x": ["x"]}, None))  # self-loop
-@example((["c", "a", "b"], ["b", "c", "a"], {"a": ["c"], "b": ["a"], "c": ["b"]}, None))
-def test_levelize_matches_sweep_then_relax_reference(case):
-    nodes, shuffled, preds, key = case
-    got = levels_or_cycle(nodes, preds, key, levelize)
-    assert got == levels_or_cycle(nodes, preds, key, relaxed_levels)
-    # the same blocks, or the same witness, whatever order ``nodes`` is in
-    assert levels_or_cycle(shuffled, preds, key, levelize) == got
-    assert levels_or_cycle(set(nodes), preds, key, levelize) == got
+@settings(deadline=None, max_examples=120)
+@given(cluster_graphs())
+@example(({"x": ["x"]}, {"x": ["x"]}, {"x": "t"}))  # self-loop
+@example((
+    {"a": ["c"], "b": ["a"], "c": ["b"]},
+    {"b": ["a"], "c": ["b"], "a": ["c"]},
+    {"a": "t3", "b": "t2", "c": "t1"},
+))
+def test_cluster_levels_match_sweep_then_relax_reference(case):
+    preds, reordered, min_task = case
+    expected = levels_or_cycle(lambda: relaxed_levels(preds, preds, min_task.get))
+    # the same blocks, or the same witness, whatever order clusters and edges are in
+    for graph in (preds, reordered):
+        cdag = clusters_over(graph, min_task)
+        assert levels_or_cycle(lambda: level_ids(cdag)) == expected
 
 
 @pytest.mark.parametrize("seed", range(10))

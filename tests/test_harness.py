@@ -495,6 +495,14 @@ def test_generate_rejects_bad_parameters():
         generate_workload(1, 0, 1, 0.5, deadline_probability=-0.1)
     with pytest.raises(ValidationError, match="^num_tasks must be nonnegative$"):
         generate_workload(1, -1, 1, 0.5)
+    # with no tasks to place, the layer count and the density are still checked
+    with pytest.raises(ValidationError, match="^num_layers must be >= 1, got 0$"):
+        generate_workload(1, 0, 0, 0.5)
+    with pytest.raises(ValidationError, match="edge_density"):
+        generate_workload(0, 0, 5, math.nan)
+    with pytest.raises(ValidationError, match="edge_density"):
+        generate_workload(1, 0, 1, 7.0)
+    assert generate_workload(1, 0, 1, 0.5) == []
 
 
 def test_metrics_balance_scenario():

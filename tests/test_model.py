@@ -724,7 +724,7 @@ RECORDS = [
     PartialSchedule("C1", {"a": _placement()}),
     ReadinessReport(("a",), array("d", [1.5])),
     Message(MessageKind.SUBMIT_TASKS, "user", "broker", 3),
-    Assignment({"C1": "x"}, {"x": 2}, ("C1",)),
+    Assignment({"C1": "x"}, {"x": 2}),
     ViolationReport(overlaps=[("r", "a", "b")]),
     Metrics({"x": 2}, 1.0, {"r": 1.0}, 0),
 ]
