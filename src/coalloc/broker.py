@@ -122,12 +122,9 @@ def assemble_and_repair(
     pushes starts later, to the least times satisfying release by
     predecessors (communication time waived on the same resource) and
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
-    reported, not rejected. A push whose task's own processing or
-    communication time carries its end to infinity raises
-    :class:`ValidationError` naming that task, as phases 2 and 3 do. Any
-    other end at infinity, of a task handed in so or of one waiting for
-    such a task, raises it after the repair, naming the first such task in
-    the schedule's order (start, then task id).
+    reported, not rejected. A placement handed in with an infinite end, and
+    a push that carries a task's end to infinity, raise
+    :class:`ValidationError` naming that task, as phases 2 and 3 do.
 
     Only tasks downstream of a broken constraint are revisited. One check
     pass finds the tasks that the rule above would move against the merged
@@ -157,6 +154,8 @@ def assemble_and_repair(
                     f"cluster {partial.cluster_id!r} scheduled by "
                     f"{placement.agent_id!r}, assigned to {agent_id!r}"
                 )
+            if placement.end == math.inf:  # an infinite start's too: end >= start
+                raise ValidationError(f"placement of {task_id!r}: end must be finite")
             merged[task_id] = placement
     specs = dag.tasks
     missing = sorted(t for t in specs if t not in merged)
@@ -200,13 +199,6 @@ def assemble_and_repair(
             return None
         return Placement(task_id, resource_id, placement.agent_id, start, end)
 
-    def waits_for_infinity(task_id: str) -> bool:
-        """Whether a task ``task_id`` waits for already ends at infinity."""
-        prior = before.get(task_id)
-        return (prior is not None and merged[prior].end == math.inf) or any(
-            merged[dep.task_id].end == math.inf for dep in specs[task_id].dependencies
-        )
-
     # With ``before`` still empty, ``pushed`` checks only the DAG edges and
     # the end; ``late`` holds the tasks a chain edge moves.
     seeds = [t for t in merged if t in late or pushed(t) is not None]
@@ -220,7 +212,7 @@ def assemble_and_repair(
     for task_id in _repair_order(seeds, specs, before):
         moved = pushed(task_id)
         if moved is not None:
-            if moved.end == math.inf and not waits_for_infinity(task_id):
+            if moved.end == math.inf:
                 raise overflow_error(task_id)
             merged[task_id] = moved
 
@@ -228,8 +220,6 @@ def assemble_and_repair(
     merged.clear()  # free the map before the sort's key list
     _by_start(placements)
     makespan = max((p.end for p in placements), default=0.0)
-    if makespan == math.inf:
-        raise overflow_error(next(p.task_id for p in placements if p.end == math.inf))
     violations = sorted(
         p.task_id
         for p in placements

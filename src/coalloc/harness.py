@@ -37,10 +37,8 @@ class ViolationReport(Record):
     """Everything wrong with a schedule; empty means valid.
 
     ``duration_mismatches`` flags rows whose end is not start + processing
-    time, and ``non_finite`` rows whose start or end is infinite (a
-    ``Placement`` is never NaN) — both impossible for engine output,
-    possible in hand-made placements. A list left out starts as a new empty
-    list of the report's own.
+    time, impossible for engine output, possible in hand-made placements. A
+    list left out starts as a new empty list of the report's own.
     """
 
     __slots__ = (
@@ -49,7 +47,6 @@ class ViolationReport(Record):
         "eligibility_violations",
         "deadline_misses",
         "duration_mismatches",
-        "non_finite",
     )
 
     def __init__(
@@ -59,7 +56,6 @@ class ViolationReport(Record):
         eligibility_violations: list[tuple[str, str]] | None = None,
         deadline_misses: list[tuple[str, float, float]] | None = None,
         duration_mismatches: list[tuple[str, float, float]] | None = None,
-        non_finite: list[tuple[str, float, float]] | None = None,
     ) -> None:
         lists = (
             overlaps,
@@ -67,20 +63,12 @@ class ViolationReport(Record):
             eligibility_violations,
             deadline_misses,
             duration_mismatches,
-            non_finite,
         )
         for name, value in zip(self.__slots__, lists):
             _set(self, name, [] if value is None else value)
 
     def is_empty(self) -> bool:
-        return not (
-            self.overlaps
-            or self.precedence_violations
-            or self.eligibility_violations
-            or self.deadline_misses
-            or self.duration_mismatches
-            or self.non_finite
-        )
+        return not any(getattr(self, name) for name in self.__slots__)
 
     def lines(self) -> list[str]:
         out: list[str] = []
@@ -99,8 +87,6 @@ class ViolationReport(Record):
             out.append(
                 f"duration: {task_id} should end at {expected}, row says {actual}"
             )
-        for task_id, start, end in self.non_finite:
-            out.append(f"non-finite: {task_id} has start {start}, end {end}")
         return out
 
 
@@ -136,15 +122,17 @@ def validate_schedule(
 
     Checks resource overlaps (closed-open intervals), every dependency edge
     (communication time owed only across resources), task-resource
-    eligibility including agent ownership, deadlines, row durations, and
-    that every start and end is finite. Each check is the float expression
-    the engine computes: ``fl(end + commTime) <= start`` for an edge across
-    resources and ``fl(start + processingTime) == end`` for a row.
+    eligibility including agent ownership, deadlines and row durations. Each
+    check is the float expression the engine computes: ``fl(end + commTime)
+    <= start`` for an edge across resources and ``fl(start + processingTime)
+    == end`` for a row. A schedule holding an infinite end (as any infinite
+    start implies) raises :class:`ValidationError` naming the least such
+    task id.
 
     Each check makes one pass, and only what it reports is sorted.
     Overlaps come by resource id, then by (start, taskId) of each row;
     precedence violations by the DAG's task order, then by declared
-    dependency; the other four lists by task id.
+    dependency; the other three lists by task id.
     """
     placements = schedule.placements
     by_task = {p.task_id: p for p in placements}
@@ -159,6 +147,7 @@ def validate_schedule(
         raise ValidationError("schedule has unknown tasks: " + ", ".join(extra))
 
     report = ViolationReport()
+    infinite: list[str] = []
     resource_by_id = {r.resource_id: r for r in resources}
     owner: dict[str, str] = {}
     for agent in agents:
@@ -207,16 +196,17 @@ def validate_schedule(
             report.eligibility_violations.append((task_id, rid))
         if spec.deadline_time is not None and end > spec.deadline_time:
             report.deadline_misses.append((task_id, end, spec.deadline_time))
-        if not (math.isfinite(start) and math.isfinite(end)):
-            report.non_finite.append((task_id, start, end))
+        if end == math.inf:
+            infinite.append(task_id)
         expected_end = start + spec.processing_time
         if end != expected_end:
             report.duration_mismatches.append((task_id, expected_end, end))
+    if infinite:
+        raise ValidationError(f"placement of {min(infinite)!r}: end must be finite")
     for found in (
         report.eligibility_violations,
         report.deadline_misses,
         report.duration_mismatches,
-        report.non_finite,
     ):
         found.sort()  # by task id: each task appears once in a list
     return report

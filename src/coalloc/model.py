@@ -647,12 +647,18 @@ def parse_resource_file(source: str | TextIO) -> list[ResourceSpec]:
     _feed(source, start, end, chunks)
     if failure is not None:
         raise failure
-    seen: set[str] = set()
-    for res in resources:
-        if res.resource_id in seen:
-            raise StructuralError(f"duplicate resource Id {res.resource_id!r}")
-        seen.add(res.resource_id)
+    _unique([r.resource_id for r in resources], "resource Id")
     return resources
+
+
+def _unique(ids: list[str], kind: str) -> set[str]:
+    """``ids`` as a set; a repeated id raises :class:`StructuralError`."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise StructuralError(f"duplicate {kind} {i!r}")
+        seen.add(i)
+    return seen
 
 
 def serialize_resource_set(resources: list[ResourceSpec]) -> str:
@@ -724,8 +730,9 @@ def serialize_agent_map(agents: list[AgentSpec]) -> str:
 def validate_agent_map(
     agents: list[AgentSpec], resources: list[ResourceSpec]
 ) -> None:
-    """Check that the agents partition the resource set exactly."""
-    known = {r.resource_id for r in resources}
+    """Check that distinct agents partition distinct resources exactly."""
+    known = _unique([r.resource_id for r in resources], "resource Id")
+    _unique([a.agent_id for a in agents], "agentId")
     claimed: set[str] = set()
     for agent in agents:
         for rid in agent.resources:

@@ -761,8 +761,9 @@ def reference_validate(schedule, dag, resources, agents):
     """The validator as it stood before its checks made one pass each:
     whole-job sets for coverage, every task id sorted for the per-task
     checks, and a ``(start, taskId)`` key tuple per row for the overlap
-    scan. It must report exactly what ``validate_schedule`` reports and
-    raise the same errors. It imports only the error and the report record.
+    scan, and the refusal of infinite ends added since. It must report
+    exactly what ``validate_schedule`` reports and raise the same errors. It
+    imports only the error and the report record.
     """
     from coalloc import ValidationError, ViolationReport
 
@@ -811,6 +812,8 @@ def reference_validate(schedule, dag, resources, agents):
 
     for task_id in sorted(by_task):
         placement = by_task[task_id]
+        if placement.end == math.inf:
+            raise ValidationError(f"placement of {task_id!r}: end must be finite")
         spec = dag.tasks[task_id]
         resource = resource_by_id.get(placement.resource_id)
         if (
@@ -824,8 +827,6 @@ def reference_validate(schedule, dag, resources, agents):
             report.deadline_misses.append(
                 (task_id, placement.end, spec.deadline_time)
             )
-        if not (math.isfinite(placement.start) and math.isfinite(placement.end)):
-            report.non_finite.append((task_id, placement.start, placement.end))
         expected_end = placement.start + spec.processing_time
         if placement.end != expected_end:
             report.duration_mismatches.append((task_id, expected_end, placement.end))

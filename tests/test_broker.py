@@ -349,6 +349,29 @@ def test_infeasible_task_aborts_orchestration():
     assert err.value.task_id == "big"
 
 
+def test_a_repeated_agent_id_is_refused():
+    # two agents named x once left r1 idle, with a and b serialized on r2
+    resources = [ResourceSpec(rid, cpu_power=4.0, memory=4.0) for rid in ("r1", "r2")]
+    agents = [AgentSpec("x", ("r1",)), AgentSpec("x", ("r2",))]
+    with pytest.raises(StructuralError, match="^duplicate agentId 'x'$"):
+        orchestrate([task("a"), task("b")], resources, agents)
+
+
+@pytest.mark.parametrize("big_first", [False, True])
+def test_a_repeated_resource_id_is_refused(big_first):
+    # two specs of r1 once made the run hang on their order: the big one
+    # first gave InfeasibleTaskError, the small one first placed t
+    resources = [
+        ResourceSpec("r1", cpu_power=1.0, memory=1.0),
+        ResourceSpec("r1", cpu_power=8.0, memory=8.0),
+    ]
+    if big_first:
+        resources.reverse()
+    tasks = [TaskSpec("t", 1.0, 4.0, 4.0)]
+    with pytest.raises(StructuralError, match="^duplicate resource Id 'r1'$"):
+        orchestrate(tasks, resources, [AgentSpec("a1", ("r1",))])
+
+
 def test_rigid_shift_past_the_largest_float_is_rejected():
     # quota 2 // 3 + 1 = 1: each task is its own cluster and ends at a finite
     # time in phase 2, but y's shift behind x overflows
@@ -422,46 +445,23 @@ def test_repair_is_never_handed_a_nan_placement():
         assemble_and_repair(partials, dag, assignment_for(partials))
 
 
-def test_repair_rebuilds_an_infinite_end_from_the_start():
-    # the end is always start + processingTime, so a handed-in [0, inf) whose
-    # task takes 1.0 is no overflow: it ends at 1.0, and b, waiting for it,
-    # is placed from that end, not from the infinity a was handed in with
-    dag = build_dag([task("a"), task("b", 2.0, [("a", 0.5)])])
+@pytest.mark.parametrize("first,second,named", [
+    # a [0, inf) is refused, not rebuilt as start + processingTime
+    (("a", "r1", 0.0, math.inf), ("b", "r2", 0.0, 2.0), "a"),
+    # b waits for a by a DAG edge, and would reach infinity only through it
+    (("a", "r1", 1e308, math.inf), ("b", "r2", 0.0, 1e307), "a"),
+    # both ends are infinite: the first handed in is named, not the least id
+    (("b", "r2", 9e307, math.inf), ("a", "r1", 1e308, math.inf), "b"),
+], ids=["zero-start", "huge-start", "first-handed-in"])
+def test_repair_refuses_a_handed_in_infinite_end(first, second, named):
+    dag = build_dag([task("a", 1e308), task("b", 1e307, [("a", 0.0)])])
     partials = [
-        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, math.inf)}),
-        PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 0.0, 2.0)}),
+        PartialSchedule(f"C{i}", {t: Placement(t, rid, "a1", start, end)})
+        for i, (t, rid, start, end) in enumerate((first, second), 1)
     ]
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
-    assert by_task(schedule)["a"].end == 1.0
-    b = by_task(schedule)["b"]
-    assert (b.start, b.end) == (1.5, 3.5)
-    assert schedule.makespan == 3.5
-
-
-def test_repair_rejects_a_handed_in_overflow():
-    # 1e308 + 1e308 overflows, so the repair keeps a's end at infinity. b,
-    # after a by a DAG edge, and c, behind a on r1, reach infinity only by
-    # waiting for a, so a is named, not them
-    dag = build_dag([task("a", 1e308), task("b", 1e307, [("a", 0.0)]), task("c", 1e307)])
-    partials = [
-        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)}),
-        PartialSchedule("C2", {
-            "b": Placement("b", "r2", "a1", 0.0, 1e307),
-            "c": Placement("c", "r1", "a1", 1.5e308, 1.6e308),
-        }),
-    ]
-    with pytest.raises(ValidationError, match="^task 'a' would end past"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
-
-
-def test_repair_names_the_first_overflow_in_schedule_order():
-    # both ends overflow; b starts first, so it is named, not the least id a
-    dag = build_dag([task("a", 1e308), task("b", 9e307)])
-    partials = [
-        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 1e308, math.inf)}),
-        PartialSchedule("C2", {"b": Placement("b", "r2", "a1", 9e307, math.inf)}),
-    ]
-    with pytest.raises(ValidationError, match="^task 'b' would end past"):
+    with pytest.raises(
+        ValidationError, match=f"^placement of '{named}': end must be finite$"
+    ):
         assemble_and_repair(partials, dag, assignment_for(partials))
 
 
@@ -469,11 +469,9 @@ def test_repair_names_the_first_overflow_in_schedule_order():
 def test_repair_names_the_task_its_push_overflows(chained):
     # b must start when a ends at 1e308, after a DAG edge or behind a on
     # their shared resource, and would then end at infinity, so the repair
-    # names b. c was handed in ending at infinity and starts before b would,
-    # so the final check alone would name c.
+    # names b
     dag = build_dag([
         task("a", 1e308), task("b", 1e308, [] if chained else [("a", 0.0)]),
-        task("c", 1.5e308),
     ])
     b_start, b_resource = (1.0, "r1") if chained else (0.0, "r2")
     partials = [
@@ -481,7 +479,6 @@ def test_repair_names_the_task_its_push_overflows(chained):
         PartialSchedule(
             "C2", {"b": Placement("b", b_resource, "a1", b_start, 1e308)}
         ),
-        PartialSchedule("C3", {"c": Placement("c", "r3", "a1", 5e307, math.inf)}),
     ]
     with pytest.raises(ValidationError, match="^task 'b' would end past"):
         assemble_and_repair(partials, dag, assignment_for(partials))
@@ -839,3 +836,69 @@ def test_task_order_never_reaches_an_artifact(rng, off_grid):
     rng.shuffle(shuffled)
     pool = (instance.resources, instance.agents)
     assert artifacts(shuffled, *pool) == artifacts(instance.tasks, *pool)
+
+
+def rows(result, factor=1.0):
+    return [
+        (p.task_id, p.resource_id, p.agent_id, p.start * factor, p.end * factor)
+        for p in result.schedule.placements
+    ]
+
+
+def with_deadlines(rng, tasks, result):
+    """``tasks``, about half of them given a deadline half a second before,
+    at or half a second after the end ``result`` gives them."""
+    ends = {p.task_id: p.end for p in result.schedule.placements}
+    return [
+        spec._replace(
+            deadline_time=max(0.0, ends[spec.task_id] + rng.choice([-0.5, 0.0, 0.5]))
+        )
+        if rng.random() < 0.5 else spec
+        for spec in tasks
+    ]
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_deadlines_change_only_the_violations(rng, off_grid):
+    # Deadlines are reported, never scheduled for: adding them to a job
+    # without any, or taking them away again, moves no placement.
+    instance = drawn_instance(rng, off_grid)
+    pool = (instance.resources, instance.agents)
+    bare = orchestrate(instance.tasks, *pool)
+    tasks = with_deadlines(rng, instance.tasks, bare)
+    timed = orchestrate(tasks, *pool)
+    assert rows(timed) == rows(bare)
+    assert timed.cluster_dag.cluster_of == bare.cluster_dag.cluster_of
+    assert bare.schedule.deadline_violations == ()
+    ends = {p.task_id: p.end for p in timed.schedule.placements}
+    assert timed.schedule.deadline_violations == tuple(sorted(
+        t.task_id for t in tasks
+        if t.deadline_time is not None and ends[t.task_id] > t.deadline_time
+    ))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.randoms(use_true_random=False), st.booleans(), st.integers(-2, 3))
+def test_scaling_every_time_by_a_power_of_two_scales_the_schedule(rng, off_grid, k):
+    # Multiplying by 2**k is exact and keeps every comparison, so each start
+    # and end scales exactly and nothing else changes.
+    instance = drawn_instance(rng, off_grid)
+    pool = (instance.resources, instance.agents)
+    tasks = with_deadlines(rng, instance.tasks, orchestrate(instance.tasks, *pool))
+    factor = 2.0 ** k
+    scaled = [  # a deadline of None stays None, and 0.0 stays 0.0
+        spec._replace(
+            processing_time=spec.processing_time * factor,
+            deadline_time=spec.deadline_time and spec.deadline_time * factor,
+            dependencies=tuple(
+                Dependency(d.task_id, d.comm_time * factor) for d in spec.dependencies
+            ),
+        )
+        for spec in tasks
+    ]
+    base, result = orchestrate(tasks, *pool), orchestrate(scaled, *pool)
+    assert rows(result) == rows(base, factor)
+    assert result.schedule.makespan == base.schedule.makespan * factor
+    assert result.cluster_dag.cluster_of == base.cluster_dag.cluster_of
+    assert result.schedule.deadline_violations == base.schedule.deadline_violations

@@ -242,21 +242,23 @@ def test_duration_mismatch_detected():
 def test_each_violation_report_gets_its_own_lists():
     first, second = ViolationReport(), ViolationReport()
     lists = [getattr(r, name) for r in (first, second) for name in r.__slots__]
-    assert len(lists) == 12
-    assert len({id(v) for v in lists}) == 12
+    assert len(lists) == 2 * len(ViolationReport.__slots__)
+    assert len({id(v) for v in lists}) == len(lists)
     first.overlaps.append(("r1", "a", "b"))
     assert second.is_empty()
 
 
-@pytest.mark.parametrize("start,end", [(float("inf"), float("inf"))])
-def test_non_finite_placement_detected(start, end):
-    tasks = [TaskSpec("t", 2.0, 0.0, 0.0)]
+@pytest.mark.parametrize("u_start", [0.0, math.inf])
+def test_validator_refuses_an_infinite_end(u_start):
+    # u comes first in the DAG's task order; the least id t is named
+    tasks = [TaskSpec("u", 2.0, 0.0, 0.0), TaskSpec("t", 2.0, 0.0, 0.0)]
     dag, resources, agents = simple_world(tasks)
-    schedule = FinalSchedule((place("t", "r1", start, end),), end)
-    report = validate_schedule(schedule, dag, resources, agents)
-    assert [task_id for task_id, _, _ in report.non_finite] == ["t"]
-    assert not report.is_empty()
-    assert report.lines()[-1].startswith("non-finite: t has start")
+    schedule = FinalSchedule(
+        (place("u", "r1", u_start, math.inf), place("t", "r1", 3.0, math.inf)),
+        math.inf,
+    )
+    with pytest.raises(ValidationError, match="^placement of 't': end must be finite$"):
+        validate_schedule(schedule, dag, resources, agents)
 
 
 def test_deadline_is_met_at_equality_and_missed_one_float_later():
@@ -338,9 +340,9 @@ def corrupted_schedule(rng: random.Random, scenario):
     exactly and others miss, memory and cpuPower needs raised to their
     resource's capacity or one float past it, zero-length rows, rows made
     to share a start on one resource, infinite ends, and the DAG's task
-    order shuffled. The
-    placements tuple is shuffled half of the time. One case in eight drops,
-    adds or duplicates a placement, which the validator must refuse.
+    order shuffled. The placements tuple is shuffled half of the time. One
+    case in eight drops, adds or duplicates a placement. The validator must
+    refuse those cases and every infinite end.
     """
     result = orchestrate(scenario.tasks, scenario.resources, scenario.agents)
     rows = {p.task_id: p for p in result.schedule.placements}
@@ -427,8 +429,8 @@ def corrupted_schedule(rng: random.Random, scenario):
 
 
 def validator_outcome(validate, args):
-    """What ``validate(*args)`` reports: its six lists and ``lines()``, or
-    the message of the ``ValidationError`` it raises."""
+    """What ``validate(*args)`` reports: its lists and ``lines()``, or the
+    message of the ``ValidationError`` it raises."""
     try:
         report = validate(*args)
     except ValidationError as error:
@@ -436,14 +438,14 @@ def validator_outcome(validate, args):
     return [getattr(report, name) for name in report.__slots__], report.lines()
 
 
-def check_validator_against_reference(rng: random.Random, scenario) -> None:
+def check_validator_against_reference(rng: random.Random, scenario) -> bool:
     """``validate_schedule`` reports exactly what ``reference_validate``
     reports on a corrupted engine schedule of ``scenario``, or raises the
-    same error."""
+    same error; returns whether they raised."""
     args = corrupted_schedule(rng, scenario)
-    assert validator_outcome(validate_schedule, args) == validator_outcome(
-        reference_validate, args
-    )
+    outcome = validator_outcome(validate_schedule, args)
+    assert outcome == validator_outcome(reference_validate, args)
+    return isinstance(outcome, str)
 
 
 @settings(deadline=None, max_examples=60)
