@@ -12,7 +12,6 @@ from .agent import (
     PartialSchedule,
     ResourceTimeline,
     apply_dependency_delays,
-    eligible_resources,
     schedule_cluster,
 )
 from .broker import (
@@ -21,6 +20,7 @@ from .broker import (
     OrchestrationResult,
     assemble_and_repair,
     distribute,
+    host_masks,
     orchestrate,
 )
 from .clustering import (

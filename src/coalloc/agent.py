@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from .clustering import Cluster
 from .errors import InfeasibleTaskError, ProtocolError, StructuralError, ValidationError
 from .graph import TaskDag, level_sweep
-from .model import AgentSpec, Placement, Record, ResourceSpec, TaskSpec, _set
+from .model import AgentSpec, Placement, Record, ResourceSpec, _set
 from . import protocol
 
 
@@ -115,18 +115,6 @@ class PartialSchedule(Record):
         return PartialSchedule(self.cluster_id, moved)
 
 
-def eligible_resources(
-    task: TaskSpec, resources: Iterable[ResourceSpec]
-) -> list[str]:
-    """Resource ids able to host the task (capacity >= requirement), ascending."""
-    ok = [
-        r.resource_id
-        for r in resources
-        if r.memory >= task.memory and r.cpu_power >= task.cpu_power
-    ]
-    return sorted(ok)
-
-
 def overflow_error(task_id: str) -> ValidationError:
     """The error for a task whose start or end would not be a finite time."""
     return ValidationError(
@@ -173,7 +161,7 @@ def schedule_cluster(
     for block in blocks:
         for task_id in block:
             task = specs[task_id]
-            options = [  # the rule of ``eligible_resources``
+            options = [
                 (rid, tl) for rid, r, tl in hosts
                 if r.memory >= task.memory and r.cpu_power >= task.cpu_power
             ]

@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from operator import attrgetter
 
-from .agent import AgentActor, PartialSchedule, eligible_resources, overflow_error
+from .agent import AgentActor, PartialSchedule, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import InfeasibleTaskError, StructuralError, ValidationError
 from .graph import TaskDag, build_dag, ready_order, release
@@ -33,6 +33,7 @@ __all__ = [
     "Assignment",
     "OrchestrationResult",
     "Broker",
+    "host_masks",
     "distribute",
     "orchestrate",
     "assemble_and_repair",
@@ -54,59 +55,68 @@ class Assignment(Record):
         _set(self, "tasks_per_agent", tasks_per_agent)
 
 
-def distribute(
-    cluster_dag: ClusterDag,
-    agents: Sequence[AgentSpec],
+def host_masks(
     dag: TaskDag,
     resources: Sequence[ResourceSpec],
-) -> Assignment:
-    """Hand clusters out in topological order, to the least-loaded agent that
-    can host every task of the cluster.
-
-    Load is the task count received so far; count ties fall to the ascending
-    agent id, topological ties to the cluster with the least task id. An
-    agent hosts a task when one of its ``resources`` is eligible for the
-    task's ``dag`` spec. A cluster no agent can host goes to the
-    least-loaded agent of all, whose phase 2 then reports the infeasible
-    task.
-    """
-    if not agents:
-        raise ValidationError("at least one agent is required")
-    counts = {a.agent_id: 0 for a in sorted(agents, key=lambda a: a.agent_id)}
-    narrow = _narrow_agents(agents, dag, resources)
-    mapping: dict[str, str] = {}
-    for cluster in cluster_dag.topological_order():
-        able = [
-            a for a in counts
-            if a not in narrow
-            or all(eligible_resources(dag.tasks[t], narrow[a]) for t in cluster.tasks)
-        ]
-        agent_id = min(able or counts, key=lambda a: (counts[a], a))
-        mapping[cluster.cluster_id] = agent_id
-        counts[agent_id] += len(cluster.tasks)
-    return Assignment(mapping, counts)
-
-
-def _narrow_agents(
     agents: Sequence[AgentSpec],
-    dag: TaskDag,
-    resources: Sequence[ResourceSpec],
-) -> dict[str, list[ResourceSpec]]:
-    """The resources of each agent that may fail to host some task.
+) -> dict[str, int]:
+    """Each task's hosts as an int bitmask, bit i set when the i-th agent by
+    ascending id owns a resource with at least the task's memory and cpuPower.
 
-    An agent owning a resource that meets both the largest memory and the
-    largest CPU requirement of the tasks hosts every cluster and is left
-    out, so on pools where every agent does the check costs one pass over
-    agents and resources.
+    An agent with a resource meeting both the largest memory and the largest
+    CPU requirement hosts every task, so when every agent does this costs one
+    pass over the tasks. The least task id no agent hosts raises
+    :class:`InfeasibleTaskError`.
     """
     memory = max((t.memory for t in dag.tasks.values()), default=0.0)
     cpu = max((t.cpu_power for t in dag.tasks.values()), default=0.0)
-    specs = {r.resource_id: r for r in resources}
-    owned = {a.agent_id: [specs[rid] for rid in a.resources] for a in agents}
-    return {
-        agent_id: rs for agent_id, rs in owned.items()
-        if not any(r.memory >= memory and r.cpu_power >= cpu for r in rs)
-    }
+    by_id = {r.resource_id: r for r in resources}
+    wide, narrow = 0, []
+    for i, agent in enumerate(sorted(agents, key=attrgetter("agent_id"))):
+        owned = [by_id[rid] for rid in agent.resources]
+        if any(r.memory >= memory and r.cpu_power >= cpu for r in owned):
+            wide |= 1 << i
+        else:
+            narrow.append((1 << i, owned))
+    masks = dict.fromkeys(dag.tasks, wide)
+    for bit, owned in narrow:
+        for task_id, t in dag.tasks.items():
+            if any(r.memory >= t.memory and r.cpu_power >= t.cpu_power for r in owned):
+                masks[task_id] |= bit
+    if not all(masks.values()):
+        t = dag.tasks[min(task_id for task_id, mask in masks.items() if not mask)]
+        raise InfeasibleTaskError(t.task_id, (
+            f"no resource in the pool has memory >= {t.memory} "
+            f"and cpuPower >= {t.cpu_power}"
+        ))
+    return masks
+
+
+def distribute(
+    cluster_dag: ClusterDag,
+    agents: Sequence[AgentSpec],
+    hosts: dict[str, int],
+) -> Assignment:
+    """Hand clusters out in topological order, each to the least-loaded of
+    its hosts: the agents set in the AND of its tasks' ``hosts`` masks
+    (:func:`host_masks`), never none after :func:`cluster_tasks`. Load is
+    the task count received so far; count ties fall to the ascending agent
+    id, topological ties to the cluster with the least task id.
+    """
+    if not agents:
+        raise ValidationError("at least one agent is required")
+    ids = sorted(a.agent_id for a in agents)
+    counts = dict.fromkeys(ids, 0)
+    mapping: dict[str, str] = {}
+    for cluster in cluster_dag.topological_order():
+        common = -1
+        for task_id in cluster.tasks:
+            common &= hosts[task_id]
+        able = [a for i, a in enumerate(ids) if common >> i & 1]
+        agent_id = min(able, key=lambda a: (counts[a], a))
+        mapping[cluster.cluster_id] = agent_id
+        counts[agent_id] += len(cluster.tasks)
+    return Assignment(mapping, counts)
 
 
 def assemble_and_repair(
@@ -304,24 +314,18 @@ class Broker:
         log = MessageLog()  # one per run, so a reused broker starts clean
         log.record(Message(MessageKind.SUBMIT_TASKS, USER, BROKER, len(tasks)))
         dag = build_dag(tasks)
-        cluster_dag = cluster_tasks(dag, len(agents))
-        assignment = distribute(cluster_dag, agents, dag, resources)
+        hosts = host_masks(dag, resources, agents)
+        cluster_dag = cluster_tasks(dag, len(agents), hosts)
+        assignment = distribute(cluster_dag, agents, hosts)
+        del hosts  # an entry per task, freed before the repair pass's peak
 
         actors = {a.agent_id: AgentActor(a, resources, dag) for a in agents}
 
         # Phase 2: every cluster is scheduled locally, inter-cluster edges
-        # ignored; agents start from time 0 on their own timelines. An agent
-        # finds a task infeasible only in a cluster no agent can host.
-        try:
-            partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
-                cid: cluster_dag.by_id[cid] for cid in assignment.cluster_to_agent
-            })
-        except InfeasibleTaskError as exc:
-            raise InfeasibleTaskError(
-                exc.task_id,
-                f"cluster {cluster_dag.cluster_of[exc.task_id]} fits none of "
-                f"the agents {', '.join(sorted(actors))}; {exc.detail}",
-            ) from None
+        # ignored; agents start from time 0 on their own timelines.
+        partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
+            cid: cluster_dag.by_id[cid] for cid in assignment.cluster_to_agent
+        })
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
         # deeper clusters get readiness reports and shift rigidly.

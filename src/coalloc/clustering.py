@@ -121,28 +121,32 @@ def _collapse(dag: TaskDag, parts: Iterable[Iterable[str]]) -> ClusterDag:
     return ClusterDag(clusters, edges)
 
 
-def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
+def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> ClusterDag:
     """Greedily merge dependent tasks into clusters bounded by the quota.
 
-    The current cluster is always the unfinished one holding the smallest
-    task id. It repeatedly absorbs a cluster that depends on it — preferring
-    the candidate with the least contained task id — whenever the merged size
-    fits the quota and the quotient graph stays acyclic; when no candidate
-    qualifies the cluster is final. Absorbing a dependent ``D`` of the current
-    cluster ``C`` closes a cycle exactly when another path ``C ~> D`` exists,
-    that is when a predecessor of ``D`` descends from ``C``. So each cluster
-    makes one reachability search, level by level, for the strict descendants
-    of ``C`` when it becomes current; a merge only removes ``D`` from that
-    set, since ``D``'s own descendants are already in it and no path can lead
+    ``hosts`` maps each task to the int bitmask of the agents that can host
+    it (``broker.host_masks``); a part's mask is the AND of its tasks'. The
+    current cluster is always the unfinished one holding the smallest task
+    id. It repeatedly absorbs a cluster that depends on it — preferring the
+    candidate with the least contained task id — whenever the merged size
+    fits the quota, the two masks meet and the quotient graph stays acyclic;
+    when no candidate qualifies the cluster is final. So every cluster has a
+    host. Absorbing a dependent ``D`` of the current cluster ``C`` closes a
+    cycle exactly when another path ``C ~> D`` exists, that is when a
+    predecessor of ``D`` descends from ``C``. So each cluster makes one
+    reachability search, level by level, for the strict descendants of
+    ``C`` when it becomes current; a merge only removes ``D`` from that set,
+    since ``D``'s own descendants are already in it and no path can lead
     back into ``C ∪ D``. The children of ``C`` whose predecessors miss that
     set are ready and wait in a queue keyed by least task id; the others are
     blocked. Only a merge of ``D`` can unblock a child, and only one of
     ``D``'s successors, so after each merge only those are tested, again or
-    for the first time. A ready child too large for the room left is dropped
-    for good, since the room only shrinks. Merges are union by size: only the
-    neighbours of the part with fewer adjacency entries are relinked, and the
-    smaller member list is appended to the larger, so a merge costs what the
-    smaller side holds. The procedure is fully deterministic.
+    for the first time. A ready child too large for the room left, or whose
+    mask misses the current part's, is dropped for good, since the room and
+    the mask only shrink. Merges are union by size: only the neighbours of
+    the part with fewer adjacency entries are relinked, and the smaller
+    member list is appended to the larger, so a merge costs what the smaller
+    side holds. The procedure is fully deterministic.
 
     Parts are int slots, one per task to begin with. A part keeps the lists
     of predecessor and successor slots it is built with until it first
@@ -150,8 +154,8 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     holds neither. So at most one slot per cluster holds sets, and every
     other slot a list, which costs a fraction of a set; a task with no
     predecessors or no successors shares the empty tuple instead. Each slot
-    keeps its size and its least task id, and only a merged part keeps a
-    member list: an unmerged slot holds just its own task, its least id.
+    keeps its size, its least task id and its mask, and only a merged part
+    keeps a member list: an unmerged slot holds just its own task, its least id.
     The slot numbers are the int objects of the task-to-slot map, shared by
     every list that names a slot; the map itself is dropped once the lists
     are built, and the lists before the cluster DAG is built.
@@ -162,6 +166,7 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
     if not low:
         return ClusterDag([], {})
     limit = max_cluster_size(len(low), num_agents)
+    mask = [hosts[t] for t in low]
 
     index_of = {t: i for i, t in enumerate(low)}
     preds: list[Adjacency] = [
@@ -210,10 +215,12 @@ def cluster_tasks(dag: TaskDag, num_agents: int) -> ClusterDag:
                     heapq.heappush(ready, (low[d], d))
                     queued.add(d)
             if chosen != current:
+                common = mask[current] & mask[chosen]
                 current = _merge_parts(
                     current, chosen, members, size, low, succs, preds
                 )
-            chosen = _next_candidate(current, size, ready, limit)
+                mask[current] = common
+            chosen = _next_candidate(current, size, mask, ready, limit)
             if chosen is None:
                 break
             # The merged part may keep ``chosen``'s slot; either way that
@@ -239,17 +246,20 @@ def _descendants(source: int, succs: list[Adjacency]) -> set[int]:
 def _next_candidate(
     current: int,
     size: list[int],
+    mask: list[int],
     ready: list[tuple[str, int]],
     limit: int,
 ) -> int | None:
-    """Pop the ready child with the least ``low`` that fits the quota, if any.
+    """Pop the ready child with the least ``low`` that fits the quota and
+    shares a host with the current part, if any.
 
-    A popped child that does not fit is dropped: the room left only shrinks.
+    A popped child that does not is dropped: the room left and the current
+    part's mask only shrink.
     """
-    room = limit - size[current]
+    room, common = limit - size[current], mask[current]
     while ready:
         d = heapq.heappop(ready)[1]
-        if size[d] <= room:
+        if size[d] <= room and mask[d] & common:
             return d
     return None
 

@@ -37,15 +37,11 @@ class CycleError(SchedulingError):
 
 
 class InfeasibleTaskError(SchedulingError):
-    """No resource of the responsible agent satisfies a task's requirements."""
+    """No resource in the pool, or of the scheduling agent, fits a task."""
 
-    def __init__(self, task_id: str, detail: str = ""):
-        msg = f"task {task_id!r} has no eligible resource"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, task_id: str, detail: str):
+        super().__init__(f"task {task_id!r} has no eligible resource: {detail}")
         self.task_id = task_id
-        self.detail = detail
 
 
 class ProtocolError(SchedulingError):

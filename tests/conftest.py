@@ -279,6 +279,31 @@ def phase2_instance(rng: random.Random):
     return tasks, clusters, pool, bookings
 
 
+def mixed_pool_instance(rng: random.Random) -> Scenario:
+    """The tasks and pool of ``phase2_instance(rng)``, the pool's resources
+    split in their listed order over 1 to all of them agents ``A1``, ...,
+    so a task is often hosted by some agents only and now and then by none."""
+    tasks, _, pool, _ = phase2_instance(rng)
+    cuts = sorted(rng.sample(range(1, len(pool)), rng.randint(0, len(pool) - 1)))
+    bounds = [0, *cuts, len(pool)]
+    agents = [
+        AgentSpec(f"A{k + 1}", tuple(r.resource_id for r in pool[lo:hi]))
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    return Scenario(tasks, pool, agents)
+
+
+def fits_nowhere(scenario: Scenario) -> list[str]:
+    """The ids of the tasks that no resource of the pool can host."""
+    return sorted(
+        t.task_id for t in scenario.tasks
+        if not any(
+            r.memory >= t.memory and r.cpu_power >= t.cpu_power
+            for r in scenario.resources
+        )
+    )
+
+
 def peak_above_live(fn, *args) -> int:
     """Bytes ``fn(*args)`` holds at its peak above what was live before the
     call, traced by ``tracemalloc`` with the cyclic collector off."""

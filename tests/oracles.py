@@ -127,14 +127,18 @@ def closure_by_squaring(nodes: list, pairs: set) -> dict:
     }
 
 
-def greedy_clustering(dag, num_agents: int, finished: list | None = None):
+def greedy_clustering(
+    dag, num_agents: int, hosts: dict, finished: list | None = None
+):
     """Phase-1 clustering with one DFS cycle test per merge candidate.
 
-    A part is keyed by its least task id. The unfinished part with the least
-    key absorbs, while the quota allows, the successor part with the least
-    key whose merge keeps the quotient acyclic. Returns the clusters as
-    ascending task tuples ordered by least task id, and the quotient edges
-    with summed crossing costs, named C1, C2, ... in that order. A given
+    A part is keyed by its least task id, and its host mask is the AND of
+    its tasks' ``hosts``. The unfinished part with the least key absorbs,
+    while the quota allows, the successor part with the least key whose host
+    mask meets its own and whose merge keeps the quotient acyclic. Returns
+    the clusters as ascending task tuples ordered by least task id, and the
+    quotient edges with summed crossing costs, named C1, C2, ... in that
+    order. A given
     ``finished`` list receives the ascending task tuple of each part as it
     finishes, in order.
     """
@@ -150,6 +154,13 @@ def greedy_clustering(dag, num_agents: int, finished: list | None = None):
 
     def size(part) -> int:
         return sum(1 for p in owner.values() if p == part)
+
+    def mask(part) -> int:
+        common = -1
+        for t, p in owner.items():
+            if p == part:
+                common &= hosts[t]
+        return common
 
     def reaches(succs: dict, sources: set, target) -> bool:
         stack, seen = list(sources), set(sources)
@@ -168,8 +179,10 @@ def greedy_clustering(dag, num_agents: int, finished: list | None = None):
         while True:
             succs = quotient_succs()
             for cand in sorted(succs[current]):
-                if size(current) + size(cand) <= quota and not reaches(
-                    succs, succs[current] - {cand}, cand
+                if (
+                    size(current) + size(cand) <= quota
+                    and mask(current) & mask(cand)
+                    and not reaches(succs, succs[current] - {cand}, cand)
                 ):
                     break
             else:
@@ -416,7 +429,7 @@ def reference_schedule_cluster(
                     busy[rid], ready, spec.processing_time
                 )
             if not starts:
-                raise InfeasibleTaskError(task_id)
+                raise InfeasibleTaskError(task_id, f"agent {agent_id} hosts it nowhere")
             rid = min(starts, key=lambda r: (starts[r], r))
             start, end = starts[rid], starts[rid] + spec.processing_time
             placed[task_id] = Placement(task_id, rid, agent_id, start, end)

@@ -26,6 +26,7 @@ from coalloc import (
     build_dag,
     cluster_tasks,
     generate_workload,
+    host_masks,
     max_cluster_size,
     orchestrate,
     schedule_cluster,
@@ -132,7 +133,8 @@ def corpus_summary() -> CorpusSummary:
         scenario = corpus_instance(seed)
         dag = build_dag(scenario.tasks)
         quota = max_cluster_size(len(dag.tasks), len(scenario.agents))
-        cdag = cluster_tasks(dag, len(scenario.agents))
+        hosts = host_masks(dag, scenario.resources, scenario.agents)
+        cdag = cluster_tasks(dag, len(scenario.agents), hosts)
         for cluster in cdag.clusters:
             if len(cluster.tasks) > quota:
                 summary.quota_failures.append(

@@ -27,7 +27,6 @@ from coalloc import (
     ValidationError,
     apply_dependency_delays,
     build_dag,
-    eligible_resources,
     generate_workload,
     schedule_cluster,
 )
@@ -63,22 +62,6 @@ def assert_disjoint(intervals):
     for i, (s1, e1) in enumerate(busy):
         for s2, e2 in busy[i + 1:]:
             assert not (s1 < e2 and s2 < e1)
-
-
-def test_eligible_filters_on_both_requirements():
-    t = task("t", memory=2.0, cpu=1.0)
-    pool = [resource("P01", memory=4.0, cpu=2.0), resource("P02", memory=1.0, cpu=2.0)]
-    assert eligible_resources(t, pool) == ["P01"]
-
-
-def test_zero_requirements_match_everything():
-    pool = [resource("P02"), resource("P01")]
-    assert eligible_resources(task("t"), pool) == ["P01", "P02"]
-
-
-def test_impossible_requirement_matches_nothing():
-    pool = [resource("P01", memory=4.0), resource("P02", memory=4.0)]
-    assert eligible_resources(task("t", memory=8.0), pool) == []
 
 
 def test_same_resource_beats_cross_resource_comm():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalloc import (
+    AgentActor,
     AgentSpec,
     Assignment,
     Broker,
@@ -29,6 +30,7 @@ from coalloc import (
     cluster_tasks,
     distribute,
     generate_workload,
+    host_masks,
     orchestrate,
     validate_schedule,
 )
@@ -38,7 +40,9 @@ from coalloc.model import schedule_to_csv
 from conftest import (
     REPAIR_KINDS,
     corpus_instance,
+    fits_nowhere,
     make_pool,
+    mixed_pool_instance,
     off_grid_instance,
     peak_above_live,
     repair_instance,
@@ -91,15 +95,16 @@ def cluster_dag(sizes, edges=()):
     return ClusterDag(clusters, {e: 1.0 for e in edges})
 
 
-def dag_of(cdag):
-    """A task DAG holding the cluster DAG's tasks, each fitting ``pool``."""
-    return build_dag([task(t) for c in cdag.clusters for t in c.tasks])
+def hosts_of(cdag, resources, agents):
+    """Host masks of the cluster DAG's tasks, each fitting ``pool``."""
+    dag = build_dag([task(t) for c in cdag.clusters for t in c.tasks])
+    return host_masks(dag, resources, agents)
 
 
 def test_distribute_balanced_three_clusters():
     cdag = cluster_dag([3, 3, 2])
     resources, agents = pool(3)
-    assignment = distribute(cdag, agents, dag_of(cdag), resources)
+    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
     assert assignment.tasks_per_agent == {"agent1": 3, "agent2": 3, "agent3": 2}
     assert assignment.cluster_to_agent == {
         "C1": "agent1",
@@ -110,22 +115,21 @@ def test_distribute_balanced_three_clusters():
 
 def test_distribute_needs_an_agent():
     cdag = cluster_dag([2])
-    resources, _ = pool(1)
     with pytest.raises(ValidationError, match="at least one agent"):
-        distribute(cdag, [], dag_of(cdag), resources)
+        distribute(cdag, [], dict.fromkeys(cdag.cluster_of, 1))
 
 
 def test_distribute_single_cluster_prefers_lowest_agent():
     cdag = cluster_dag([4])
     resources, agents = pool(5)
-    assignment = distribute(cdag, agents, dag_of(cdag), resources)
+    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
     assert assignment.cluster_to_agent == {"C1": "agent1"}
 
 
 def test_distribute_greedy_matches_step_simulation():
     cdag = cluster_dag([2, 2, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C4")])
     resources, agents = pool(2)
-    assignment = distribute(cdag, agents, dag_of(cdag), resources)
+    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
     assert list(assignment.cluster_to_agent) == ["C1", "C2", "C3", "C4"]  # dispatch order
     assert assignment.cluster_to_agent == {
         "C1": "agent1",
@@ -140,6 +144,30 @@ def test_distribute_greedy_matches_step_simulation():
         chosen = min(counts, key=lambda a: (counts[a], a))
         assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
         counts[chosen] += len(cluster.tasks)
+
+
+def test_host_masks_filter_on_both_requirements():
+    # bit 0 is a1, bit 1 is a2, whatever order the agents come in
+    resources = [ResourceSpec("P01", cpu_power=2.0, memory=4.0),
+                 ResourceSpec("P02", cpu_power=2.0, memory=1.0)]
+    agents = [AgentSpec("a2", ("P02",)), AgentSpec("a1", ("P01",))]
+    dag = build_dag([TaskSpec("t", 1.0, 2.0, 1.0), TaskSpec("u", 1.0, 1.0, 2.0)])
+    assert host_masks(dag, resources, agents) == {"t": 0b01, "u": 0b11}
+
+
+def test_zero_requirements_are_hosted_everywhere():
+    resources = [ResourceSpec(r, cpu_power=0.0, memory=0.0) for r in ("P1", "P2")]
+    agents = [AgentSpec("a1", ("P1",)), AgentSpec("a2", ("P2",))]
+    dag = build_dag([TaskSpec("t", 1.0, 0.0, 0.0)])
+    assert host_masks(dag, resources, agents) == {"t": 0b11}
+
+
+def test_an_impossible_requirement_is_refused_by_name():
+    resources, agents = pool(2)
+    dag = build_dag([TaskSpec("z", 1.0, 9.0, 1.0), TaskSpec("y", 1.0, 8.0, 9.0)])
+    with pytest.raises(InfeasibleTaskError) as err:
+        host_masks(dag, resources, agents)
+    assert err.value.task_id == "y"
 
 
 capacities = st.sampled_from([2.0, 4.0, 8.0])
@@ -173,44 +201,85 @@ def mixed_pools(draw):
 def test_distribute_respects_eligibility_on_mixed_pools(case):
     tasks, resources, agents = case
     dag = build_dag(tasks)
-    cdag = cluster_tasks(dag, len(agents))
     specs = {r.resource_id: r for r in resources}
 
-    def hosts(agent, cluster):
-        return all(
-            any(
-                specs[rid].memory >= dag.tasks[t].memory
-                and specs[rid].cpu_power >= dag.tasks[t].cpu_power
-                for rid in agent.resources
-            )
-            for t in cluster.tasks
+    def hosts(agent, task_id):
+        t = dag.tasks[task_id]
+        return any(
+            specs[rid].memory >= t.memory and specs[rid].cpu_power >= t.cpu_power
+            for rid in agent.resources
         )
 
-    # replay: the least-loaded host, or the least-loaded agent when none hosts
-    assignment = distribute(cdag, agents, dag, resources)
-    counts = {a.agent_id: 0 for a in sorted(agents, key=lambda a: a.agent_id)}
-    unhostable = []
+    homeless = [t for t in sorted(dag.tasks) if not any(hosts(a, t) for a in agents)]
+    if homeless:
+        with pytest.raises(InfeasibleTaskError) as err:
+            orchestrate(tasks, resources, agents)
+        assert err.value.task_id == homeless[0]
+        return
+    masks = host_masks(dag, resources, agents)  # agents come in id order
+    assert masks == {
+        t: sum(1 << i for i, a in enumerate(agents) if hosts(a, t)) for t in dag.tasks
+    }
+    # replay: the least-loaded agent that hosts every task of the cluster
+    cdag = cluster_tasks(dag, len(agents), masks)
+    assignment = distribute(cdag, agents, masks)
+    counts = {a.agent_id: 0 for a in agents}
     for cluster in cdag.topological_order():
-        able = [a.agent_id for a in agents if hosts(a, cluster)]
-        if not able:
-            unhostable.append(cluster.cluster_id)
-        chosen = min(able or counts, key=lambda a: (counts[a], a))
+        able = [a.agent_id for a in agents if all(hosts(a, t) for t in cluster.tasks)]
+        chosen = min(able, key=lambda a: (counts[a], a))
         assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
         counts[chosen] += len(cluster.tasks)
     assert assignment.tasks_per_agent == counts
+    result = orchestrate(tasks, resources, agents)
+    assert result.assignment == assignment
+    assert validate_schedule(result.schedule, dag, resources, agents).is_empty()
 
-    if unhostable:
-        with pytest.raises(InfeasibleTaskError) as err:
-            orchestrate(tasks, resources, agents)
-        named = cdag.cluster_of[err.value.task_id]
-        assert named in unhostable
-        assert f"cluster {named} fits none of the agents " + ", ".join(
-            sorted(counts)
-        ) in str(err.value)
-    else:
-        result = orchestrate(tasks, resources, agents)
-        assert result.assignment == assignment
-        assert validate_schedule(result.schedule, dag, resources, agents).is_empty()
+
+def check_mixed_pool(seed):
+    """``orchestrate`` on ``mixed_pool_instance`` refuses the job exactly when
+    some task fits no resource of the pool, naming the least such task;
+    otherwise its schedule has no violation."""
+    instance = mixed_pool_instance(random.Random(seed))
+    homeless = fits_nowhere(instance)
+    try:
+        result = orchestrate(instance.tasks, instance.resources, instance.agents)
+    except InfeasibleTaskError as err:
+        assert homeless and err.task_id == homeless[0]
+        return False
+    assert not homeless
+    report = validate_schedule(
+        result.schedule, result.dag, instance.resources, instance.agents
+    )
+    assert report.is_empty()
+    return True
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 10**6))
+@example(68)  # three seeds the broker once refused though every task fits
+@example(219)
+@example(789)
+def test_a_job_is_refused_only_for_a_task_that_fits_nowhere(seed):
+    check_mixed_pool(seed)
+
+
+def test_tasks_that_share_no_host_go_to_separate_clusters():
+    # a fits only r2 and b only r1: one cluster {a, b} would fit neither
+    # agent, so b starts a cluster of its own on agent1
+    tasks = [
+        TaskSpec("a", 1.0, 6.0, 1.0),
+        TaskSpec("b", 1.0, 1.0, 6.0, None, (Dependency("a", 0.5),)),
+    ]
+    resources = [ResourceSpec("r1", cpu_power=8.0, memory=4.0),
+                 ResourceSpec("r2", cpu_power=4.0, memory=8.0)]
+    agents = [AgentSpec("agent1", ("r1",)), AgentSpec("agent2", ("r2",))]
+    result = orchestrate(tasks, resources, agents)
+    assert [c.tasks for c in result.cluster_dag.clusters] == [("a",), ("b",)]
+    assert result.assignment.cluster_to_agent == {"C1": "agent2", "C2": "agent1"}
+    assert rows(result) == [
+        ("a", "r2", "agent2", 0.0, 1.0), ("b", "r1", "agent1", 1.5, 2.5),
+    ]
+    assert validate_schedule(result.schedule, result.dag, resources, agents).is_empty()
 
 
 def test_cluster_goes_to_the_one_agent_that_hosts_it():
@@ -341,12 +410,27 @@ def test_reused_broker_gives_each_run_its_own_log(engineered):
     assert kinds.count(MessageKind.ASSIGN_CLUSTER) == 1
 
 
-def test_infeasible_task_aborts_orchestration():
-    tasks = [task("a"), TaskSpec("big", 1.0, 99.0, 1.0)]
+def test_infeasible_task_aborts_orchestration(monkeypatch):
+    # refused before clustering, naming the least task that fits nowhere
+    tasks = [task("a"), TaskSpec("big", 1.0, 99.0, 1.0), TaskSpec("b", 1.0, 1.0, 9.0)]
     resources, agents = pool(2)
+    monkeypatch.setattr(broker_module, "cluster_tasks", None)
     with pytest.raises(InfeasibleTaskError) as err:
         orchestrate(tasks, resources, agents)
-    assert err.value.task_id == "big"
+    assert err.value.task_id == "b"
+    assert str(err.value) == (
+        "task 'b' has no eligible resource: no resource in the pool has "
+        "memory >= 1.0 and cpuPower >= 9.0"
+    )
+
+
+def test_an_empty_pool_fits_no_task():
+    # no agent and no resource: a task is refused as fitting nowhere, and a
+    # job without tasks still needs an agent for its quota
+    with pytest.raises(InfeasibleTaskError, match="^task 'a' has no eligible"):
+        orchestrate([task("a")], [], [])
+    with pytest.raises(ValidationError, match="^num_agents must be >= 1, got 0$"):
+        orchestrate([], [], [])
 
 
 def test_a_repeated_agent_id_is_refused():
@@ -381,17 +465,28 @@ def test_rigid_shift_past_the_largest_float_is_rejected():
         orchestrate(tasks, resources, agents)
 
 
-def test_agents_answer_in_ascending_id_order():
-    # Singleton clusters C1, C2, C3 go to a1, a2, a1. Both t2 and t3 fit
-    # nowhere; a1 answers for C1 and C3 before a2 answers for C2.
-    tasks = [task("t1"), TaskSpec("t2", 1.0, 99.0), TaskSpec("t3", 1.0, 99.0)]
+def test_agents_answer_in_ascending_id_order(monkeypatch):
+    # Singleton clusters C1, C2, C3 go to a1, a2, a1. Requested in cluster
+    # order, a1 answers for C1 and C3 before a2 answers for C2; the log
+    # still lists the replies in request order.
+    tasks = [task("t1"), task("t2"), task("t3")]
     resources = [
         ResourceSpec(rid, cpu_power=4.0, memory=4.0) for rid in ("r1", "r2")
     ]
-    agents = [AgentSpec("a1", ("r1",)), AgentSpec("a2", ("r2",))]
-    with pytest.raises(InfeasibleTaskError) as err:
-        orchestrate(tasks, resources, agents)
-    assert err.value.task_id == "t3"
+    agents = [AgentSpec("a2", ("r2",)), AgentSpec("a1", ("r1",))]
+    handled = []
+    handle = AgentActor.handle
+
+    def spy(actor, message):
+        handled.append((actor.agent_id, message.cluster_id))
+        return handle(actor, message)
+
+    monkeypatch.setattr(AgentActor, "handle", spy)
+    result = orchestrate(tasks, resources, agents)
+    assert result.assignment.cluster_to_agent == {"C1": "a1", "C2": "a2", "C3": "a1"}
+    assert handled == [("a1", "C1"), ("a1", "C3"), ("a2", "C2")]
+    replies = [e for e in result.log if e.kind is MessageKind.CLUSTER_SCHEDULED]
+    assert [e.cluster_id for e in replies] == ["C1", "C2", "C3"]
 
 
 def test_readiness_waives_comm_on_same_resource():
@@ -902,3 +997,125 @@ def test_scaling_every_time_by_a_power_of_two_scales_the_schedule(rng, off_grid,
     assert result.schedule.makespan == base.schedule.makespan * factor
     assert result.cluster_dag.cluster_of == base.cluster_dag.cluster_of
     assert result.schedule.deadline_violations == base.schedule.deadline_violations
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.randoms(use_true_random=False), st.integers(0, 10**6))
+def test_scaling_by_three_on_the_grid_scales_the_schedule(rng, seed):
+    # On the quarter-second grid every time is a small multiple of 0.25, so
+    # three times any sum stays exact and every comparison keeps its outcome.
+    instance = corpus_instance(seed)
+    pool = (instance.resources, instance.agents)
+    tasks = with_deadlines(rng, instance.tasks, orchestrate(instance.tasks, *pool))
+    scaled = [
+        spec._replace(
+            processing_time=spec.processing_time * 3,
+            deadline_time=spec.deadline_time and spec.deadline_time * 3,
+            dependencies=tuple(
+                Dependency(d.task_id, d.comm_time * 3) for d in spec.dependencies
+            ),
+        )
+        for spec in tasks
+    ]
+    base, result = orchestrate(tasks, *pool), orchestrate(scaled, *pool)
+    assert rows(result) == rows(base, 3.0)
+    assert result.schedule.makespan == base.schedule.makespan * 3
+    assert result.cluster_dag.cluster_of == base.cluster_dag.cluster_of
+    assert result.schedule.deadline_violations == base.schedule.deadline_violations
+
+
+INSTANCE_KINDS = ("grid", "off-grid", "mixed")
+
+
+def instance_of(kind, rng):
+    if kind == "mixed":
+        return mixed_pool_instance(rng)
+    return drawn_instance(rng, kind == "off-grid")
+
+
+def outcome(tasks, resources, agents):
+    """The run's schedule rows, or the task its refusal names."""
+    try:
+        return rows(orchestrate(tasks, resources, agents))
+    except InfeasibleTaskError as err:
+        return err.task_id
+
+
+def order_preserving_names(rng, names):
+    """A map of ``names`` onto fresh random ids in the same sorted order."""
+    fresh = set()
+    while len(fresh) < len(names):
+        fresh.add("".join(rng.choices("ab0_", k=rng.randint(1, 6))))
+    return dict(zip(sorted(names), sorted(fresh)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(INSTANCE_KINDS),
+    st.sampled_from(["task", "resource", "agent"]),
+)
+def test_an_order_preserving_rename_renames_the_schedule(seed, kind, renamed):
+    # Ids only name things and break ties by their order, so renaming them
+    # in order moves nothing: the schedule comes back under the new names.
+    rng = random.Random(seed)
+    instance = instance_of(kind, rng)
+    tasks, resources, agents = instance.tasks, instance.resources, instance.agents
+    if renamed == "task":
+        new = order_preserving_names(rng, [t.task_id for t in tasks])
+        tasks = [
+            t._replace(task_id=new[t.task_id], dependencies=tuple(
+                Dependency(new[d.task_id], d.comm_time) for d in t.dependencies
+            ))
+            for t in tasks
+        ]
+    elif renamed == "resource":
+        new = order_preserving_names(rng, [r.resource_id for r in resources])
+        resources = [r._replace(resource_id=new[r.resource_id]) for r in resources]
+        agents = [
+            a._replace(resources=tuple(new[rid] for rid in a.resources)) for a in agents
+        ]
+    else:
+        new = order_preserving_names(rng, [a.agent_id for a in agents])
+        agents = [a._replace(agent_id=new[a.agent_id]) for a in agents]
+    got = outcome(tasks, resources, agents)
+    expected = outcome(instance.tasks, instance.resources, instance.agents)
+    if isinstance(expected, str):  # a refusal names the renamed task
+        assert got == (new[expected] if renamed == "task" else expected)
+        return
+    position = {"task": 0, "resource": 1, "agent": 2}[renamed]
+    assert got == [
+        tuple(new[v] if i == position else v for i, v in enumerate(row))
+        for row in expected
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from(INSTANCE_KINDS))
+def test_a_resource_no_task_fits_changes_nothing(seed, kind):
+    # Every task needs a positive amount of something, so a resource with
+    # neither memory nor CPU hosts none, wherever it sits and whoever owns it.
+    rng = random.Random(seed)
+    instance = instance_of(kind, rng)
+    tasks = [
+        t._replace(memory=1.0) if t.memory == 0 and t.cpu_power == 0 else t
+        for t in instance.tasks
+    ]
+    # ids sorting before, among and after the pool's R-and-digits ids
+    useless = ResourceSpec(
+        rng.choice(["A", "R00x", "R0x", "Rzz", "Z"]), cpu_power=0.0, memory=0.0
+    )
+    resources = list(instance.resources)
+    resources.insert(rng.randint(0, len(resources)), useless)
+    agents = list(instance.agents)
+    k = rng.randrange(len(agents))
+    owned = list(agents[k].resources)
+    owned.insert(rng.randint(0, len(owned)), useless.resource_id)
+    agents[k] = agents[k]._replace(resources=tuple(owned))
+    before = (tasks, instance.resources, instance.agents)
+    try:
+        expected = artifacts(*before)
+    except InfeasibleTaskError as err:
+        assert outcome(tasks, resources, agents) == err.task_id
+        return
+    assert artifacts(tasks, resources, agents) == expected

@@ -36,7 +36,7 @@ from coalloc.model import (
     serialize_resource_set,
     serialize_task_set,
 )
-from conftest import make_engineered, make_pool
+from conftest import fits_nowhere, make_engineered, make_pool, mixed_pool_instance
 
 
 @pytest.fixture
@@ -151,16 +151,17 @@ def test_task_too_large_for_its_agent_goes_where_it_fits(demo_inputs, tmp_path):
     assert any(row.startswith("1,P05,agent3,") for row in rows)
 
 
-def test_infeasible_task_names_its_cluster_and_the_agents(
-    demo_inputs, tmp_path, capsys
-):
+def test_infeasible_task_is_named_with_its_needs(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     tasks.write_text(tasks.read_text().replace(
         "<memory>1.0</memory>", "<memory>64.0</memory>", 1
     ))
     assert run_schedule((tasks, resources, agents), tmp_path / "out") == 2
-    err = capsys.readouterr().err
-    assert "cluster C1 fits none of the agents agent1, agent2, agent3" in err
+    assert capsys.readouterr().err == (
+        "error: task '1' has no eligible resource: no resource in the pool has "
+        "memory >= 64.0 and cpuPower >= 1.0\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_file_exits_1(demo_inputs, tmp_path, capsys):
@@ -696,6 +697,37 @@ def test_hostile_field_values_exit_cleanly(texts, tmp_path, capsys):
         else:
             validate = ["validate", *inputs, "--schedule", str(out / "schedule.csv")]
             assert cli.main(validate) in (0, 3), capsys.readouterr().out
+        if code == 2:
+            assert "has no eligible resource: no resource in the pool" in err
+
+
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(0, 10**6))
+def test_exit_2_iff_some_task_fits_no_resource(seed, tmp_path, capsys):
+    instance = mixed_pool_instance(random.Random(seed))
+    homeless = fits_nowhere(instance)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+        paths = [Path(scratch, name) for name in ("t.xml", "r.xml", "a.txt")]
+        paths[0].write_text(serialize_task_set(instance.tasks))
+        paths[1].write_text(serialize_resource_set(instance.resources))
+        paths[2].write_text(serialize_agent_map(instance.agents))
+        out = Path(scratch, "out")
+        capsys.readouterr()
+        code = run_schedule(paths, out)
+        err = capsys.readouterr().err
+        assert (code == 2) == bool(homeless), err
+        if homeless:
+            assert err.startswith(f"error: task {homeless[0]!r} has no eligible")
+        else:
+            assert code == 0, err
+            validate = ["validate", "--tasks", str(paths[0]), "--resources",
+                        str(paths[1]), "--agents", str(paths[2]),
+                        "--schedule", str(out / "schedule.csv")]
+            assert cli.main(validate) == 0
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "\u0663.\u0665", "\uff12"])

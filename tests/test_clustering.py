@@ -1,5 +1,8 @@
 """Cluster formation: the size quota, merge procedure, and quotient graph."""
 
+import functools
+import operator
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from coalloc import (
     cluster_tasks,
     clustering,
     generate_workload,
+    host_masks,
     max_cluster_size,
 )
 from conftest import corpus_instance, peak_above_live
@@ -24,6 +28,16 @@ from oracles import (
     quotient,
     successor_lists,
 )
+
+
+def one_host(dag):
+    """Host masks under which every task runs on the same single agent."""
+    return dict.fromkeys(dag.tasks, 1)
+
+
+def clustered(tasks, num_agents):
+    dag = build_dag(tasks)
+    return cluster_tasks(dag, num_agents, one_host(dag))
 
 
 def chain(n, comm=1.0, processing=1.0):
@@ -47,13 +61,13 @@ def test_quota_uses_integer_division():
 
 def test_independent_tasks_stay_singletons():
     tasks = [TaskSpec(str(i), 1.0, 0.0, 0.0) for i in range(1, 8)]
-    cdag = cluster_tasks(build_dag(tasks), 3)
+    cdag = clustered(tasks, 3)
     assert [c.tasks for c in cdag.clusters] == [(str(i),) for i in range(1, 8)]
     assert cdag.edges == {}
 
 
 def test_chain_fills_clusters_in_order():
-    cdag = cluster_tasks(build_dag(chain(8)), 3)
+    cdag = clustered(chain(8), 3)
     assert [c.tasks for c in cdag.clusters] == [
         ("1", "2", "3"),
         ("4", "5", "6"),
@@ -71,13 +85,13 @@ def test_chain_fills_clusters_in_order():
 
 
 def test_more_agents_than_tasks_gives_singletons():
-    cdag = cluster_tasks(build_dag(chain(3)), 10)
+    cdag = clustered(chain(3), 10)
     assert all(len(c.tasks) == 1 for c in cdag.clusters)
 
 
 def test_clustering_needs_an_agent():
     with pytest.raises(ValidationError, match="^num_agents must be >= 1, got 0$"):
-        cluster_tasks(build_dag(chain(3)), 0)
+        clustered(chain(3), 0)
 
 
 def test_cycle_closing_merge_is_skipped():
@@ -90,7 +104,7 @@ def test_cycle_closing_merge_is_skipped():
         TaskSpec("c", 1.0, 0.0, 0.0, None, (Dependency("a", 1.0),)),
         TaskSpec("d", 1.0, 0.0, 0.0),
     ]
-    cdag = cluster_tasks(build_dag(tasks), 3)  # quota = 4 // 3 + 1 = 2
+    cdag = clustered(tasks, 3)  # quota = 4 // 3 + 1 = 2
     assert [c.tasks for c in cdag.clusters] == [("a", "c"), ("b",), ("d",)]
     assert coloring_is_acyclic(successor_lists(cdag.edges))
 
@@ -136,9 +150,9 @@ def traced_clustering(monkeypatch, tasks, num_agents):
         return chosen
 
     monkeypatch.setattr(clustering, "_next_candidate", pick_spy)
-    cdag = cluster_tasks(dag, num_agents)
+    cdag = cluster_tasks(dag, num_agents, one_host(dag))
     assert ([c.tasks for c in cdag.clusters], cdag.edges) == greedy_clustering(
-        dag, num_agents
+        dag, num_agents, one_host(dag)
     )
     return cdag, merges, finished
 
@@ -178,7 +192,7 @@ def test_cluster_tasks_peak_memory_stays_small():
     # the lists are released before the quotient is built. With a set per
     # task for each direction this job peaked at 3.65 MB above the live set.
     dag = build_dag(generate_workload(99, 2000, 25, 0.01))
-    assert peak_above_live(cluster_tasks, dag, 10) <= 2.0e6
+    assert peak_above_live(cluster_tasks, dag, 10, one_host(dag)) <= 2.0e6
 
 
 def test_quotient_of_singletons_is_isomorphic():
@@ -252,7 +266,8 @@ def test_clustering_invariants_on_seeded_instances(seed):
     scenario = corpus_instance(seed)
     dag = build_dag(scenario.tasks)
     num_agents = len(scenario.agents)
-    cdag = cluster_tasks(dag, num_agents)
+    hosts = host_masks(dag, scenario.resources, scenario.agents)
+    cdag = cluster_tasks(dag, num_agents, hosts)
 
     quota = max_cluster_size(len(dag.tasks), num_agents)
     all_tasks = sorted(dag.tasks)
@@ -273,14 +288,14 @@ def test_clustering_invariants_on_seeded_instances(seed):
         sums[(a, b)] = sums.get((a, b), 0.0) + cost
     assert sums == cdag.edges
     assert ([c.tasks for c in cdag.clusters], cdag.edges) == greedy_clustering(
-        dag, num_agents
+        dag, num_agents, hosts
     )
 
 
 def test_assignment_dump_lists_every_task():
     from coalloc import assignment_dump
 
-    cdag = cluster_tasks(build_dag(chain(4)), 2)
+    cdag = clustered(chain(4), 2)
     dump = assignment_dump(cdag)
     assert dump == "1 -> C1\n2 -> C1\n3 -> C1\n4 -> C2\n"
 
@@ -288,8 +303,8 @@ def test_assignment_dump_lists_every_task():
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_clustering_is_deterministic(seed):
     tasks = generate_workload(seed, 40, 5, 0.2)
-    first = cluster_tasks(build_dag(tasks), 4)
-    second = cluster_tasks(build_dag(tasks), 4)
+    first = clustered(tasks, 4)
+    second = clustered(tasks, 4)
     assert [c.tasks for c in first.clusters] == [c.tasks for c in second.clusters]
     assert first.edges == second.edges
 
@@ -297,7 +312,8 @@ def test_clustering_is_deterministic(seed):
 @st.composite
 def shuffled_dags(draw):
     """Random DAGs whose ids and input order are both shuffled against the
-    topological order, paired with an agent count from 1 to beyond n."""
+    topological order, paired with an agent count from 1 to beyond n and
+    host masks over three agents, a third of them all hosting every task."""
     n = draw(st.integers(0, 24))
     ids = draw(st.permutations([str(i) for i in range(n)]))  # by topo position
     position = st.integers(0, max(n - 1, 0))
@@ -308,41 +324,60 @@ def shuffled_dags(draw):
             deps[b].append(Dependency(ids[a], draw(st.sampled_from([0.0, 0.5, 1.25]))))
     order = draw(st.permutations(range(n)))
     tasks = [TaskSpec(ids[i], 1.0, 0.0, 0.0, None, tuple(deps[i])) for i in order]
-    return tasks, draw(st.integers(1, n + 2))
+    masks = st.just(7) if draw(st.integers(0, 2)) == 0 else st.integers(1, 7)
+    hosts = {t: draw(masks) for t in ids}
+    return tasks, draw(st.integers(1, n + 2)), hosts
+
+
+def on_one_agent(tasks, num_agents):
+    return tasks, num_agents, {t.task_id: 1 for t in tasks}
 
 
 @settings(deadline=None, max_examples=300)
 @given(shuffled_dags())
-@example(([TaskSpec(str(i), 1.0) for i in (3, 1, 2)], 2))  # no edges
-@example((chain(6), 1))  # one agent: quota n + 1
-@example((chain(4), 9))  # more agents than tasks: quota 1
+@example(on_one_agent([TaskSpec(str(i), 1.0) for i in (3, 1, 2)], 2))  # no edges
+@example(on_one_agent(chain(6), 1))  # one agent: quota n + 1
+@example(on_one_agent(chain(4), 9))  # more agents than tasks: quota 1
+# b shares no host with a, so a takes c; quota 3 // 1 + 1 = 4
+@example((
+    [dependent("a"), dependent("b", "a"), dependent("c", "a")], 1,
+    {"a": 3, "b": 4, "c": 1},
+))
+# a and b share agent 2, which c lacks: the merged mask shrinks; quota 4
+@example((
+    [dependent("a"), dependent("b", "a"), dependent("c", "b")], 1,
+    {"a": 3, "b": 6, "c": 5},
+))
 # a absorbs b, whose slot is kept (4 adjacency entries against a's 2), so
 # a's neighbour x, which never merged, has its pred list [a] relinked to
 # [b]; quota 7
-@example((
+@example(on_one_agent(
     [dependent("a"), dependent("b", "a"), dependent("x", "a"),
      dependent("c", "b"), dependent("d", "b"), dependent("e", "b")],
     1,
 ))
 # the same merge, but x's pred list [a, b] already holds the kept b, so a
 # is dropped from it; quota 6
-@example((
+@example(on_one_agent(
     [dependent("a"), dependent("b", "a"), dependent("x", "a", "b"),
      dependent("c", "b"), dependent("d", "b")],
     1,
 ))
 def test_cluster_tasks_matches_per_candidate_reference(case):
-    tasks, num_agents = case
+    tasks, num_agents, hosts = case
     dag = build_dag(tasks)
-    cdag = cluster_tasks(dag, num_agents)
-    clusters, edges = greedy_clustering(dag, num_agents)
+    cdag = cluster_tasks(dag, num_agents, hosts)
+    clusters, edges = greedy_clustering(dag, num_agents, hosts)
     assert [c.tasks for c in cdag.clusters] == clusters
     assert cdag.edges == edges
+    for cluster in clusters:  # every cluster has a common host
+        assert functools.reduce(operator.and_, (hosts[t] for t in cluster))
 
 
-def fresh_candidate(dag, members, current, below, limit):
+def fresh_candidate(dag, hosts, members, current, below, limit):
     """The least-``low`` child part of ``members[current]`` that fits the
-    quota and whose predecessor parts miss ``below``, from the task edges."""
+    quota, shares a host with it and whose predecessor parts miss ``below``,
+    from the task edges."""
     owner = {t: i for i, part in enumerate(members) for t in part}
     children, pred_parts = set(), {}
     for a, b in edge_costs(dag):
@@ -352,24 +387,37 @@ def fresh_candidate(dag, members, current, below, limit):
             if pa == current:
                 children.add(pb)
     room = limit - len(members[current])
+
+    def mask(part):
+        return functools.reduce(operator.and_, (hosts[t] for t in part))
+
     safe = [
         d for d in children
-        if len(members[d]) <= room and pred_parts[d].isdisjoint(below)
+        if len(members[d]) <= room
+        and mask(members[d]) & mask(members[current])
+        and pred_parts[d].isdisjoint(below)
     ]
     return min(safe, key=lambda d: min(members[d]), default=None)
 
 
 @settings(deadline=None, max_examples=300)
 @given(shuffled_dags())
-@example((chain(6), 1))
+@example(on_one_agent(chain(6), 1))
 # c is blocked behind b until the merge with b absorbs it; quota 4
-@example(([dependent("a"), dependent("b", "a"), dependent("c", "a", "b")], 1))
+@example(on_one_agent(
+    [dependent("a"), dependent("b", "a"), dependent("c", "a", "b")], 1
+))
 # {a, b, c} finishes first and is a ready child of d, too large for d's
 # room of 2: it is dropped and e is taken; quota 5 // 2 + 1 = 3
-@example((
+@example(on_one_agent(
     [dependent("a", "d"), dependent("b", "a"), dependent("c", "b"),
      dependent("d"), dependent("e", "d")],
     2,
+))
+# b shares no host with a and is dropped, though it fits the room
+@example((
+    [dependent("a"), dependent("b", "a"), dependent("c", "a")], 1,
+    {"a": 3, "b": 4, "c": 1},
 ))
 def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
     # The descendant set is searched once per cluster and then only loses
@@ -377,7 +425,7 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
     # the quotient of the parts as they stand. The ready queue must yield
     # what a fresh scan of every child would choose, and the parts must
     # finish in the order the per-candidate reference finishes them.
-    tasks, num_agents = case
+    tasks, num_agents, hosts = case
     dag = build_dag(tasks)
     limit = max_cluster_size(len(dag.tasks), num_agents)
     search, pick = clustering._descendants, clustering._next_candidate
@@ -388,13 +436,17 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
         searched.append(below)  # the live set the loop goes on to shrink
         return below
 
-    def pick_spy(current, size, ready, limit_):
+    def pick_spy(current, size, mask, ready, limit_):
         assert limit_ == limit
         assert size == [len(part) for part in members]
+        assert [m for m, part in zip(mask, members) if part] == [
+            functools.reduce(operator.and_, (hosts[t] for t in part))
+            for part in members if part
+        ]
         below = part_descendants(edge_costs(dag), members, current)
         assert searched[-1] == below
-        expected = fresh_candidate(dag, members, current, below, limit)
-        chosen = pick(current, size, ready, limit_)
+        expected = fresh_candidate(dag, hosts, members, current, below, limit)
+        chosen = pick(current, size, mask, ready, limit_)
         assert chosen == expected
         picks.append(current)
         if chosen is None:
@@ -405,9 +457,9 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
         _, members = track_parts(mp, dag)
         mp.setattr(clustering, "_descendants", search_spy)
         mp.setattr(clustering, "_next_candidate", pick_spy)
-        cluster_tasks(dag, num_agents)
+        cluster_tasks(dag, num_agents, hosts)
     reference = []
-    greedy_clustering(dag, num_agents, finished=reference)
+    greedy_clustering(dag, num_agents, hosts, finished=reference)
     assert finished == reference
     # a pick per merge, and one more each time a part finishes
     assert len(picks) >= len(dag.tasks)
