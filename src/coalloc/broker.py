@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from operator import attrgetter
 
-from .agent import AgentActor, PartialSchedule, overflow_error
+from .agent import AgentActor, overflow_error
 from .clustering import Cluster, ClusterDag, cluster_tasks
 from .errors import InfeasibleTaskError, StructuralError, ValidationError
 from .graph import TaskDag, build_dag, ready_order, release
@@ -120,11 +120,16 @@ def distribute(
 
 
 def assemble_and_repair(
-    partials: Sequence[PartialSchedule],
-    dag: TaskDag,
-    assignment: Assignment,
+    placements: dict[str, Placement], dag: TaskDag
 ) -> FinalSchedule:
-    """Merge adjusted cluster schedules into one feasible final schedule.
+    """Repair the adjusted placements, keyed by task id, into one feasible
+    final schedule.
+
+    ``placements`` is used up: the repair rewrites it in place and clears it
+    before the final sort. A placement with an infinite end raises
+    :class:`ValidationError` naming the first such task in map order; then
+    a task of ``dag`` left unplaced, and after that a placement of a task
+    not in ``dag``, raises :class:`StructuralError`.
 
     Rigid per-cluster delays can leave two clusters of the same agent
     overlapping on a resource. The repair keeps every task's resource and the
@@ -132,54 +137,40 @@ def assemble_and_repair(
     pushes starts later, to the least times satisfying release by
     predecessors (communication time waived on the same resource) and
     one-at-a-time resource occupancy. Tasks finishing past their deadline are
-    reported, not rejected. A placement handed in with an infinite end, and
-    a push that carries a task's end to infinity, raise
-    :class:`ValidationError` naming that task, as phases 2 and 3 do.
+    reported, not rejected. A push that carries a task's end to infinity
+    raises :class:`ValidationError` naming that task, as phases 2 and 3 do.
 
     Only tasks downstream of a broken constraint are revisited. One check
-    pass finds the tasks that the rule above would move against the merged
-    placements. It reads each task's DAG edges from its spec and walks each
-    resource chain, a list of placements sorted by ``_by_start``, so it
-    builds no set or map keyed by every task; the map of chain predecessors
-    is built only when some task moves. The
-    repair then sweeps those tasks, taken in the order the partial
-    schedules list them, and what they reach along DAG and resource-chain
-    edges, predecessors first. The constraint graph is acyclic, so its
-    least fixpoint is unique and any topological order reaches it. A task
-    outside that region already meets its constraints and none of its
-    predecessors moves, so it keeps its placement, as a sweep over the
-    whole job would leave it. A cycle among the constraints must break one
-    of them, since a chained task of positive length strictly raises the
-    start of the next, so a cycle always lies inside the region and is
-    reported there.
+    pass finds the tasks that the rule above would move. It reads each
+    task's DAG edges from its spec and walks each resource chain, a list of
+    placements sorted by ``_by_start``, so it builds no set or map keyed by
+    every task; the map of chain predecessors is built only when some task
+    moves. The repair then sweeps those tasks, in map order, and what they
+    reach along DAG and resource-chain edges, predecessors first. The
+    constraint graph is acyclic, so its least fixpoint is unique and any
+    topological order reaches it. A task outside that region already meets
+    its constraints and none of its predecessors moves, so it keeps its
+    placement, as a sweep over the whole job would leave it. A cycle among
+    the constraints must break one of them, since a chained task of
+    positive length strictly raises the start of the next, so a cycle
+    always lies inside the region and is reported there.
     """
-    merged: dict[str, Placement] = {}
-    for partial in partials:
-        agent_id = assignment.cluster_to_agent.get(partial.cluster_id)
-        for task_id, placement in partial.placements.items():
-            if task_id in merged:
-                raise StructuralError(f"task {task_id!r} placed twice")
-            if agent_id is not None and placement.agent_id != agent_id:
-                raise StructuralError(
-                    f"cluster {partial.cluster_id!r} scheduled by "
-                    f"{placement.agent_id!r}, assigned to {agent_id!r}"
-                )
-            if placement.end == math.inf:  # an infinite start's too: end >= start
-                raise ValidationError(f"placement of {task_id!r}: end must be finite")
-            merged[task_id] = placement
+    for task_id, placement in placements.items():
+        if placement.end == math.inf:  # an infinite start's too: end >= start
+            raise ValidationError(f"placement of {task_id!r}: end must be finite")
     specs = dag.tasks
-    missing = sorted(t for t in specs if t not in merged)
-    if missing:
-        raise StructuralError("no placement for tasks: " + ", ".join(missing))
-    extra = sorted(t for t in merged if t not in specs)
-    if extra:
+    if placements.keys() != specs.keys():
+        missing = sorted(t for t in specs if t not in placements)
+        if missing:
+            raise StructuralError("no placement for tasks: " + ", ".join(missing))
+        extra = sorted(t for t in placements if t not in specs)
         raise StructuralError("placements for unknown tasks: " + ", ".join(extra))
 
     # Fixed per-resource succession over positive-duration placements only;
     # zero-length slots occupy nothing and constrain nobody. A task waits for
     # its DAG predecessors and for the task ``before`` it on its resource.
     by_resource: dict[str, list[Placement]] = defaultdict(list)
-    for placement in merged.values():
+    for placement in placements.values():
         if placement.duration > 0:
             by_resource[placement.resource_id].append(placement)
     late: set[str] = set()  # tasks starting before their chain predecessor ends
@@ -190,18 +181,19 @@ def assemble_and_repair(
 
     def pushed(task_id: str) -> Placement | None:
         """``task_id`` at the least start its constraints allow against
-        ``merged``, or None when that leaves its start and end as they are."""
-        placement = merged[task_id]
+        ``placements``, or None when that leaves its start and end as they
+        are."""
+        placement = placements[task_id]
         start, resource_id = placement.start, placement.resource_id
         for dep in specs[task_id].dependencies:
-            prior = merged[dep.task_id]  # ``graph.release`` without the call
+            prior = placements[dep.task_id]  # ``graph.release`` without the call
             ready = prior.end
             if prior.resource_id != resource_id:
                 ready += dep.comm_time
             if ready > start:  # ``max`` without a call per edge
                 start = ready
         if task_id in before:
-            ready = merged[before[task_id]].end
+            ready = placements[before[task_id]].end
             if ready > start:
                 start = ready
         end = start + specs[task_id].processing_time
@@ -211,32 +203,32 @@ def assemble_and_repair(
 
     # With ``before`` still empty, ``pushed`` checks only the DAG edges and
     # the end; ``late`` holds the tasks a chain edge moves.
-    seeds = [t for t in merged if t in late or pushed(t) is not None]
+    seeds = [t for t in placements if t in late or pushed(t) is not None]
     del late
     if seeds:
         for chain in by_resource.values():
             before.update((b.task_id, a.task_id) for a, b in zip(chain, chain[1:]))
     del by_resource  # free the chains before the repair
-    # Every predecessor is repaired before its successors, so ``merged`` is
-    # rewritten in place and each ``merged[pred]`` read is already final.
+    # Every predecessor is repaired before its successors, so ``placements``
+    # is rewritten in place and each ``placements[pred]`` read is final.
     for task_id in _repair_order(seeds, specs, before):
         moved = pushed(task_id)
         if moved is not None:
             if moved.end == math.inf:
                 raise overflow_error(task_id)
-            merged[task_id] = moved
+            placements[task_id] = moved
 
-    placements = list(merged.values())
-    merged.clear()  # free the map before the sort's key list
-    _by_start(placements)
-    makespan = max((p.end for p in placements), default=0.0)
+    ordered = list(placements.values())
+    placements.clear()  # free the map before the sort's key list
+    _by_start(ordered)
+    makespan = max((p.end for p in ordered), default=0.0)
     violations = sorted(
         p.task_id
-        for p in placements
+        for p in ordered
         if specs[p.task_id].deadline_time is not None
         and p.end > specs[p.task_id].deadline_time
     )
-    return FinalSchedule(tuple(placements), makespan, tuple(violations))
+    return FinalSchedule(tuple(ordered), makespan, tuple(violations))
 
 
 def _by_start(placements: list[Placement]) -> None:
@@ -323,25 +315,24 @@ class Broker:
 
         # Phase 2: every cluster is scheduled locally, inter-cluster edges
         # ignored; agents start from time 0 on their own timelines.
-        partials = _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
+        placed: dict[str, Placement] = {}  # the one placement store
+        _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
             cid: cluster_dag.by_id[cid] for cid in assignment.cluster_to_agent
-        })
+        }, placed)
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
         # deeper clusters get readiness reports and shift rigidly.
         for level in cluster_dag.levels()[1:]:
             reports = {
-                c.cluster_id: _readiness_entries(c, dag, cluster_dag, partials)
+                c.cluster_id: _readiness_entries(c, dag, cluster_dag, placed)
                 for c in level
             }
-            partials.update(
-                _exchange(log, actors, assignment, MessageKind.DEPENDENCY_INFO, reports)
+            _exchange(
+                log, actors, assignment, MessageKind.DEPENDENCY_INFO, reports, placed
             )
 
         del actors  # free the agents' timelines before the repair pass's peak
-        schedule = assemble_and_repair(
-            [partials[cid] for cid in assignment.cluster_to_agent], dag, assignment
-        )
+        schedule = assemble_and_repair(placed, dag)
         log.record(Message(MessageKind.SCHEDULE_RESULT, BROKER, USER, schedule))
         return OrchestrationResult(schedule, assignment, cluster_dag, dag, log)
 
@@ -352,14 +343,17 @@ def _exchange(
     assignment: Assignment,
     kind: MessageKind,
     payloads: dict[str, object],
-) -> dict[str, PartialSchedule]:
-    """Send one ``kind`` request per cluster to the agent it is assigned to
-    and return the replies' schedules by cluster.
+    placed: dict[str, Placement],
+) -> None:
+    """Send one ``kind`` request per cluster to the cluster's agent in
+    ``assignment`` and put the replies' placements into ``placed``.
 
     ``payloads`` maps cluster ids to request payloads, in request order. The
-    log records the requests, then the replies in request order. Agents
-    answer in ascending agent-id order, each taking its requests in the
-    order given.
+    log records the requests, then the replies in request order, and
+    ``placed`` takes each reply's placements in that order: a new task goes
+    to the end of the map, a placed one keeps its position. Agents answer
+    in ascending agent-id order, each taking its requests in the order
+    given.
     """
     requests = [
         Message(kind, BROKER, assignment.cluster_to_agent[cid], payload, cluster_id=cid)
@@ -371,39 +365,36 @@ def _exchange(
         r.cluster_id: actors[r.receiver].handle(r)
         for r in sorted(requests, key=lambda r: r.receiver)
     }
-    partials: dict[str, PartialSchedule] = {}
     for request in requests:
         reply = replies[request.cluster_id]
         log.record(reply)
-        partials[request.cluster_id] = reply.payload
-    return partials
+        placed.update(reply.payload.placements)
 
 
 def _readiness_entries(
     cluster: Cluster,
     dag: TaskDag,
     cluster_dag: ClusterDag,
-    partials: dict[str, PartialSchedule],
+    placed: dict[str, Placement],
 ) -> ReadinessReport:
     """One (taskId, readyTime) entry per incoming cross-cluster edge.
 
     Entries follow the cluster's tasks in ascending id, and each task's
     edges in declaration order. readyTime is the predecessor's release time
-    (``graph.release``) against the resource the cluster's current schedule
-    gives the task; predecessors sit in earlier levels, so their schedules
-    are final.
+    (``graph.release``) against the resource ``placed``, the broker's
+    placement store, gives the task; predecessors sit in earlier levels, so
+    their placements there are final.
     """
-    own = partials[cluster.cluster_id].placements
     task_ids: list[str] = []
     ready_times = array("d")
     for task_id in cluster.tasks:
-        resource_id = own[task_id].resource_id
+        resource_id = placed[task_id].resource_id
         for dep in dag.tasks[task_id].dependencies:
-            owner = cluster_dag.cluster_of[dep.task_id]
-            if owner != cluster.cluster_id:
-                prior = partials[owner].placements[dep.task_id]
+            if cluster_dag.cluster_of[dep.task_id] != cluster.cluster_id:
                 task_ids.append(task_id)
-                ready_times.append(release(prior, dep.comm_time, resource_id))
+                ready_times.append(
+                    release(placed[dep.task_id], dep.comm_time, resource_id)
+                )
     return ReadinessReport(tuple(task_ids), ready_times)
 
 

@@ -97,7 +97,6 @@ def _load_inputs(args: argparse.Namespace):
     with _opened(args.resources, "resource file") as source:
         resources = parse_resource_file(source)
     agents = parse_agent_map(_read(args.agents, "agent map"))
-    validate_agent_map(agents, resources)
     return tasks, resources, agents
 
 
@@ -208,6 +207,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     3 when every violation is a missed deadline."""
     try:
         tasks, resources, agents = _load_inputs(args)
+        validate_agent_map(agents, resources)  # schedule's is in ``orchestrate``
         schedule = _load_schedule_rows(args)
         dag = build_dag(tasks)
         report = harness.validate_schedule(schedule, dag, resources, agents)

@@ -633,7 +633,7 @@ def reference_phase3_and_repair(result):
     stepped up one float until it does not, and a cluster with no such
     predecessor stays put.
     """
-    from coalloc import MessageKind, PartialSchedule, Placement
+    from coalloc import MessageKind, Placement
 
     specs = result.dag.tasks
     scheduled = {
@@ -676,11 +676,12 @@ def reference_phase3_and_repair(result):
                     t, p.resource_id, p.agent_id, p.start + delta, p.end + delta
                 )
         left.difference_update(batch)
-    return reference_repair([PartialSchedule("all", shifted)], result.dag)
+    return reference_repair(shifted, result.dag)
 
 
-def reference_repair(partials, dag):
-    """The repair pass as a fixpoint iteration over the merged ``partials``.
+def reference_repair(merged, dag):
+    """The repair pass as a fixpoint iteration over ``merged``, the
+    placements of every task keyed by task id.
 
     Each positive-length task stays behind the one before it on its
     resource (by merged start, then task id) and behind its DAG
@@ -696,7 +697,6 @@ def reference_repair(partials, dag):
     from coalloc import FinalSchedule, Placement, StructuralError
 
     specs = dag.tasks
-    merged = {t: p for partial in partials for t, p in partial.placements.items()}
     before: dict = {}
     chains: dict = {}
     for p in merged.values():

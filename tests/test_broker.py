@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from coalloc import (
     AgentActor,
     AgentSpec,
-    Assignment,
     Broker,
     Cluster,
     ClusterDag,
@@ -494,19 +493,19 @@ def test_readiness_waives_comm_on_same_resource():
     dag = build_dag(tasks)
     cluster = Cluster("C2", ("q",))
     cdag = ClusterDag([Cluster("C1", ("p",)), cluster], {("C1", "C2"): 5.0})
-    prior = PartialSchedule("C1", {"p": Placement("p", "r1", "a1", 0.0, 2.0)})
-    same = PartialSchedule("C2", {"q": Placement("q", "r1", "a1", 0.0, 1.0)})
-    other = PartialSchedule("C2", {"q": Placement("q", "r2", "a1", 0.0, 1.0)})
-    report = _readiness_entries(cluster, dag, cdag, {"C1": prior, "C2": same})
+    prior = Placement("p", "r1", "a1", 0.0, 2.0)
+    same = Placement("q", "r1", "a1", 0.0, 1.0)
+    other = Placement("q", "r2", "a1", 0.0, 1.0)
+    report = _readiness_entries(cluster, dag, cdag, {"p": prior, "q": same})
     assert tuple(report) == (("q", 2.0),)
-    report = _readiness_entries(cluster, dag, cdag, {"C1": prior, "C2": other})
+    report = _readiness_entries(cluster, dag, cdag, {"p": prior, "q": other})
     assert tuple(report) == (("q", 7.0),)
 
 
-def assignment_for(partials, agent_id="a1"):
-    mapping = {p.cluster_id: agent_id for p in partials}
-    counts = {agent_id: sum(len(p.placements) for p in partials)}
-    return Assignment(mapping, counts)
+def flattened(partials):
+    """The placements of ``partials`` in one task-keyed map, in the order
+    the broker's store takes them: partial by partial, each in its order."""
+    return {t: p for partial in partials for t, p in partial.placements.items()}
 
 
 def test_repair_keeps_consistent_schedules_unchanged():
@@ -516,7 +515,7 @@ def test_repair_keeps_consistent_schedules_unchanged():
         PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 2.0)}),
         PartialSchedule("C2", {"b": Placement("b", "r1", "a1", 2.0, 5.0)}),
     ]
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    schedule = assemble_and_repair(flattened(partials), dag)
     # unmoved placements are kept as they are, not rebuilt
     assert by_task(schedule)["a"] is partials[0].placements["a"]
     assert by_task(schedule)["b"] is partials[1].placements["b"]
@@ -537,7 +536,7 @@ def test_repair_is_never_handed_a_nan_placement():
                 "C2", {"b": Placement("b", "r2", "a1", math.nan, math.nan)}
             ),
         ]
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
 
 
 @pytest.mark.parametrize("first,second,named", [
@@ -557,7 +556,7 @@ def test_repair_refuses_a_handed_in_infinite_end(first, second, named):
     with pytest.raises(
         ValidationError, match=f"^placement of '{named}': end must be finite$"
     ):
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
 
 
 @pytest.mark.parametrize("chained", [False, True], ids=["dag-edge", "chain-edge"])
@@ -576,7 +575,7 @@ def test_repair_names_the_task_its_push_overflows(chained):
         ),
     ]
     with pytest.raises(ValidationError, match="^task 'b' would end past"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
 
 
 def test_repair_pushes_overlap_apart_and_recheck_dependencies():
@@ -587,7 +586,7 @@ def test_repair_pushes_overlap_apart_and_recheck_dependencies():
         PartialSchedule("C1", {"x": Placement("x", "r1", "a1", 0.0, 4.0)}),
         PartialSchedule("C2", {"y": Placement("y", "r1", "a1", 2.0, 4.0)}),
     ]
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    schedule = assemble_and_repair(flattened(partials), dag)
     x, y = by_task(schedule)["x"], by_task(schedule)["y"]
     assert x.start == 0.0 and x.end == 4.0
     assert y.start == 4.0 and y.end == 6.0  # pushed behind x, comm waived on r1
@@ -617,7 +616,7 @@ def test_repair_order_is_not_the_sorted_placements():
     by_sort = sorted(merged, key=lambda p: (p.start, p.end, p.task_id))
     assert [p.task_id for p in by_sort] == ["w", "x", "a", "b"]
 
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    schedule = assemble_and_repair(flattened(partials), dag)
     spans = {t: (p.start, p.end) for t, p in by_task(schedule).items()}
     assert spans == {
         "w": (0.0, 2.0), "x": (2.0, 4.0), "b": (4.0, 4.0), "a": (4.0, 4.0)
@@ -640,7 +639,7 @@ def test_repair_releases_a_chain_predecessor_that_is_also_a_dag_predecessor():
             "b": Placement("b", "r1", "a1", 3.0, 4.0),
         }),
     ]
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    schedule = assemble_and_repair(flattened(partials), dag)
     spans = {t: (p.start, p.end) for t, p in by_task(schedule).items()}
     assert spans == {"w": (0.0, 2.0), "a": (2.0, 4.0), "b": (4.0, 5.0)}
     resources = [ResourceSpec("r1", "r1", "c", "f", 8.0, 8.0, 90.0)]
@@ -650,25 +649,55 @@ def test_repair_releases_a_chain_predecessor_that_is_also_a_dag_predecessor():
 
 def repair_args(monkeypatch, tasks, num_agents, num_resources):
     """The arguments ``orchestrate`` passes to ``assemble_and_repair`` for
-    ``tasks`` on ``make_pool(random.Random(7), num_agents, num_resources)``."""
+    ``tasks`` on ``make_pool(random.Random(7), num_agents, num_resources)``,
+    the placement map copied before the call uses it up."""
     captured = []
 
-    def spy(*args):
-        captured.append(args)
-        return assemble_and_repair(*args)
+    def spy(placements, dag):
+        captured.append((dict(placements), dag))
+        return assemble_and_repair(placements, dag)
 
     monkeypatch.setattr(broker_module, "assemble_and_repair", spy)
     orchestrate(tasks, *make_pool(random.Random(7), num_agents, num_resources))
     return captured[0]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_the_repair_gets_the_placements_in_phase_2_order(seed, monkeypatch):
+    # The store takes each ClusterScheduled reply's tasks in log order, and
+    # phase 3 replaces placements where they stand, so the repair's seeds,
+    # and which overflow it names, follow the phase-2 decisions.
+    handed = []
+
+    def spy(placements, dag):
+        handed.append(list(placements))
+        return assemble_and_repair(placements, dag)
+
+    monkeypatch.setattr(broker_module, "assemble_and_repair", spy)
+    rng = random.Random(seed)
+    instances = [corpus_instance(seed), off_grid_instance(rng)]
+    if not fits_nowhere(mixed := mixed_pool_instance(rng)):
+        instances.append(mixed)
+    for instance in instances:
+        handed.clear()
+        result = orchestrate(instance.tasks, instance.resources, instance.agents)
+        scheduled = [
+            t
+            for e in result.log
+            if e.kind is MessageKind.CLUSTER_SCHEDULED
+            for t in e.payload.placements
+        ]
+        assert handed == [scheduled]
+
+
 def test_repair_peak_memory_stays_small(monkeypatch):
     # The resource-chain predecessors sit in their own map instead of a
     # copy of every chained task's predecessors, and the sweep keeps no
     # sorted node list or rank map. Before, this call peaked at 0.88 MB
-    # above the live set.
+    # above the live set, and at 0.53 MB while it built its own copy of the
+    # placement map; repairing the map it is handed leaves 0.47 MB.
     args = repair_args(monkeypatch, generate_workload(99, 2000, 25, 0.01), 10, 30)
-    assert peak_above_live(assemble_and_repair, *args) <= 0.75e6
+    assert peak_above_live(assemble_and_repair, *args) <= 0.55e6
 
 
 def test_repair_peak_memory_when_nothing_moves(monkeypatch):
@@ -676,12 +705,13 @@ def test_repair_peak_memory_when_nothing_moves(monkeypatch):
     # check pass finds no broken constraint and no successor or in-degree
     # map is built. A sweep over the whole job peaked here at 1.00 MB above
     # the live set, and sorting by a (start, task id) tuple per task at
-    # 0.53 MB; two stable sorts without key tuples leave it at 0.37 MB.
+    # 0.53 MB; two stable sorts without key tuples left it at 0.16 MB, and
+    # repairing the handed-in map instead of a copy of it at 0.12 MB.
     args = repair_args(monkeypatch, generate_workload(1, 4000, 4, 0.002), 2, 4)
-    given = {t: p for partial in args[0] for t, p in partial.placements.items()}
+    given = dict(args[0])
     schedule = assemble_and_repair(*args)
     assert all(p is given[p.task_id] for p in schedule.placements)
-    assert peak_above_live(assemble_and_repair, *args) <= 0.45e6
+    assert peak_above_live(assemble_and_repair, given, args[1]) <= 0.15e6
 
 
 def test_run_peak_memory_on_a_dense_layered_job():
@@ -697,8 +727,10 @@ def test_run_peak_memory_on_a_long_timelines_job():
     # Clustering keeps a member list only for a part that has merged,
     # ``Placement`` is slotted, and the repair's checks build no set or map
     # keyed by every task. This run peaked at 1.955 MB above the live set
-    # in the repair, and at 1.66 MB in clustering; now at about 1.534 MB,
-    # still in the repair, with clustering at 1.13 MB and phase 2 at 1.18.
+    # in the repair, and at 1.66 MB in clustering; with one placement store
+    # from phase 2 on and no merged copy of it, now at about 1.50 MB, still
+    # in the repair's chain sorts; phases 1-3, the store alive, peak at
+    # 1.45 MB.
     tasks = generate_workload(5, 4000, 4, 0.002)
     pool = make_pool(random.Random(7), 2, 4)
     assert peak_above_live(orchestrate, tasks, *pool) <= 1.64e6
@@ -708,27 +740,28 @@ def check_repair_against_reference(rng, kind):
     """``assemble_and_repair`` on ``repair_instance(rng, kind)`` gives the
     schedule and deadline violations of ``reference_repair``, keeps each
     placement the reference leaves in place as the same object, or raises
-    the same ``StructuralError``."""
+    the same ``StructuralError``. Returns whether both refused the input."""
     partials, dag = repair_instance(rng, kind)
+    given = flattened(partials)
     try:
-        expected = reference_repair(partials, dag)
+        expected = reference_repair(given, dag)
     except StructuralError as exc:
         expected = exc
     try:
-        schedule = assemble_and_repair(partials, dag, assignment_for(partials, "A1"))
+        schedule = assemble_and_repair(dict(given), dag)
     except StructuralError as exc:
         schedule = exc
     if isinstance(expected, StructuralError) or isinstance(schedule, StructuralError):
         assert repr(schedule) == repr(expected)
-        return
+        return True
     assert schedule_to_csv(schedule) == schedule_to_csv(expected)
     assert schedule.deadline_violations == expected.deadline_violations
-    given = {t: p for partial in partials for t, p in partial.placements.items()}
     repaired = by_task(schedule)
     for p in expected.placements:
         q = given[p.task_id]
         if (p.start, p.end) == (q.start, q.end):
             assert repaired[p.task_id] is q
+    return False
 
 
 @settings(deadline=None, max_examples=150)
@@ -743,7 +776,7 @@ def test_repair_reports_deadline_violations():
     partials = [
         PartialSchedule("C1", {"late": Placement("late", "r1", "a1", 0.0, 5.0)})
     ]
-    schedule = assemble_and_repair(partials, dag, assignment_for(partials))
+    schedule = assemble_and_repair(flattened(partials), dag)
     assert schedule.deadline_violations == ("late",)
 
 
@@ -760,31 +793,25 @@ def test_repair_rejects_resource_order_against_a_dependency():
         )
     ]
     with pytest.raises(StructuralError, match="circular constraints"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
-
-
-def test_repair_rejects_a_task_placed_twice():
-    dag = build_dag([task("a")])
-    partials = [
-        PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 1.0)}),
-        PartialSchedule("C2", {"a": Placement("a", "r1", "a1", 1.0, 2.0)}),
-    ]
-    with pytest.raises(StructuralError, match="'a' placed twice"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
-
-
-def test_repair_rejects_a_cluster_scheduled_by_another_agent():
-    dag = build_dag([task("a")])
-    partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a2", 0.0, 1.0)})]
-    with pytest.raises(StructuralError, match="scheduled by 'a2', assigned to 'a1'"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
 
 
 def test_repair_rejects_a_missing_task():
     dag = build_dag([task("a"), task("b")])
     partials = [PartialSchedule("C1", {"a": Placement("a", "r1", "a1", 0.0, 1.0)})]
     with pytest.raises(StructuralError, match="no placement for tasks: b"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
+
+
+def test_repair_names_a_missing_task_before_an_unknown_one():
+    # as many placements as tasks, but for the wrong set of tasks
+    dag = build_dag([task("a"), task("b")])
+    placements = {
+        "a": Placement("a", "r1", "a1", 0.0, 1.0),
+        "ghost": Placement("ghost", "r1", "a1", 1.0, 2.0),
+    }
+    with pytest.raises(StructuralError, match="^no placement for tasks: b$"):
+        assemble_and_repair(placements, dag)
 
 
 def test_repair_rejects_an_unknown_task():
@@ -799,7 +826,7 @@ def test_repair_rejects_an_unknown_task():
         )
     ]
     with pytest.raises(StructuralError, match="unknown tasks: ghost"):
-        assemble_and_repair(partials, dag, assignment_for(partials))
+        assemble_and_repair(flattened(partials), dag)
 
 
 def test_topological_order_rejects_cyclic_cluster_graph():

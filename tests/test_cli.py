@@ -199,6 +199,29 @@ def test_malformed_xml_exits_1(demo_inputs, tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_bad_agent_map_exits_1_alike_from_schedule_and_validate(
+    demo_inputs, tmp_path, capsys
+):
+    # validate checks the map itself; schedule leaves it to orchestrate
+    tasks, resources, agents = demo_inputs
+    schedule = tmp_path / "first" / "schedule.csv"
+    assert run_schedule(demo_inputs, schedule.parent) == 0
+    agents.write_text(agents.read_text() + "ghost: R99\n")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    inputs = ["--tasks", str(tasks), "--resources", str(resources),
+              "--agents", str(agents)]
+    errors = []
+    for argv in (["schedule", *inputs, "--out", str(out)],
+                 ["validate", *inputs, "--schedule", str(schedule)]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: agent 'ghost' manages unknown resource 'R99'\n"] * 2
+    assert not out.exists()
+
+
 def test_non_utf8_task_file_exits_1(demo_inputs, tmp_path, capsys):
     tasks, resources, agents = demo_inputs
     tasks.write_bytes(b"\xff\xfe<tasks></tasks>")
