@@ -15,7 +15,6 @@ from .agent import (
     schedule_cluster,
 )
 from .broker import (
-    Assignment,
     Broker,
     OrchestrationResult,
     assemble_and_repair,

@@ -1,8 +1,8 @@
 """Protocol driver: distribute clusters, collect and adjust schedules, assemble.
 
 The broker never tracks resource timelines; that state lives inside the
-agents. It knows only the task DAG, the cluster DAG, the assignment, and the
-placements reported back over the message channel.
+agents. It knows only the task DAG, the cluster DAG, the cluster-to-agent
+map, and the placements reported back over the message channel.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from .model import (
     AgentSpec,
     FinalSchedule,
     Placement,
-    Record,
     ResourceSpec,
     TaskSpec,
-    _set,
     validate_agent_map,
 )
 from .protocol import BROKER, USER, Message, MessageKind, MessageLog, ReadinessReport
 
 __all__ = [
-    "Assignment",
     "OrchestrationResult",
     "Broker",
     "host_masks",
@@ -38,21 +35,6 @@ __all__ = [
     "orchestrate",
     "assemble_and_repair",
 ]
-
-
-class Assignment(Record):
-    """Cluster-to-agent mapping plus the greedy per-agent task counts."""
-
-    __slots__ = ("cluster_to_agent", "tasks_per_agent")
-
-    def __init__(
-        self,
-        # in dispatch order: the quotient's topological order
-        cluster_to_agent: dict[str, str],
-        tasks_per_agent: dict[str, int],
-    ) -> None:
-        _set(self, "cluster_to_agent", cluster_to_agent)
-        _set(self, "tasks_per_agent", tasks_per_agent)
 
 
 def host_masks(
@@ -96,12 +78,13 @@ def distribute(
     cluster_dag: ClusterDag,
     agents: Sequence[AgentSpec],
     hosts: dict[str, int],
-) -> Assignment:
-    """Hand clusters out in topological order, each to the least-loaded of
-    its hosts: the agents set in the AND of its tasks' ``hosts`` masks
-    (:func:`host_masks`), never none after :func:`cluster_tasks`. Load is
-    the task count received so far; count ties fall to the ascending agent
-    id, topological ties to the cluster with the least task id.
+) -> dict[str, str]:
+    """Map cluster ids to agent ids in dispatch order: topological, each
+    cluster to the least-loaded of its hosts, the agents set in the AND of
+    its tasks' ``hosts`` masks (:func:`host_masks`), never none after
+    :func:`cluster_tasks`. Load is the task count received so far; count
+    ties fall to the ascending agent id, topological ties to the cluster
+    with the least task id.
     """
     if not agents:
         raise ValidationError("at least one agent is required")
@@ -116,7 +99,7 @@ def distribute(
         agent_id = min(able, key=lambda a: (counts[a], a))
         mapping[cluster.cluster_id] = agent_id
         counts[agent_id] += len(cluster.tasks)
-    return Assignment(mapping, counts)
+    return mapping
 
 
 def assemble_and_repair(
@@ -275,12 +258,12 @@ def _repair_order(
 
 
 class OrchestrationResult:
-    """Everything one run produces: schedule, assignment, graphs, message log."""
+    """Everything one run produces: schedule, cluster-to-agent map, graphs, log."""
 
     def __init__(
         self,
         schedule: FinalSchedule,
-        assignment: Assignment,
+        assignment: dict[str, str],
         cluster_dag: ClusterDag,
         dag: TaskDag,
         log: MessageLog,
@@ -317,7 +300,7 @@ class Broker:
         # ignored; agents start from time 0 on their own timelines.
         placed: dict[str, Placement] = {}  # the one placement store
         _exchange(log, actors, assignment, MessageKind.ASSIGN_CLUSTER, {
-            cid: cluster_dag.by_id[cid] for cid in assignment.cluster_to_agent
+            cid: cluster_dag.by_id[cid] for cid in assignment
         }, placed)
 
         # Phase 3: sweep the cluster levels; the first level stands as-is,
@@ -340,7 +323,7 @@ class Broker:
 def _exchange(
     log: MessageLog,
     actors: dict[str, AgentActor],
-    assignment: Assignment,
+    assignment: dict[str, str],
     kind: MessageKind,
     payloads: dict[str, object],
     placed: dict[str, Placement],
@@ -349,24 +332,19 @@ def _exchange(
     ``assignment`` and put the replies' placements into ``placed``.
 
     ``payloads`` maps cluster ids to request payloads, in request order. The
-    log records the requests, then the replies in request order, and
-    ``placed`` takes each reply's placements in that order: a new task goes
-    to the end of the map, a placed one keeps its position. Agents answer
-    in ascending agent-id order, each taking its requests in the order
-    given.
+    log records the requests, then serves them in that order: each agent
+    answers its request, the log records the reply and ``placed`` takes its
+    placements, where a new task goes to the end of the map and a placed
+    one keeps its position.
     """
     requests = [
-        Message(kind, BROKER, assignment.cluster_to_agent[cid], payload, cluster_id=cid)
+        Message(kind, BROKER, assignment[cid], payload, cluster_id=cid)
         for cid, payload in payloads.items()
     ]
     for request in requests:
         log.record(request)
-    replies = {
-        r.cluster_id: actors[r.receiver].handle(r)
-        for r in sorted(requests, key=lambda r: r.receiver)
-    }
     for request in requests:
-        reply = replies[request.cluster_id]
+        reply = actors[request.receiver].handle(request)
         log.record(reply)
         placed.update(reply.payload.placements)
 

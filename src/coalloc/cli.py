@@ -148,13 +148,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     # Keep only what the artifacts need: the parsed inputs and the task DAG
     # are dropped before the writers allocate their buffers.
     schedule, log, cluster_dag = result.schedule, result.log, result.cluster_dag
-    tasks_per_agent = result.assignment.tasks_per_agent
+    agent_ids = [a.agent_id for a in agents]
     del tasks, resources, agents, result
 
     out = args.out
     try:
         _write(out / "schedule.csv", schedule_to_csv(schedule))
-        metrics = harness.compute_metrics(schedule, tasks_per_agent)
+        metrics = harness.compute_metrics(schedule, agent_ids)
         _write_metrics_artifacts(out, metrics)
         if args.emit_gantt:
             _fill(out / "gantt.svg", lambda f: render.gantt_svg(schedule, f))

@@ -218,7 +218,7 @@ def compute_metrics(
     """Tasks per agent, makespan, per-resource busy time, and balance spread.
 
     ``agent_ids`` only widens the agent set, so idle agents show up with a
-    zero count (pass ``Assignment.tasks_per_agent`` after a broker run).
+    zero count (pass every agent's id after a broker run).
     """
     counts: dict[str, int] = {a: 0 for a in sorted(agent_ids)}
     busy: dict[str, float] = {}

@@ -718,7 +718,10 @@ def parse_agent_map(text: str) -> list[AgentSpec]:
                 )
             seen_resources.add(rid)
         seen_agents.add(agent_id)
-        agents.append(AgentSpec(agent_id, resources))
+        try:
+            agents.append(AgentSpec(agent_id, resources))
+        except ValidationError as exc:
+            raise ValidationError(f"agent map line {lineno}: {exc}") from None
     return agents
 
 
@@ -800,13 +803,10 @@ def placements_from_csv(text: str) -> list[Placement]:
             raise ValidationError(
                 f"schedule line {lineno}: start/end must be finite"
             )
-        placements.append(
-            Placement(
-                task_id=row["taskId"],
-                resource_id=row["resourceId"],
-                agent_id=row["agentId"],
-                start=start,
-                end=end,
-            )
-        )
+        try:
+            placements.append(Placement(
+                row["taskId"], row["resourceId"], row["agentId"], start, end
+            ))
+        except ValidationError as exc:
+            raise ValidationError(f"schedule line {lineno}: {exc}") from None
     return placements

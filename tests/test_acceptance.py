@@ -166,7 +166,8 @@ def test_criterion_1_balance_scenario(engineered):
     started = time.perf_counter()
     result = orchestrate(engineered.tasks, engineered.resources, engineered.agents)
     elapsed = time.perf_counter() - started
-    metrics = compute_metrics(result.schedule, result.assignment.tasks_per_agent)
+    agent_ids = [a.agent_id for a in engineered.agents]
+    metrics = compute_metrics(result.schedule, agent_ids)
     quota = max_cluster_size(len(engineered.tasks), len(engineered.agents))
     ok = (
         quota == 3

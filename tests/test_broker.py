@@ -27,6 +27,7 @@ from coalloc import (
     assignment_dump,
     build_dag,
     cluster_tasks,
+    compute_metrics,
     distribute,
     generate_workload,
     host_masks,
@@ -100,12 +101,20 @@ def hosts_of(cdag, resources, agents):
     return host_masks(dag, resources, agents)
 
 
+def loads(cdag, assignment, agents):
+    """Tasks per agent id that ``assignment`` gives each of ``agents``."""
+    counts = {a.agent_id: 0 for a in agents}
+    for cluster_id, agent_id in assignment.items():
+        counts[agent_id] += len(cdag.by_id[cluster_id].tasks)
+    return counts
+
+
 def test_distribute_balanced_three_clusters():
     cdag = cluster_dag([3, 3, 2])
     resources, agents = pool(3)
     assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
-    assert assignment.tasks_per_agent == {"agent1": 3, "agent2": 3, "agent3": 2}
-    assert assignment.cluster_to_agent == {
+    assert loads(cdag, assignment, agents) == {"agent1": 3, "agent2": 3, "agent3": 2}
+    assert assignment == {
         "C1": "agent1",
         "C2": "agent2",
         "C3": "agent3",
@@ -122,26 +131,26 @@ def test_distribute_single_cluster_prefers_lowest_agent():
     cdag = cluster_dag([4])
     resources, agents = pool(5)
     assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
-    assert assignment.cluster_to_agent == {"C1": "agent1"}
+    assert assignment == {"C1": "agent1"}
 
 
 def test_distribute_greedy_matches_step_simulation():
     cdag = cluster_dag([2, 2, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C4")])
     resources, agents = pool(2)
     assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
-    assert list(assignment.cluster_to_agent) == ["C1", "C2", "C3", "C4"]  # dispatch order
-    assert assignment.cluster_to_agent == {
+    assert list(assignment) == ["C1", "C2", "C3", "C4"]  # dispatch order
+    assert assignment == {
         "C1": "agent1",
         "C2": "agent2",
         "C3": "agent1",
         "C4": "agent2",
     }
-    assert assignment.tasks_per_agent == {"agent1": 3, "agent2": 3}
+    assert loads(cdag, assignment, agents) == {"agent1": 3, "agent2": 3}
     # replay the rule by hand
     counts = {"agent1": 0, "agent2": 0}
     for cluster in cdag.topological_order():
         chosen = min(counts, key=lambda a: (counts[a], a))
-        assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
+        assert assignment[cluster.cluster_id] == chosen
         counts[chosen] += len(cluster.tasks)
 
 
@@ -226,9 +235,9 @@ def test_distribute_respects_eligibility_on_mixed_pools(case):
     for cluster in cdag.topological_order():
         able = [a.agent_id for a in agents if all(hosts(a, t) for t in cluster.tasks)]
         chosen = min(able, key=lambda a: (counts[a], a))
-        assert assignment.cluster_to_agent[cluster.cluster_id] == chosen
+        assert assignment[cluster.cluster_id] == chosen
         counts[chosen] += len(cluster.tasks)
-    assert assignment.tasks_per_agent == counts
+    assert loads(cdag, assignment, agents) == counts
     result = orchestrate(tasks, resources, agents)
     assert result.assignment == assignment
     assert validate_schedule(result.schedule, dag, resources, agents).is_empty()
@@ -274,7 +283,7 @@ def test_tasks_that_share_no_host_go_to_separate_clusters():
     agents = [AgentSpec("agent1", ("r1",)), AgentSpec("agent2", ("r2",))]
     result = orchestrate(tasks, resources, agents)
     assert [c.tasks for c in result.cluster_dag.clusters] == [("a",), ("b",)]
-    assert result.assignment.cluster_to_agent == {"C1": "agent2", "C2": "agent1"}
+    assert result.assignment == {"C1": "agent2", "C2": "agent1"}
     assert rows(result) == [
         ("a", "r2", "agent2", 0.0, 1.0), ("b", "r1", "agent1", 1.5, 2.5),
     ]
@@ -288,7 +297,7 @@ def test_cluster_goes_to_the_one_agent_that_hosts_it():
                  ResourceSpec("r2", memory=8.0, cpu_power=4.0)]
     agents = [AgentSpec("agent1", ("r1",)), AgentSpec("agent2", ("r2",))]
     result = orchestrate(tasks, resources, agents)
-    assert result.assignment.cluster_to_agent == {"C1": "agent2"}
+    assert result.assignment == {"C1": "agent2"}
     assert [p.resource_id for p in result.schedule.placements] == ["r2"]
 
 
@@ -464,10 +473,24 @@ def test_rigid_shift_past_the_largest_float_is_rejected():
         orchestrate(tasks, resources, agents)
 
 
-def test_agents_answer_in_ascending_id_order(monkeypatch):
-    # Singleton clusters C1, C2, C3 go to a1, a2, a1. Requested in cluster
-    # order, a1 answers for C1 and C3 before a2 answers for C2; the log
-    # still lists the replies in request order.
+def test_two_overflows_in_one_exchange_name_the_first_request():
+    # C1 = {a} -> a1, C2 = {b, b2} -> a2, C3 = {c, c2} -> a1. Both C2 and C3
+    # overflow in phase 2; agents answer in request order, so C2's b2 is
+    # named, not C3's c2 on the agent whose id is least.
+    huge = 1.7e308
+    tasks = [task("a"), task("b", huge), task("c", huge),
+             task("b2", huge, [("b", 0.0)]), task("c2", huge, [("c", 0.0)])]
+    resources = [
+        ResourceSpec(rid, cpu_power=4.0, memory=4.0) for rid in ("r1", "r2")
+    ]
+    agents = [AgentSpec("a2", ("r2",)), AgentSpec("a1", ("r1",))]
+    with pytest.raises(ValidationError, match="task 'b2' would end past"):
+        orchestrate(tasks, resources, agents)
+
+
+def test_agents_answer_in_request_order(monkeypatch):
+    # Singleton clusters C1, C2, C3 go to a1, a2, a1 and are answered in
+    # that order, as the log lists the replies.
     tasks = [task("t1"), task("t2"), task("t3")]
     resources = [
         ResourceSpec(rid, cpu_power=4.0, memory=4.0) for rid in ("r1", "r2")
@@ -482,8 +505,8 @@ def test_agents_answer_in_ascending_id_order(monkeypatch):
 
     monkeypatch.setattr(AgentActor, "handle", spy)
     result = orchestrate(tasks, resources, agents)
-    assert result.assignment.cluster_to_agent == {"C1": "a1", "C2": "a2", "C3": "a1"}
-    assert handled == [("a1", "C1"), ("a1", "C3"), ("a2", "C2")]
+    assert result.assignment == {"C1": "a1", "C2": "a2", "C3": "a1"}
+    assert handled == [("a1", "C1"), ("a2", "C2"), ("a1", "C3")]
     replies = [e for e in result.log if e.kind is MessageKind.CLUSTER_SCHEDULED]
     assert [e.cluster_id for e in replies] == ["C1", "C2", "C3"]
 
@@ -862,7 +885,9 @@ def test_empty_task_set_orchestrates_to_empty_schedule():
     result = orchestrate([], resources, agents)
     assert result.schedule.placements == ()
     assert result.schedule.makespan == 0.0
-    assert result.assignment.tasks_per_agent == {"agent1": 0, "agent2": 0}
+    agent_ids = [a.agent_id for a in agents]
+    metrics = compute_metrics(result.schedule, agent_ids)
+    assert metrics.tasks_per_agent == {"agent1": 0, "agent2": 0}
 
 
 @st.composite
@@ -952,7 +977,7 @@ def test_declaration_order_never_reaches_an_artifact(rng, off_grid):
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_task_order_never_reaches_an_artifact(rng, off_grid):
     # Clusters are dispatched in the quotient's topological order, which
-    # only the insertion order of ``cluster_to_agent`` keeps.
+    # only the insertion order of the cluster-to-agent map keeps.
     instance = drawn_instance(rng, off_grid)
     shuffled = list(instance.tasks)
     rng.shuffle(shuffled)

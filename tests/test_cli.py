@@ -347,17 +347,58 @@ def test_rigid_shift_overflow_exits_1(tmp_path, capsys):
     ]
     resources = [ResourceSpec(f"N{i}", cpu_power=4.0, memory=4.0) for i in (1, 2, 3)]
     agents = [AgentSpec(f"a{i}", (f"N{i}",)) for i in (1, 2, 3)]
+    assert_overflow_exits_1(write_job(tmp_path, tasks, resources, agents), capsys, "y")
+
+
+def test_two_overflows_in_one_exchange_exit_1(tmp_path, capsys):
+    # C2 = {b, b2} on a2 and C3 = {c, c2} on a1 both overflow in phase 2;
+    # agents answer in request order, so C2's b2 is named
+    huge = 1.7e308
+    tasks = [
+        TaskSpec("a", 1.0, 1.0, 1.0),
+        TaskSpec("b", huge, 1.0, 1.0),
+        TaskSpec("c", huge, 1.0, 1.0),
+        TaskSpec("b2", huge, 1.0, 1.0, dependencies=(Dependency("b", 0.0),)),
+        TaskSpec("c2", huge, 1.0, 1.0, dependencies=(Dependency("c", 0.0),)),
+    ]
+    resources = [ResourceSpec(r, cpu_power=4.0, memory=4.0) for r in ("r1", "r2")]
+    agents = [AgentSpec("a2", ("r2",)), AgentSpec("a1", ("r1",))]
+    assert_overflow_exits_1(write_job(tmp_path, tasks, resources, agents), capsys, "b2")
+
+
+def write_job(tmp_path, tasks, resources, agents):
+    """The paths of ``tasks.xml``, ``resources.xml`` and ``agents.txt``,
+    written under ``tmp_path``."""
     inputs = [tmp_path / name for name in ("tasks.xml", "resources.xml", "agents.txt")]
     inputs[0].write_text(serialize_task_set(tasks))
     inputs[1].write_text(serialize_resource_set(resources))
     inputs[2].write_text(serialize_agent_map(agents))
-    out = tmp_path / "out"
+    return inputs
+
+
+def assert_overflow_exits_1(inputs, capsys, task_id):
+    """``coalloc schedule`` on ``inputs`` exits 1 with one line naming
+    ``task_id`` and makes no out directory."""
+    out = inputs[0].parent / "out"
     assert run_schedule(inputs, out) == 1
     assert capsys.readouterr().err == (
-        "error: task 'y' would end past the largest finite time; "
+        f"error: task {task_id!r} would end past the largest finite time; "
         "its processing and communication times are too large\n"
     )
     assert not out.exists()
+
+
+def test_idle_agents_are_counted_with_zero_tasks(tmp_path, capsys):
+    # one task on three agents: the counts come from the agent map, not
+    # only from the agents that the schedule names
+    resources = [ResourceSpec(f"N{i}", cpu_power=4.0, memory=4.0) for i in (1, 2, 3)]
+    agents = [AgentSpec(f"a{i}", (f"N{i}",)) for i in (3, 1, 2)]
+    inputs = write_job(tmp_path, [TaskSpec("t", 1.0, 1.0, 1.0)], resources, agents)
+    out = tmp_path / "out"
+    assert run_schedule(inputs, out) == 0
+    assert capsys.readouterr().out.endswith("; a1=1 a2=0 a3=0\n")
+    assert (out / "tasks_per_agent.csv").read_text() == "agentId,count\na1,1\na2,0\na3,0\n"
+    assert "tasksPerAgent,a3,0\n" in (out / "metrics.csv").read_text()
 
 
 @pytest.mark.parametrize("command", ["metrics", "validate"])

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import coalloc
 from coalloc import (
     AgentSpec,
-    Assignment,
     Cluster,
     Dependency,
     FinalSchedule,
@@ -345,6 +344,20 @@ def test_agent_map_comments_and_errors():
         parse_agent_map("agent1: P01\nagent1: P02\n")
 
 
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        (": r1\n", "^agent map line 1: agentId must be nonempty$"),
+        ("# layout\n\na:\n",
+         "^agent map line 3: agent 'a' must manage at least one resource$"),
+        ("b: r1\na: ,\n", "^agent map line 2: agent 'a' must manage at least one resource$"),
+    ],
+)
+def test_agent_map_field_errors_name_their_line(text, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_agent_map(text)
+
+
 def test_validate_agent_map_partition():
     resources = [
         ResourceSpec("P01", cpu_power=1.0, memory=1.0),
@@ -413,6 +426,19 @@ def test_ascii_decimals_parse(token):
     assert parse_resource_file(node_doc)[0].memory == float(token)
     [placement] = placements_from_csv(row)
     assert placement.start == placement.end == float(token)
+
+
+@pytest.mark.parametrize(
+    "start,end,match",
+    [
+        ("2", "1", "^schedule line 3: placement of 'b': end precedes start$"),
+        ("-1", "1", "^schedule line 3: placement of 'b': start must be nonnegative$"),
+    ],
+)
+def test_schedule_csv_field_errors_name_their_line(start, end, match):
+    text = f"taskId,resourceId,agentId,start,end\na,P01,x,0,1\nb,P01,x,{start},{end}\n"
+    with pytest.raises(ValidationError, match=match):
+        placements_from_csv(text)
 
 
 def test_schedule_csv_rejects_a_short_row():
@@ -724,7 +750,6 @@ RECORDS = [
     PartialSchedule("C1", {"a": _placement()}),
     ReadinessReport(("a",), array("d", [1.5])),
     Message(MessageKind.SUBMIT_TASKS, "user", "broker", 3),
-    Assignment({"C1": "x"}, {"x": 2}),
     ViolationReport(overlaps=[("r", "a", "b")]),
     Metrics({"x": 2}, 1.0, {"r": 1.0}, 0),
 ]
