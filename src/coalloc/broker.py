@@ -74,17 +74,12 @@ def host_masks(
     return masks
 
 
-def distribute(
-    cluster_dag: ClusterDag,
-    agents: Sequence[AgentSpec],
-    hosts: dict[str, int],
-) -> dict[str, str]:
+def distribute(cluster_dag: ClusterDag, agents: Sequence[AgentSpec]) -> dict[str, str]:
     """Map cluster ids to agent ids in dispatch order: topological, each
-    cluster to the least-loaded of its hosts, the agents set in the AND of
-    its tasks' ``hosts`` masks (:func:`host_masks`), never none after
-    :func:`cluster_tasks`. Load is the task count received so far; count
-    ties fall to the ascending agent id, topological ties to the cluster
-    with the least task id.
+    cluster to the least-loaded of its hosts, the agents set in its mask in
+    ``cluster_dag.hosts``, never none after :func:`cluster_tasks`. Load is
+    the task count received so far; count ties fall to the ascending agent
+    id, topological ties to the cluster with the least task id.
     """
     if not agents:
         raise ValidationError("at least one agent is required")
@@ -92,10 +87,8 @@ def distribute(
     counts = dict.fromkeys(ids, 0)
     mapping: dict[str, str] = {}
     for cluster in cluster_dag.topological_order():
-        common = -1
-        for task_id in cluster.tasks:
-            common &= hosts[task_id]
-        able = [a for i, a in enumerate(ids) if common >> i & 1]
+        mask = cluster_dag.hosts[cluster.cluster_id]
+        able = [a for i, a in enumerate(ids) if mask >> i & 1]
         agent_id = min(able, key=lambda a: (counts[a], a))
         mapping[cluster.cluster_id] = agent_id
         counts[agent_id] += len(cluster.tasks)
@@ -289,10 +282,8 @@ class Broker:
         log = MessageLog()  # one per run, so a reused broker starts clean
         log.record(Message(MessageKind.SUBMIT_TASKS, USER, BROKER, len(tasks)))
         dag = build_dag(tasks)
-        hosts = host_masks(dag, resources, agents)
-        cluster_dag = cluster_tasks(dag, len(agents), hosts)
-        assignment = distribute(cluster_dag, agents, hosts)
-        del hosts  # an entry per task, freed before the repair pass's peak
+        cluster_dag = cluster_tasks(dag, len(agents), host_masks(dag, resources, agents))
+        assignment = distribute(cluster_dag, agents)
 
         actors = {a.agent_id: AgentActor(a, resources, dag) for a in agents}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 from .errors import StructuralError, ValidationError
-from .graph import TaskDag, level_sweep, topological_sweep
+from .graph import TaskDag, level_sweep
 from .model import Record, _set
 
 # A part's neighbour slots: the list it was built with (the shared empty
@@ -44,45 +44,57 @@ class Cluster(Record):
 
 
 class ClusterDag:
-    """Quotient DAG: clusters as nodes, summed crossing costs as edge weights."""
+    """Quotient DAG: clusters as nodes, summed crossing costs as edge weights,
+    and in ``hosts`` each cluster's host mask, the AND of its tasks' masks."""
 
     def __init__(
-        self, clusters: list[Cluster], edges: dict[tuple[str, str], float]
+        self,
+        clusters: list[Cluster],
+        edges: dict[tuple[str, str], float],
+        hosts: dict[str, int],
     ) -> None:
         self.clusters = clusters
         self.edges = edges
+        self.hosts = hosts
         self.by_id: dict[str, Cluster] = {c.cluster_id: c for c in self.clusters}
         self.cluster_of: dict[str, str] = {
             t: c.cluster_id for c in self.clusters for t in c.tasks
         }
-        # In edge order, which neither ``levels`` nor ``topological_order`` observes.
-        self.preds: dict[str, list[str]] = {c.cluster_id: [] for c in self.clusters}
+
+    def _adjacency(self) -> tuple[dict[str, int], dict[str, list[str]]]:
+        """In-degrees and successor lists, read from ``edges`` in its order."""
+        indegree = dict.fromkeys(self.by_id, 0)
+        succs: dict[str, list[str]] = {}
         for a, b in self.edges:
-            self.preds[b].append(a)
+            indegree[b] += 1
+            succs.setdefault(a, []).append(b)
+        return indegree, succs
 
     def levels(self) -> list[list[Cluster]]:
         """Dependency levels of the quotient graph, each sorted by min task id."""
-        indegree = {cid: len(ps) for cid, ps in self.preds.items()}
-        succs: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            succs.setdefault(a, []).append(b)
         blocks = level_sweep(
-            indegree, succs, self.preds.__getitem__,
+            *self._adjacency(),
+            lambda cid: [a for a, b in self.edges if b == cid],  # on a cycle only
             key=lambda cid: self.by_id[cid].min_task,
         )
         return [[self.by_id[cid] for cid in block] for block in blocks]
 
     def topological_order(self) -> list[Cluster]:
         """Topological order; among ready clusters the least min task id goes first."""
-        # Swept by min task id, which names each cluster uniquely.
-        by_min = {c.min_task: c for c in self.clusters}
-        order = topological_sweep({
-            c.min_task: [self.by_id[p].min_task for p in self.preds[c.cluster_id]]
-            for c in self.clusters
-        })
+        indegree, succs = self._adjacency()
+        ready = [(self.by_id[cid].min_task, cid) for cid, n in indegree.items() if not n]
+        heapq.heapify(ready)
+        order: list[Cluster] = []
+        while ready:
+            cid = heapq.heappop(ready)[1]
+            order.append(self.by_id[cid])
+            for s in succs.get(cid, ()):
+                indegree[s] -= 1
+                if not indegree[s]:
+                    heapq.heappush(ready, (self.by_id[s].min_task, s))
         if len(order) != len(self.clusters):
             raise StructuralError("cluster graph is not acyclic")
-        return [by_min[t] for t in order]
+        return order
 
 
 def max_cluster_size(num_tasks: int, num_agents: int) -> int:
@@ -99,33 +111,36 @@ def assignment_dump(cluster_dag: ClusterDag) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _collapse(dag: TaskDag, parts: Iterable[Iterable[str]]) -> ClusterDag:
-    """Collapse parts that partition the tasks into a cluster DAG.
+def _collapse(dag: TaskDag, parts: Iterable[tuple[Iterable[str], int]]) -> ClusterDag:
+    """Collapse ``(tasks, mask)`` parts that partition the tasks into a
+    cluster DAG, each mask becoming its cluster's host mask.
 
-    Crossing edge costs are summed per ordered cluster pair; self-edges are
-    never emitted. Clusters are named C1, C2, ... in ascending order of their
-    smallest task id. The parts are not checked.
+    Crossing edge costs are summed per ordered cluster pair, through the
+    DAG's ``cluster_of``; self-edges are never emitted. Clusters are named
+    C1, C2, ... in ascending order of their smallest task id. The parts are
+    not checked.
     """
-    clusters = [
-        Cluster(f"C{i}", tasks)
-        for i, tasks in enumerate(sorted(tuple(sorted(p)) for p in parts), start=1)
-    ]
-    owner = {t: c.cluster_id for c in clusters for t in c.tasks}
-    edges: dict[tuple[str, str], float] = {}
+    ranked = sorted((tuple(sorted(tasks)), mask) for tasks, mask in parts)
+    cdag = ClusterDag(
+        [Cluster(f"C{i}", tasks) for i, (tasks, _) in enumerate(ranked, start=1)],
+        {}, {f"C{i}": mask for i, (_, mask) in enumerate(ranked, start=1)},
+    )
+    owner, edges = cdag.cluster_of, cdag.edges
     for succ, spec in dag.tasks.items():
         b = owner[succ]
         for dep in spec.dependencies:
             a = owner[dep.task_id]
             if a != b:
                 edges[(a, b)] = edges.get((a, b), 0.0) + dep.comm_time
-    return ClusterDag(clusters, edges)
+    return cdag
 
 
 def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> ClusterDag:
     """Greedily merge dependent tasks into clusters bounded by the quota.
 
     ``hosts`` maps each task to the int bitmask of the agents that can host
-    it (``broker.host_masks``); a part's mask is the AND of its tasks'. The
+    it (``broker.host_masks``); a part's mask is the AND of its tasks', and
+    each cluster keeps its mask in the cluster DAG's ``hosts``. The
     current cluster is always the unfinished one holding the smallest task
     id. It repeatedly absorbs a cluster that depends on it — preferring the
     candidate with the least contained task id — whenever the merged size
@@ -164,7 +179,7 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
     low: list[str] = list(dag.tasks)  # least task id per part
     if not low:
-        return ClusterDag([], {})
+        return ClusterDag([], {}, {})
     limit = max_cluster_size(len(low), num_agents)
     mask = [hosts[t] for t in low]
 
@@ -229,7 +244,7 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
 
     del preds, succs
     return _collapse(dag, (
-        members.get(i) or (low[i],) for i, n in enumerate(size) if n
+        (members.get(i) or (low[i],), mask[i]) for i, n in enumerate(size) if n
     ))
 
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import NoReturn, TypeVar
 
 from .errors import CycleError, StructuralError, UnknownReferenceError, ValidationError
@@ -109,33 +108,6 @@ def ready_order(indegree: dict[T, int], succs: Mapping[T, Sequence[T]]) -> list[
             indegree[s] -= 1
             if not indegree[s]:
                 order.append(s)
-    return order
-
-
-def topological_sweep(preds: Mapping[T, Collection[T]]) -> list[T]:
-    """Kahn's algorithm over the keys of ``preds``, least ready node first.
-
-    Every predecessor must itself be a key, and a predecessor listed twice
-    is released twice. Nodes on or behind a cycle never become ready, so on
-    a cyclic graph the result is shorter than ``preds``.
-    """
-    # Keyed by the nodes themselves: no sorted copy of them and no rank map.
-    indegree: dict[T, int] = {}
-    succs: dict[T, list[T]] = {node: [] for node in preds}
-    for node, ps in preds.items():
-        indegree[node] = len(ps)
-        for p in ps:
-            succs[p].append(node)
-    ready = [node for node, deg in indegree.items() if not deg]
-    heapq.heapify(ready)
-    order: list[T] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for s in succs[node]:
-            indegree[s] -= 1
-            if not indegree[s]:
-                heapq.heappush(ready, s)
     return order
 
 

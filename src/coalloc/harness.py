@@ -220,7 +220,7 @@ def compute_metrics(
     ``agent_ids`` only widens the agent set, so idle agents show up with a
     zero count (pass every agent's id after a broker run).
     """
-    counts: dict[str, int] = {a: 0 for a in sorted(agent_ids)}
+    counts: dict[str, int] = dict.fromkeys(agent_ids, 0)
     busy: dict[str, float] = {}
     for p in schedule.placements:
         counts[p.agent_id] = counts.get(p.agent_id, 0) + 1

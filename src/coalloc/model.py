@@ -779,7 +779,8 @@ def schedule_to_csv(schedule: FinalSchedule) -> str:
 
 
 def placements_from_csv(text: str) -> list[Placement]:
-    """Read schedule rows back into placements."""
+    """Read schedule rows back into placements. An error names the line its
+    record ends on (``reader.line_num``), blank and quoted lines counted."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ValidationError("schedule file is empty")
@@ -789,7 +790,8 @@ def placements_from_csv(text: str) -> list[Placement]:
             "schedule file lacks columns: " + ", ".join(missing)
         )
     placements: list[Placement] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num
         if None in (row[field] for field in SCHEDULE_FIELDS):
             raise ValidationError(f"schedule line {lineno}: too few fields")
         try:

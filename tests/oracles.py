@@ -16,7 +16,8 @@ iterating the release rule to a fixpoint, the float contract by
 exact rational arithmetic, and the validator by its former implementation,
 which sorted every task id and every row.
 Only ``quotient``, which checks a hand-written partition before the
-engine collapses it, imports ``coalloc.clustering``.
+engine collapses it, imports ``coalloc.clustering``; the clusters it
+makes have host mask -1, every agent.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def pred_ids(dag) -> dict:
 def quotient(dag, partition: list[set[str]]):
     """The engine's cluster DAG over ``partition``, once it is checked to
     partition the tasks of ``dag``: no empty, overlapping or unknown part,
-    and no task left out, each raising ``StructuralError``."""
+    and no task left out, each raising ``StructuralError``. Every cluster
+    gets host mask -1, meaning every agent hosts it."""
     from coalloc import StructuralError
     from coalloc.clustering import _collapse
 
@@ -99,7 +101,7 @@ def quotient(dag, partition: list[set[str]]):
         raise StructuralError(
             "partition misses tasks: " + ", ".join(sorted(uncovered))
         )
-    return _collapse(dag, partition)
+    return _collapse(dag, [(group, -1) for group in partition])
 
 
 def closure_by_squaring(nodes: list, pairs: set) -> dict:

@@ -85,20 +85,16 @@ def pool(num_agents, resources_per_agent=1):
     return resources, agents
 
 
-def cluster_dag(sizes, edges=()):
-    """Helper: clusters sized as given, tasks named to keep min-id order."""
+def cluster_dag(sizes, edges=(), hosts=None):
+    """Helper: clusters sized as given, tasks named to keep min-id order,
+    with the host masks ``hosts`` (by default -1: every agent hosts all)."""
     clusters, start = [], 1
     for i, size in enumerate(sizes, start=1):
         ids = tuple(f"x{j:02d}" for j in range(start, start + size))
         clusters.append(Cluster(f"C{i}", ids))
         start += size
-    return ClusterDag(clusters, {e: 1.0 for e in edges})
-
-
-def hosts_of(cdag, resources, agents):
-    """Host masks of the cluster DAG's tasks, each fitting ``pool``."""
-    dag = build_dag([task(t) for c in cdag.clusters for t in c.tasks])
-    return host_masks(dag, resources, agents)
+    hosts = hosts or {c.cluster_id: -1 for c in clusters}
+    return ClusterDag(clusters, {e: 1.0 for e in edges}, hosts)
 
 
 def loads(cdag, assignment, agents):
@@ -111,8 +107,8 @@ def loads(cdag, assignment, agents):
 
 def test_distribute_balanced_three_clusters():
     cdag = cluster_dag([3, 3, 2])
-    resources, agents = pool(3)
-    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
+    _, agents = pool(3)
+    assignment = distribute(cdag, agents)
     assert loads(cdag, assignment, agents) == {"agent1": 3, "agent2": 3, "agent3": 2}
     assert assignment == {
         "C1": "agent1",
@@ -124,20 +120,27 @@ def test_distribute_balanced_three_clusters():
 def test_distribute_needs_an_agent():
     cdag = cluster_dag([2])
     with pytest.raises(ValidationError, match="at least one agent"):
-        distribute(cdag, [], dict.fromkeys(cdag.cluster_of, 1))
+        distribute(cdag, [])
 
 
 def test_distribute_single_cluster_prefers_lowest_agent():
     cdag = cluster_dag([4])
-    resources, agents = pool(5)
-    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
+    _, agents = pool(5)
+    assignment = distribute(cdag, agents)
     assert assignment == {"C1": "agent1"}
+
+
+def test_distribute_sends_a_cluster_only_to_its_hosts():
+    # by load C2 would go to agent2, but only agent1 (bit 0) hosts it
+    cdag = cluster_dag([2, 2], hosts={"C1": 0b11, "C2": 0b01})
+    _, agents = pool(2)
+    assert distribute(cdag, agents) == {"C1": "agent1", "C2": "agent1"}
 
 
 def test_distribute_greedy_matches_step_simulation():
     cdag = cluster_dag([2, 2, 1, 1], edges=[("C1", "C2"), ("C2", "C3"), ("C3", "C4")])
-    resources, agents = pool(2)
-    assignment = distribute(cdag, agents, hosts_of(cdag, resources, agents))
+    _, agents = pool(2)
+    assignment = distribute(cdag, agents)
     assert list(assignment) == ["C1", "C2", "C3", "C4"]  # dispatch order
     assert assignment == {
         "C1": "agent1",
@@ -230,7 +233,7 @@ def test_distribute_respects_eligibility_on_mixed_pools(case):
     }
     # replay: the least-loaded agent that hosts every task of the cluster
     cdag = cluster_tasks(dag, len(agents), masks)
-    assignment = distribute(cdag, agents, masks)
+    assignment = distribute(cdag, agents)
     counts = {a.agent_id: 0 for a in agents}
     for cluster in cdag.topological_order():
         able = [a.agent_id for a in agents if all(hosts(a, t) for t in cluster.tasks)]
@@ -255,6 +258,9 @@ def check_mixed_pool(seed):
         assert homeless and err.task_id == homeless[0]
         return False
     assert not homeless
+    ids = sorted(a.agent_id for a in instance.agents)  # bit i is the i-th id
+    for cluster_id, agent_id in result.assignment.items():
+        assert result.cluster_dag.hosts[cluster_id] >> ids.index(agent_id) & 1
     report = validate_schedule(
         result.schedule, result.dag, instance.resources, instance.agents
     )
@@ -515,7 +521,9 @@ def test_readiness_waives_comm_on_same_resource():
     tasks = [task("p", 2.0), task("q", 1.0, [("p", 5.0)])]
     dag = build_dag(tasks)
     cluster = Cluster("C2", ("q",))
-    cdag = ClusterDag([Cluster("C1", ("p",)), cluster], {("C1", "C2"): 5.0})
+    cdag = ClusterDag(
+        [Cluster("C1", ("p",)), cluster], {("C1", "C2"): 5.0}, {"C1": -1, "C2": -1}
+    )
     prior = Placement("p", "r1", "a1", 0.0, 2.0)
     same = Placement("q", "r1", "a1", 0.0, 1.0)
     other = Placement("q", "r2", "a1", 0.0, 1.0)

@@ -370,8 +370,10 @@ def test_cluster_tasks_matches_per_candidate_reference(case):
     clusters, edges = greedy_clustering(dag, num_agents, hosts)
     assert [c.tasks for c in cdag.clusters] == clusters
     assert cdag.edges == edges
-    for cluster in clusters:  # every cluster has a common host
-        assert functools.reduce(operator.and_, (hosts[t] for t in cluster))
+    assert cdag.hosts.keys() == cdag.by_id.keys()
+    for c in cdag.clusters:  # each keeps its tasks' common hosts, never none
+        common = functools.reduce(operator.and_, (hosts[t] for t in c.tasks))
+        assert common and cdag.hosts[c.cluster_id] == common
 
 
 def fresh_candidate(dag, hosts, members, current, below, limit):

@@ -42,11 +42,13 @@ def task(task_id, processing=1.0, deps=()):
 def clusters_over(preds, min_task=None):
     """A cluster DAG with one cluster per key of ``preds``, named by it and
     holding the one task ``min_task[node]`` (the node itself by default),
-    and an edge from each of its predecessors, in the order given."""
+    and an edge from each of its predecessors, in the order given; every
+    agent hosts every cluster."""
     min_task = min_task or {n: n for n in preds}
     return ClusterDag(
         [Cluster(n, (min_task[n],)) for n in preds],
         {(p, n): 1.0 for n, ps in preds.items() for p in ps},
+        dict.fromkeys(preds, -1),
     )
 
 

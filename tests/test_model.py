@@ -441,6 +441,20 @@ def test_schedule_csv_field_errors_name_their_line(start, end, match):
         placements_from_csv(text)
 
 
+@pytest.mark.parametrize(
+    "rows,line",
+    [
+        ('"a\nx",r1,A1,0,1\n', 4),  # a quoted newline: the record spans lines 2-3
+        ("\na,r1,A1,0,1\n\n", 5),  # blank lines 2 and 4
+    ],
+)
+def test_schedule_csv_errors_count_every_line(rows, line):
+    text = "taskId,resourceId,agentId,start,end\n" + rows + "b,r1,A1,2,1\n"
+    match = f"^schedule line {line}: placement of 'b': end precedes start$"
+    with pytest.raises(ValidationError, match=match):
+        placements_from_csv(text)
+
+
 def test_schedule_csv_rejects_a_short_row():
     # a short row leaves its last fields None; with agentId last, a None agent
     # would reach compute_metrics, which sorts agent ids
