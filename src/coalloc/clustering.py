@@ -9,6 +9,7 @@ quotient edges.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections.abc import Iterable
 from .errors import StructuralError, ValidationError
 from .graph import TaskDag, level_sweep
@@ -148,20 +149,29 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
     when no candidate qualifies the cluster is final. So every cluster has a
     host. Absorbing a dependent ``D`` of the current cluster ``C`` closes a
     cycle exactly when another path ``C ~> D`` exists, that is when a
-    predecessor of ``D`` descends from ``C``. So each cluster makes one
-    reachability search, level by level, for the strict descendants of
-    ``C`` when it becomes current; a merge only removes ``D`` from that set,
-    since ``D``'s own descendants are already in it and no path can lead
-    back into ``C ∪ D``. The children of ``C`` whose predecessors miss that
-    set are ready and wait in a queue keyed by least task id; the others are
-    blocked. Only a merge of ``D`` can unblock a child, and only one of
-    ``D``'s successors, so after each merge only those are tested, again or
-    for the first time. A ready child too large for the room left, or whose
-    mask misses the current part's, is dropped for good, since the room and
-    the mask only shrink. Merges are union by size: only the neighbours of
-    the part with fewer adjacency entries are relinked, and the smaller
-    member list is appended to the larger, so a merge costs what the smaller
-    side holds. The procedure is fully deterministic.
+    predecessor of ``D`` descends from ``C``. So each part keeps a support
+    count: the number of its predecessor parts that are ``C`` or descend
+    from ``C``, which is positive exactly while the part descends from
+    ``C``. A child of ``C`` counts ``C`` once, so it is ready exactly when
+    its count is 1. When a new part becomes current, its support is added
+    and then the last current part's withdrawn, each cascading only through
+    the parts whose count crosses between 0 and 1; consecutive current parts
+    share most of their descendants, which stay positive throughout, where
+    withdrawing first would flip them all out and back in. Merging ``D``
+    into ``C`` only removes ``D`` from the descendants, since ``D``'s own
+    descendants stay below ``C`` and no path can lead back into ``C ∪ D``;
+    a successor of both ``C`` and ``D`` loses one count, as the two become
+    one predecessor, and the merged part's count is 0. The ready children
+    wait in a queue keyed by least task id; the others are blocked. Only a
+    merge of ``D`` can unblock a child, and only one of ``D``'s successors,
+    so after each merge only those are tested; a ready child is never among
+    them, as it has no predecessor below ``C``. A ready child too large for
+    the room left, or whose mask misses the current part's, is dropped for
+    good, since the room and the mask only shrink. Merges are union by size:
+    only the neighbours of the part with fewer adjacency entries are
+    relinked, and the smaller member list is appended to the larger, so a
+    merge costs what the smaller side holds. The procedure is fully
+    deterministic.
 
     Parts are int slots, one per task to begin with. A part keeps the lists
     of predecessor and successor slots it is built with until it first
@@ -169,11 +179,14 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
     holds neither. So at most one slot per cluster holds sets, and every
     other slot a list, which costs a fraction of a set; a task with no
     predecessors or no successors shares the empty tuple instead. Each slot
-    keeps its size, its least task id and its mask, and only a merged part
-    keeps a member list: an unmerged slot holds just its own task, its least id.
-    The slot numbers are the int objects of the task-to-slot map, shared by
-    every list that names a slot; the map itself is dropped once the lists
-    are built, and the lists before the cluster DAG is built.
+    keeps its size, its support count, its least task id and its mask, and
+    only a merged part keeps a member list: an unmerged slot holds just its
+    own task, its least id. The sizes and the slots in task-id order are
+    int arrays; the counts, updated far more often, are a list, which reads
+    and writes faster. The slot numbers in the lists are the int objects of
+    the task-to-slot map, shared by every list that names a slot; the map
+    itself is dropped once the lists are built, and the lists before the
+    cluster DAG is built.
     """
     if num_agents < 1:
         raise ValidationError(f"num_agents must be >= 1, got {num_agents}")
@@ -199,8 +212,11 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
                 succs[p] = [i]
     # By task id, before any merge changes ``low``.
     slots.sort(key=low.__getitem__)
-    size = [1] * len(slots)
+    slots = array("i", slots)
+    size = array("i", [1]) * len(slots)
     members: dict[int, list[str]] = {}  # of the parts that have merged
+    count = [0] * len(slots)  # support counts, see above
+    current = None
 
     # Only the current part merges, so an unfinished part has never merged:
     # it is still the singleton {task i} in slot i, and every task before i
@@ -210,27 +226,29 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
     for first in slots:
         if size[first] != 1:
             continue
+        _support(first, succs, count, 1)
+        if current is not None:
+            _support(current, succs, count, -1)
         current = first
-        below = _descendants(current, succs)
-        # A child is ready while its preds miss ``below``: contracting C -> D
-        # closes a cycle iff a predecessor of D lies in ``below``, the strict
-        # descendants of C (C itself never does). Merges only shrink
-        # ``below`` and relink preds to the merged part, never in ``below``,
-        # so a ready child stays ready and only a successor of the absorbed
-        # part can turn ready: those not yet queued are tested, again if
-        # blocked before and for the first time if new. They are tested
-        # before the merge: ``chosen`` has left ``below`` by then, and the
-        # merge only relinks it to the merged part, which is not in it either.
+        # A child is ready while its count is 1, ``current`` alone: another
+        # predecessor that descends from ``current`` closes a cycle. Merges
+        # only remove ``chosen`` from the descendants and relink preds to the
+        # merged part, so a ready child stays ready and only a successor of
+        # ``chosen`` can turn ready. Those are tested once their counts are
+        # the merged part's: again if blocked before, for the first time if
+        # new, and never if ready, as ``chosen`` descends from ``current``.
         ready: list[tuple[str, int]] = []
-        queued: set[int] = set()
         chosen = current  # the first pass tests the children of ``current``
         while True:
+            merging = chosen != current
             for d in succs[chosen]:
-                if d not in queued and below.isdisjoint(preds[d]):
+                if merging and current in preds[d]:
+                    count[d] -= 1  # ``current`` and ``chosen`` become one pred
+                if count[d] == 1:
                     heapq.heappush(ready, (low[d], d))
-                    queued.add(d)
-            if chosen != current:
+            if merging:
                 common = mask[current] & mask[chosen]
+                count[chosen] = 0
                 current = _merge_parts(
                     current, chosen, members, size, low, succs, preds
                 )
@@ -238,24 +256,24 @@ def cluster_tasks(dag: TaskDag, num_agents: int, hosts: dict[str, int]) -> Clust
             chosen = _next_candidate(current, size, mask, ready, limit)
             if chosen is None:
                 break
-            # The merged part may keep ``chosen``'s slot; either way that
-            # slot is no longer a strict descendant of the current part.
-            below.discard(chosen)
 
-    del preds, succs
+    del preds, succs, count
     return _collapse(dag, (
         (members.get(i) or (low[i],), mask[i]) for i, n in enumerate(size) if n
     ))
 
 
-def _descendants(source: int, succs: list[Adjacency]) -> set[int]:
-    """Every part reachable from ``source`` by a path of one or more edges."""
-    below = set(succs[source])
-    frontier = below
-    while frontier:
-        frontier = set().union(*[succs[x] for x in frontier]) - below
-        below |= frontier
-    return below
+def _support(source: int, succs: list[Adjacency], count: list[int], step: int) -> None:
+    """Add (``step`` 1) or withdraw (-1) ``source``'s support of its
+    successors, cascading through every part whose count crosses between 0
+    and 1, so that a part is supported while its count is positive."""
+    crossed = 1 if step > 0 else 0
+    stack = [source]
+    while stack:
+        for s in succs[stack.pop()]:
+            count[s] += step
+            if count[s] == crossed:
+                stack.append(s)
 
 
 def _next_candidate(

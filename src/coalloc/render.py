@@ -36,13 +36,12 @@ def _color_map(keys: list[str]) -> dict[str, str]:
 
 
 def _ticks(span: float) -> list[float]:
-    if span <= 0:
-        return [0.0]
+    """Tick times from 0 to ``span`` (positive) at a power-of-two step."""
     raw = span / _TICKS
     step = 1.0
     while step < raw:
         step *= 2
-    while step / 2 >= raw and step / 2 > 0:
+    while step / 2 >= raw:
         step /= 2
     ticks = []
     t = 0.0

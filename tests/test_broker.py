@@ -420,6 +420,7 @@ def test_reused_broker_gives_each_run_its_own_log(engineered):
     second = broker.orchestrate(*args)
     assert second.log is not first.log
     assert second.log.to_text() == first.log.to_text()
+    assert len(second.log) == len(second.log.to_text().splitlines())
     kinds = [e.kind for e in second.log if e.cluster_id == "C1"]
     assert kinds.count(MessageKind.ASSIGN_CLUSTER) == 1
 

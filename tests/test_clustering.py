@@ -333,6 +333,48 @@ def on_one_agent(tasks, num_agents):
     return tasks, num_agents, {t.task_id: 1 for t in tasks}
 
 
+def check_clustering_against_reference(rng, num_tasks):
+    """``cluster_tasks`` on a generated job of ``num_tasks`` tasks, its ids
+    and input order shuffled, on 1-6 agents gives the clusters and edges of
+    ``greedy_clustering`` and each cluster its tasks' common host mask. A
+    third of the jobs have every agent host every task; the others draw
+    each task's mask at random."""
+    tasks = generate_workload(
+        rng.randrange(2**31), num_tasks, rng.randint(1, min(num_tasks, 25)),
+        min(rng.uniform(1.0, 10.0) / num_tasks, 1.0),
+    )
+    ids = [t.task_id for t in tasks]
+    rename = dict(zip(ids, rng.sample(ids, len(ids))))
+    tasks = [
+        TaskSpec(rename[t.task_id], t.processing_time, t.memory, t.cpu_power,
+                 t.deadline_time,
+                 tuple(Dependency(rename[d.task_id], d.comm_time) for d in t.dependencies))
+        for t in tasks
+    ]
+    rng.shuffle(tasks)
+    num_agents = rng.randint(1, 6)
+    every = (1 << num_agents) - 1
+    if rng.randrange(3) == 0:
+        hosts = {t.task_id: every for t in tasks}
+    else:
+        hosts = {t.task_id: rng.randint(1, every) for t in tasks}
+    dag = build_dag(tasks)
+    cdag = cluster_tasks(dag, num_agents, hosts)
+    clusters, edges = greedy_clustering(dag, num_agents, hosts)
+    assert [c.tasks for c in cdag.clusters] == clusters
+    assert cdag.edges == edges
+    assert cdag.hosts == {
+        c.cluster_id: functools.reduce(operator.and_, (hosts[t] for t in c.tasks))
+        for c in cdag.clusters
+    }
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.randoms(use_true_random=False), st.integers(1, 60))
+def test_cluster_tasks_matches_the_reference_on_generated_jobs(rng, num_tasks):
+    check_clustering_against_reference(rng, num_tasks)
+
+
 @settings(deadline=None, max_examples=300)
 @given(shuffled_dags())
 @example(on_one_agent([TaskSpec(str(i), 1.0) for i in (3, 1, 2)], 2))  # no edges
@@ -402,6 +444,42 @@ def fresh_candidate(dag, hosts, members, current, below, limit):
     return min(safe, key=lambda d: min(members[d]), default=None)
 
 
+# 0 -> 1 -> 3 -> 4, 0 -> 2 -> 3, 5 -> 3 and 5 -> 4, as successor lists
+SUPPORT_SUCCS = [[1, 2], [3], [3], [4], [], [3, 4]]
+
+
+def fresh_counts(source):
+    """Per part, its predecessors that are ``source`` or descend from it."""
+    below, stack = set(), [source]
+    while stack:
+        for s in SUPPORT_SUCCS[stack.pop()]:
+            if s not in below:
+                below.add(s)
+                stack.append(s)
+    return [
+        sum(x in SUPPORT_SUCCS[p] for p in below | {source})
+        for x in range(len(SUPPORT_SUCCS))
+    ]
+
+
+@pytest.mark.parametrize("previous, new", [
+    (0, 3),  # the new source descends from the previous one
+    (3, 0),  # the previous source descends from the new one
+    (1, 2),  # siblings with a common descendant
+    (5, 0),  # unrelated sources whose descendants overlap
+    (4, 5),  # a sink, then a source that reaches it
+])
+def test_support_moves_to_a_new_source_as_a_fresh_count(previous, new):
+    count = [0] * len(SUPPORT_SUCCS)
+    clustering._support(previous, SUPPORT_SUCCS, count, 1)
+    assert count == fresh_counts(previous)
+    clustering._support(new, SUPPORT_SUCCS, count, 1)
+    clustering._support(previous, SUPPORT_SUCCS, count, -1)
+    assert count == fresh_counts(new)
+    clustering._support(new, SUPPORT_SUCCS, count, -1)
+    assert not any(count)
+
+
 @settings(deadline=None, max_examples=300)
 @given(shuffled_dags())
 @example(on_one_agent(chain(6), 1))
@@ -422,31 +500,44 @@ def fresh_candidate(dag, hosts, members, current, below, limit):
     {"a": 3, "b": 4, "c": 1},
 ))
 def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
-    # The descendant set is searched once per cluster and then only loses
-    # each absorbed part, so at every pick it must equal a fresh search over
-    # the quotient of the parts as they stand. The ready queue must yield
+    # The support counts are updated, never recomputed, so at every pick the
+    # parts with a positive count must be a fresh search's descendants of the
+    # current part over the quotient of the parts as they stand, and each
+    # count the number of that part's predecessor parts among them, plus one
+    # if the current part is also a predecessor. The ready queue must yield
     # what a fresh scan of every child would choose, and the parts must
     # finish in the order the per-candidate reference finishes them.
     tasks, num_agents, hosts = case
     dag = build_dag(tasks)
     limit = max_cluster_size(len(dag.tasks), num_agents)
-    search, pick = clustering._descendants, clustering._next_candidate
-    searched, picks, finished = [], [], []
+    support, pick = clustering._support, clustering._next_candidate
+    counts, picks, finished = [], [], []
 
-    def search_spy(source, succs):
-        below = search(source, succs)
-        searched.append(below)  # the live set the loop goes on to shrink
-        return below
+    def support_spy(source, succs, count, step):
+        counts[:] = [count]  # the list the loop goes on to update
+        support(source, succs, count, step)
 
     def pick_spy(current, size, mask, ready, limit_):
         assert limit_ == limit
-        assert size == [len(part) for part in members]
+        assert list(size) == [len(part) for part in members]
+        # a child is queued once: none turns ready twice
+        assert len({d for _, d in ready}) == len(ready)
         assert [m for m, part in zip(mask, members) if part] == [
             functools.reduce(operator.and_, (hosts[t] for t in part))
             for part in members if part
         ]
-        below = part_descendants(edge_costs(dag), members, current)
-        assert searched[-1] == below
+        edges = edge_costs(dag)
+        below = part_descendants(edges, members, current)
+        live = [i for i, part in enumerate(members) if part]
+        assert {i for i in live if counts[0][i] > 0} == below
+        owner = {t: i for i, part in enumerate(members) for t in part}
+        pred_parts = {i: set() for i in live}
+        for a, b in edges:
+            if owner[a] != owner[b]:
+                pred_parts[owner[b]].add(owner[a])
+        assert [counts[0][i] for i in live] == [
+            len(pred_parts[i] & (below | {current})) for i in live
+        ]
         expected = fresh_candidate(dag, hosts, members, current, below, limit)
         chosen = pick(current, size, mask, ready, limit_)
         assert chosen == expected
@@ -457,7 +548,7 @@ def test_every_pick_sees_the_live_descendants_of_the_current_part(case):
 
     with pytest.MonkeyPatch.context() as mp:
         _, members = track_parts(mp, dag)
-        mp.setattr(clustering, "_descendants", search_spy)
+        mp.setattr(clustering, "_support", support_spy)
         mp.setattr(clustering, "_next_candidate", pick_spy)
         cluster_tasks(dag, num_agents, hosts)
     reference = []

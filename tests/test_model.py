@@ -313,6 +313,10 @@ def test_numeric_blocks_name_fields_warn_and_keep_the_last_repeat(caplog):
     assert "ignoring unknown element <Disk> in Node 'P01'/Parameters" in warnings
     with pytest.raises(ValidationError, match="^task '1': cpuPower: not a number"):
         parse_task_file(MINIMAL_TASK.replace("<cpuPower>1<", "<cpuPower>x<"))
+    with pytest.raises(
+        ValidationError, match="^task '1': processingTime: missing numeric value$"
+    ):
+        parse_task_file(MINIMAL_TASK.replace(">5</processingTime>", "> </processingTime>"))
     with pytest.raises(ValidationError, match="^Node 'P01': CPU_idle: must be"):
         parse_resource_file(MINIMAL_NODE.replace("<CPU_idle>90<", "<CPU_idle>inf<"))
     with pytest.raises(ValidationError, match="Parameters must contain"):
